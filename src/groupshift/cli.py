@@ -4,12 +4,15 @@ Exit codes: 0 success / positive verdict, 1 negative verdict, 2 usage
 error, 3 budget exhausted / undetermined.  Every subcommand has a
 machine-readable mode (--format json) whose payload embeds the run
 manifest; --manifest PATH additionally writes the manifest to a file.
-The environment variable GROUPSHIFT_BUDGET overrides default budgets.
+The environment variable GROUPSHIFT_BUDGET overrides default budgets; a
+--budget option overrides both.  A budget that is not a finite,
+non-negative number is a usage error.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 from typing import Any, Optional
@@ -79,14 +82,31 @@ from .subshifts import extendable, locally_admissible
 EXIT_OK, EXIT_NEGATIVE, EXIT_USAGE, EXIT_UNDETERMINED = 0, 1, 2, 3
 
 
-def default_budget(fallback: int) -> int:
+def parse_budget(raw: str, source: str) -> int:
+    """A search budget: a finite, non-negative number such as 5000 or 1e7."""
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value) or value < 0:
+        raise click.UsageError(
+            f"{source} must be a finite, non-negative number, got {raw!r}")
+    return int(value)
+
+
+def resolve_budget(option: Optional[str], fallback: int) -> int:
+    """--budget if given, else GROUPSHIFT_BUDGET if set, else the fallback."""
+    if option is not None:
+        return parse_budget(option, "--budget")
     raw = os.environ.get("GROUPSHIFT_BUDGET")
     if raw:
-        try:
-            return int(float(raw))
-        except ValueError:
-            pass
+        return parse_budget(raw, "GROUPSHIFT_BUDGET")
     return fallback
+
+
+budget_option = click.option(
+    "--budget", default=None,
+    help="search budget, e.g. 5000 or 1e7 (default: GROUPSHIFT_BUDGET)")
 
 
 def _load_json(path: str) -> Any:
@@ -275,7 +295,7 @@ def coding_check(ctx, group_path, coding_path, fmt, manifest_path):
 @click.option("--coding", "coding_path", required=True, type=click.Path(exists=True))
 @click.option("--enumeration", "enum_path", required=True, type=click.Path(exists=True),
               help="JSON list of pattern codings")
-@click.option("--budget", type=int, default=None)
+@budget_option
 @common_options
 @click.pass_context
 def completion(ctx, group_path, coding_path, enum_path, budget, fmt, manifest_path):
@@ -286,7 +306,7 @@ def completion(ctx, group_path, coding_path, enum_path, budget, fmt, manifest_pa
     group = _load_group(group_path)
     c = jsonio.coding_from_json(group, _load_json(coding_path))
     enum = [jsonio.coding_from_json(group, o) for o in _load_json(enum_path)]
-    budget = budget if budget is not None else default_budget(10_000)
+    budget = resolve_budget(budget, 10_000)
     try:
         verdict = decidable_completion_contains(group, enum, c, budget)
     except CompletionBudgetError as e:
@@ -328,7 +348,7 @@ def subshift_check(ctx, spec_path, pattern_path, fmt, manifest_path):
 @click.option("--spec", "spec_path", required=True, type=click.Path(exists=True))
 @click.option("--pattern", "pattern_path", required=True, type=click.Path(exists=True))
 @click.option("--radius", required=True, type=int)
-@click.option("--budget", type=int, default=None)
+@budget_option
 @common_options
 @click.pass_context
 def subshift_extend(ctx, spec_path, pattern_path, radius, budget, fmt, manifest_path):
@@ -337,11 +357,12 @@ def subshift_extend(ctx, spec_path, pattern_path, radius, budget, fmt, manifest_
     em.add_input(spec_path)
     em.add_input(pattern_path)
     spec, pat = _load_subshift_and_pattern(spec_path, pattern_path)
-    budget = budget if budget is not None else default_budget(500_000)
+    budget = resolve_budget(budget, 500_000)
     try:
         verdict = extendable(pat, spec, radius, budget)
     except UndeterminedError as e:
-        sys.exit(em.emit(f"undetermined: {e}", {"verdict": "undetermined"},
+        sys.exit(em.emit(f"undetermined: {e}",
+                         {"verdict": "undetermined", "nodes": e.nodes},
                          "undetermined", EXIT_UNDETERMINED))
     code = EXIT_OK if verdict else EXIT_NEGATIVE
     sys.exit(em.emit("yes" if verdict else "no", {"extendable": verdict},
@@ -398,7 +419,7 @@ def machine_group():
 @click.option("--group", "group_path", required=True, type=click.Path(exists=True))
 @click.option("--machine", "machine_path", required=True, type=click.Path(exists=True))
 @click.option("--pattern", "pattern_path", required=True, type=click.Path(exists=True))
-@click.option("--budget", type=int, default=None)
+@budget_option
 @click.option("--trace", is_flag=True)
 @common_options
 @click.pass_context
@@ -412,7 +433,7 @@ def machine_run(ctx, group_path, machine_path, pattern_path, budget, trace,
     machine = jsonio.machine_from_json(group, _load_json(machine_path))
     pat = jsonio.pattern_from_json(group, _load_json(pattern_path),
                                    machine.tape_alphabet)
-    budget = budget if budget is not None else default_budget(10_000)
+    budget = resolve_budget(budget, 10_000)
     lines = []
     if trace:
         prev = None
@@ -463,7 +484,7 @@ def machine_path(ctx, group_path, steps, dot, fmt, manifest_path):
 @machine_group.command("visit")
 @click.option("--group", "group_path", required=True, type=click.Path(exists=True))
 @click.option("-n", "--n", "target", required=True, type=int)
-@click.option("--budget", type=int, default=None)
+@budget_option
 @common_options
 @click.pass_context
 def machine_visit(ctx, group_path, target, budget, fmt, manifest_path):
@@ -471,7 +492,7 @@ def machine_visit(ctx, group_path, target, budget, fmt, manifest_path):
     em = _emitter(ctx, fmt, manifest_path)
     em.add_input(group_path)
     group = _load_group(group_path)
-    budget = budget if budget is not None else default_budget(2_000_000)
+    budget = resolve_budget(budget, 2_000_000)
     vm = VisitMachine(group)
     try:
         events = vm.run_until_n(target, budget)
@@ -535,7 +556,7 @@ def machine_retarget(ctx, group_path, machine_path, gamma_path, fmt, manifest_pa
 @click.option("--group", "group_path", required=True, type=click.Path(exists=True))
 @click.option("--machine", "machine_path", required=True, type=click.Path(exists=True))
 @click.option("--coding", "coding_path", required=True, type=click.Path(exists=True))
-@click.option("--budget", type=int, default=None)
+@budget_option
 @common_options
 @click.pass_context
 def machine_simulate_balls(ctx, group_path, machine_path, coding_path, budget,
@@ -547,7 +568,7 @@ def machine_simulate_balls(ctx, group_path, machine_path, coding_path, budget,
     group = _load_group(group_path)
     machine = jsonio.machine_from_json(group, _load_json(machine_path))
     c = jsonio.coding_from_json(group, _load_json(coding_path))
-    budget = budget if budget is not None else default_budget(10_000)
+    budget = resolve_budget(budget, 10_000)
     out = simulate_with_balls(machine, c, budget)
     payload = {"outcome": out.kind, "steps": out.steps}
     if out.witness:
@@ -563,7 +584,7 @@ def machine_simulate_balls(ctx, group_path, machine_path, coding_path, budget,
               help="accept-all | contains:WORD:SYMBOL | query:WORD")
 @click.option("--alphabet", default="0,1", show_default=True)
 @click.option("--pattern", "pattern_path", type=click.Path(exists=True), default=None)
-@click.option("--budget", type=int, default=None)
+@budget_option
 @common_options
 @click.pass_context
 def machine_oracle_sim(ctx, group_path, classical, alphabet, pattern_path,
@@ -587,7 +608,7 @@ def machine_oracle_sim(ctx, group_path, classical, alphabet, pattern_path,
     if pattern_path:
         em.add_input(pattern_path)
         pat = jsonio.pattern_from_json(group, _load_json(pattern_path), alpha)
-    budget = budget if budget is not None else default_budget(20_000)
+    budget = resolve_budget(budget, 20_000)
     sim = build_oracle_simulator(group, spec, alpha)
     out = sim.run(pat, budget)
     accepted = isinstance(out, Accepted)
@@ -743,7 +764,7 @@ def verify_group():
 @click.option("--instance", "instance_path", required=True, type=click.Path(exists=True))
 @click.option("--radius", required=True, type=int)
 @click.option("--height", required=True, type=int)
-@click.option("--budget", type=float, default=None)
+@budget_option
 @common_options
 @click.pass_context
 def verify_window_cmd(ctx, instance_path, radius, height, budget, fmt, manifest_path):
@@ -751,7 +772,7 @@ def verify_window_cmd(ctx, instance_path, radius, height, budget, fmt, manifest_
     em = _emitter(ctx, fmt, manifest_path)
     em.add_input(instance_path)
     instance = jsonio.instance_from_json(_load_json(instance_path))
-    budget = int(budget) if budget is not None else default_budget(10_000_000)
+    budget = resolve_budget(budget, 10_000_000)
     out = verify_reduction_window(instance, radius, height, budget)
     if isinstance(out, Satisfiable):
         product = instance.product_group()
@@ -765,7 +786,8 @@ def verify_window_cmd(ctx, instance_path, radius, height, budget, fmt, manifest_
     if isinstance(out, Unsatisfiable):
         sys.exit(em.emit("unsatisfiable", {"verdict": "unsatisfiable"},
                          "unsatisfiable", EXIT_NEGATIVE))
-    sys.exit(em.emit("undetermined", {"verdict": "undetermined"},
+    sys.exit(em.emit(f"undetermined after {out.nodes} nodes",
+                     {"verdict": "undetermined", "nodes": out.nodes},
                      "undetermined", EXIT_UNDETERMINED))
 
 

@@ -1,0 +1,146 @@
+"""Compiled local constraints on a finite window, and the one backtracking
+solver that `extendable` and `verify_reduction_window` share.
+
+A constraint is a sequence of (offset, allowed) pairs: placed at an anchor
+cell c it covers the cells shift(c, offset), and it fires when each of
+them holds a symbol index in its `allowed` set.  `compile_window` numbers
+the window cells 0..n-1, grounds every constraint at every anchor once and
+keeps only the placements that lie wholly inside the window, so the search
+does no group arithmetic.
+
+The solver assigns the free cells in window order, so a placement becomes
+fully assigned exactly when its last cell in that order does.  Each
+placement is therefore watched by that cell alone (Chaff's watched
+literals, Moskewicz et al., DAC 2001, with the watch fixed by the search
+order): it is filed there under its allowed set at that cell and stored
+as the (cell, allowed) pairs of its other cells, and it is checked only
+when the search puts an allowed symbol on its watch.  Placements whose
+last cell is fixed are re-filed under their last free cell when a search
+starts.  A constraint with no cells fires in every window.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence
+
+from .errors import UndeterminedError
+
+# the (cell index, allowed symbol indices) pairs of a placement, minus its watch
+Rest = tuple[tuple[int, frozenset[int]], ...]
+# the placements sharing a watch cell and their allowed set there
+Bucket = tuple[frozenset[int], tuple[Rest, ...]]
+Constraint = Sequence[tuple[Hashable, frozenset[int]]]
+
+
+@dataclass(frozen=True, eq=False)
+class CompiledWindow:
+    cells: tuple
+    index: Mapping[Hashable, int]
+    watch: tuple[tuple[Bucket, ...], ...]  # per cell: the placements it is last in
+    always: bool
+
+
+def compile_window(cells: Sequence[Hashable], constraints: Iterable[Constraint],
+                   shift: Callable[[Hashable, Hashable], Hashable]) -> CompiledWindow:
+    """Ground every constraint at every anchor inside the window.
+
+    `shift(cell, offset)` is called once per window cell and distinct offset.
+    """
+    index = {c: j for j, c in enumerate(cells)}
+    moved: dict[Hashable, list[int]] = {}
+    # one shared object per distinct (cell, allowed) pair and per distinct rest
+    pairs: dict[tuple[int, frozenset[int]], tuple[int, frozenset[int]]] = {}
+    rests: dict[Rest, Rest] = {}
+    # per cell: the rests of the placements it is last in, by its allowed set
+    filed: list[dict[frozenset[int], list[Rest]]] = [{} for _ in cells]
+    always = False
+    for con in constraints:
+        if not con:
+            always = True
+            continue
+        columns = []
+        for off, _ in con:
+            col = moved.get(off)
+            if col is None:
+                col = moved[off] = [index.get(shift(c, off), -1) for c in cells]
+            columns.append(col)
+        allowed = [a for _, a in con]
+        for js in zip(*columns):
+            if -1 in js:
+                continue
+            last = js.index(max(js))
+            rest = tuple(pairs.setdefault(p, p)
+                         for k, p in enumerate(zip(js, allowed)) if k != last)
+            filed[js[last]].setdefault(allowed[last], []).append(
+                rests.setdefault(rest, rest))
+    watch = tuple(tuple((a, tuple(bucket)) for a, bucket in row.items())
+                  for row in filed)
+    return CompiledWindow(tuple(cells), index, watch, always)
+
+
+def _fires(val: list[int], rests: tuple[Rest, ...]) -> bool:
+    for rest in rests:
+        for j, a in rest:
+            if val[j] not in a:
+                break
+        else:
+            return True
+    return False
+
+
+def solve(window: CompiledWindow, fixed: Mapping[int, int], n_symbols: int,
+          budget: int,
+          accept: Optional[Callable[[list[int]], bool]] = None) -> Optional[list[int]]:
+    """Backtrack over the free cells in window order, symbols 0..n_symbols-1.
+
+    Returns the first total assignment (one symbol index per cell) that no
+    placement fires on and `accept`, if given, takes; None if there is none.
+    One node is counted per (cell, symbol) tried; once the count exceeds
+    `budget` an UndeterminedError carrying the count is raised.
+    """
+    if window.always:
+        return None
+    val = [-1] * len(window.cells)
+    for j, s in fixed.items():
+        val[j] = s
+    # placements whose last cell is fixed: check the fully fixed ones now and
+    # watch the rest from their last free cell
+    late: dict[int, dict[frozenset[int], list[Rest]]] = {}
+    for f, s in fixed.items():
+        for rest in (r for a, bucket in window.watch[f] if s in a for r in bucket):
+            free = [k for k, (j, _) in enumerate(rest) if j not in fixed]
+            if not free:
+                if _fires(val, (rest,)):
+                    return None
+                continue
+            k = max(free, key=lambda k: rest[k][0])
+            j, a = rest[k]
+            late.setdefault(j, {}).setdefault(a, []).append(rest[:k] + rest[k + 1:])
+    watch = list(window.watch)
+    for j, row in late.items():
+        watch[j] += tuple((a, tuple(bucket)) for a, bucket in row.items())
+
+    free_cells = [j for j in range(len(val)) if j not in fixed]
+    symbols = range(n_symbols)
+    nodes = 0
+
+    def search(i: int) -> bool:
+        nonlocal nodes
+        if i == len(free_cells):
+            return accept is None or accept(val)
+        j = free_cells[i]
+        checks = watch[j]
+        for s in symbols:
+            nodes += 1
+            if nodes > budget:
+                raise UndeterminedError(f"search exceeded {budget} nodes",
+                                        nodes=nodes)
+            val[j] = s
+            if (not any(s in a and _fires(val, bucket) for a, bucket in checks)
+                    and search(i + 1)):
+                return True
+        val[j] = -1
+        return False
+
+    return val if search(0) else None

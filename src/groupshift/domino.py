@@ -7,6 +7,14 @@ Cell symbols are component tuples (machine symbol, head state, star marker,
 sets so the emitted family sizes match their closed forms exactly; a fully
 expanded concrete-pattern representation would multiply the counts by every
 wildcard dimension.
+
+`verify_reduction_window` compiles the instance onto its level-major G x Z
+window once per call (`constraints.compile_window`): each constraint becomes
+offsets (anchor.g^-1 * o.g, o.dz - anchor.dz) from its first support cell,
+and each cell requirement becomes the set of indices into
+`list(alphabet.symbols())` it allows.  The search (`constraints.solve`)
+counts one node per (cell, symbol) tried.  `grounded_violations` and
+`check_window_assignment` stay as the direct, uncompiled scans.
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import MalformedInputError, UndeterminedError, UnsupportedGroupError
 from .cayley import ball
+from .constraints import compile_window, solve
 from .groups import Element, FiniteGroup, FreeAbelianGroup, Group, direct_product, free_product
 from .machines import GMachineSpec
 from .patterns import Alphabet, Pattern
@@ -91,6 +100,12 @@ class DominoConstraint:
     support: tuple[Offset, ...]
     cells: tuple[CellReq, ...]
     tag: str
+
+    def __post_init__(self):
+        if not self.support or len(self.support) != len(self.cells):
+            raise MalformedInputError(
+                f"constraint {self.tag!r} needs a non-empty support with one "
+                "requirement per cell")
 
     def cell_matches(self, i: int, symbol: tuple[int, ...]) -> bool:
         return all(symbol[ci] in allowed for ci, allowed in self.cells[i])
@@ -305,6 +320,12 @@ def window_cells(instance: DominoInstance, radius_g: int, height_z: int) -> list
     return [(g, z) for z in range(height_z + 1) for g in base]
 
 
+def _require_g_offsets(con: DominoConstraint) -> None:
+    if any(isinstance(o, HOffset) for o in con.support):
+        raise UnsupportedGroupError(
+            "free-product instances are not window-verifiable")
+
+
 def grounded_violations(
     instance: DominoInstance,
     assign: Mapping[Cell, tuple[int, ...]],
@@ -314,9 +335,7 @@ def grounded_violations(
     group = instance.g_group
     out = []
     for con in instance.constraints:
-        if any(isinstance(o, HOffset) for o in con.support):
-            raise UnsupportedGroupError(
-                "free-product instances are not window-verifiable")
+        _require_g_offsets(con)
         anchors: Iterable[Cell]
         if touched is None:
             anchors = list(assign)
@@ -350,12 +369,18 @@ def check_window_assignment(
     instance: DominoInstance, assign: Mapping[Cell, tuple[int, ...]]
 ) -> list[tuple[DominoConstraint, Cell]]:
     """Full constraint scan of an explicit window assignment."""
-    group = instance.g_group
+    return scan_constraints(instance.g_group, instance.constraints, assign)
+
+
+def scan_constraints(
+    group: Group,
+    constraints: Sequence[DominoConstraint],
+    assign: Mapping[Cell, tuple[int, ...]],
+) -> list[tuple[DominoConstraint, Cell]]:
+    """Every (constraint, anchor) firing on an explicit assignment of cells."""
     out = []
-    for con in instance.constraints:
-        if any(isinstance(o, HOffset) for o in con.support):
-            raise UnsupportedGroupError(
-                "free-product instances are not window-verifiable")
+    for con in constraints:
+        _require_g_offsets(con)
         for cell in assign:
             g0 = group.multiply(cell[0], group.inverse_element(con.support[0].g))
             z0 = cell[1] - con.support[0].dz
@@ -379,45 +404,56 @@ def verify_reduction_window(
 ) -> VerifyOutcome:
     """Exhaustive backtracking search for an admissible total window
     assignment containing the origin symbol at the base of the window."""
-    cells = window_cells(instance, radius_g, height_z)
+    group = instance.g_group
     symbols = list(instance.alphabet.symbols())
-    assign: dict[Cell, tuple[int, ...]] = {}
-    origin_cell = (instance.g_group.identity, 0)
+    moved: dict[tuple[Element, Element], Element] = {}  # shared by every level
+
+    def shift(cell: Cell, off: tuple[Element, int]) -> Cell:
+        key = (cell[0], off[0])
+        if key not in moved:
+            moved[key] = group.multiply(*key)
+        return (moved[key], cell[1] + off[1])
+
+    window = compile_window(window_cells(instance, radius_g, height_z),
+                            _indexed_constraints(instance, symbols), shift)
+    fixed = {}
     if instance.origin_symbol is not None:
-        assign[origin_cell] = tuple(instance.origin_symbol)
-        if grounded_violations(instance, assign, origin_cell):
-            return Unsatisfiable()
-    free = [c for c in cells if c not in assign]
-    nodes = 0
-
-    def search(i: int) -> bool:
-        nonlocal nodes
-        if i == len(free):
-            return True
-        cell = free[i]
-        for sym in symbols:
-            nodes += 1
-            if nodes > budget:
-                raise UndeterminedError(f"window search exceeded {budget} nodes")
-            assign[cell] = sym
-            if not grounded_violations(instance, assign, cell):
-                if search(i + 1):
-                    return True
-            del assign[cell]
-        return False
-
+        origin = tuple(instance.origin_symbol)
+        if origin not in symbols:
+            raise MalformedInputError(f"origin symbol {origin} outside the alphabet")
+        fixed[window.index[(group.identity, 0)]] = symbols.index(origin)
     try:
-        found = search(0)
-    except UndeterminedError:
-        return Undetermined(nodes)
-    if not found:
+        val = solve(window, fixed, len(symbols), budget)
+    except UndeterminedError as e:
+        return Undetermined(e.nodes)
+    if val is None:
         return Unsatisfiable()
     product = instance.product_group()
     witness = {}
-    for (g, z), sym in assign.items():
-        cell = product.pair([g, _z_element(product, z)])
-        witness[cell] = sym
+    for (g, z), v in zip(window.cells, val):
+        witness[product.pair([g, _z_element(product, z)])] = symbols[v]
     return Satisfiable(Pattern(witness))
+
+
+def _indexed_constraints(instance: DominoInstance, symbols: list[tuple[int, ...]]):
+    """Each constraint as (offset from its first cell, allowed symbol indices)."""
+    group = instance.g_group
+    allowed: dict[CellReq, frozenset[int]] = {}
+    out = []
+    for con in instance.constraints:
+        _require_g_offsets(con)
+        pairs = []
+        anchor = con.support[0]
+        for o, req in zip(con.support, con.cells):
+            if req not in allowed:
+                allowed[req] = frozenset(
+                    i for i, sym in enumerate(symbols)
+                    if all(sym[ci] in vals for ci, vals in req))
+            off = (group.multiply(group.inverse_element(anchor.g), o.g),
+                   o.dz - anchor.dz)
+            pairs.append((off, allowed[req]))
+        out.append(pairs)
+    return out
 
 
 def _z_element(product, z: int):

@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the library."""
 
+from typing import Optional
+
 
 class GroupShiftError(Exception):
     """Base class for all library errors."""
@@ -30,7 +32,15 @@ class CompletionBudgetError(GroupShiftError):
 
 
 class UndeterminedError(GroupShiftError):
-    """A bounded search ran out of budget; the verdict is neither Yes nor No."""
+    """A bounded search ran out of budget; the verdict is neither Yes nor No.
+
+    `nodes` is the search-node count at which the budget ran out, when the
+    search counts nodes (None otherwise).
+    """
+
+    def __init__(self, message: str, nodes: Optional[int] = None):
+        super().__init__(message)
+        self.nodes = nodes
 
 
 class RetargetSoundnessError(GroupShiftError):

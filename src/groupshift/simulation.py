@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, Optional, Union
 
 from .errors import MalformedInputError, UnsupportedGroupError
 from .cayley import ball, enumerate_words
@@ -20,7 +20,14 @@ from .families import DeloneFamily
 from .groups import Element, Group, Letters
 from .machines import GMachineSpec
 from .patterns import Alphabet, Pattern
-from .domino import CellReq, ComponentAlphabet, DominoConstraint, GOffset, _req
+from .domino import (
+    CellReq,
+    ComponentAlphabet,
+    DominoConstraint,
+    GOffset,
+    _req,
+    scan_constraints,
+)
 
 MAX_PREFIX = 1_000_000
 
@@ -184,7 +191,7 @@ class URuleSet:
                      ) -> list[str]:
         """All violations (finite rules + Delone hooks) in a window."""
         out = [f"{con.tag}@{cell}" for con, cell in
-               _grounded(self.group, self.constraints, assign)]
+               scan_constraints(self.group, self.constraints, assign)]
         out.extend(self.delone_hook_violations(assign))
         return out
 
@@ -214,25 +221,6 @@ class URuleSet:
                     out.append(f"delone_hook(n={n})@z={z + k_n}")
                 n += 1
         return out
-
-
-def _grounded(group: Group, constraints: Sequence[DominoConstraint],
-              assign: Mapping[tuple[Element, int], tuple[int, ...]]):
-    out = []
-    for con in constraints:
-        for cell in assign:
-            g0 = group.multiply(cell[0], group.inverse_element(con.support[0].g))
-            z0 = cell[1] - con.support[0].dz
-            ok = True
-            for i, off in enumerate(con.support):
-                target = (group.multiply(g0, off.g), z0 + off.dz)
-                sym = assign.get(target)
-                if sym is None or not con.cell_matches(i, sym):
-                    ok = False
-                    break
-            if ok:
-                out.append((con, (g0, z0)))
-    return out
 
 
 def build_u_rules(group: Group, params: XTimeParams,

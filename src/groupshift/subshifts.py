@@ -5,16 +5,28 @@ projective subdynamics) is realized at a caller-chosen radius with
 `extendable` standing in for "the cylinder meets the subshift".  Budget
 exhaustion is a distinct outcome (UndeterminedError), never folded into a
 boolean.
+
+`extendable` compiles the forbidden patterns onto B_r once
+(`constraints.compile_window`): each pattern becomes offsets from one of its
+cells, patterns that cannot fit in B_r are dropped, and every translate
+lying inside B_r is grounded to window-cell indices.  The compiled window is
+cached on the forbidden family per (group, radius), alongside the family's
+own pattern cache, so repeated searches on one window pay for grounding
+once.  The search (`constraints.solve`) counts one node per (cell, symbol)
+tried.  `matches_somewhere` and `ForbiddenFamily.violates` stay as the
+direct, uncompiled check.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import GroupShiftError, MalformedInputError, UndeterminedError
 from .cayley import ball, distance_from_identity
+from .constraints import CompiledWindow, compile_window, solve
 from .groups import Element, Group
 from .patterns import Alphabet, Pattern, translate_pattern
 
@@ -45,6 +57,19 @@ class ForbiddenFamily:
             for q in self.patterns_up_to(group, radius)
         )
 
+    @cached_property
+    def _windows(self) -> dict[tuple[Group, int], CompiledWindow]:
+        return {}
+
+    def compiled_window(self, group: Group, radius: int) -> CompiledWindow:
+        """B_radius in shortlex order with every pattern that fits compiled
+        onto it; cached per (group, radius) for the family's lifetime."""
+        key = (group, radius)
+        window = self._windows.get(key)
+        if window is None:
+            window = self._windows.setdefault(key, _compile_ball(self, group, radius))
+        return window
+
 
 @dataclass(frozen=True)
 class FiniteFamily(ForbiddenFamily):
@@ -61,7 +86,7 @@ class GeneratedFamily(ForbiddenFamily):
                  radius_cap: int = DEFAULT_RADIUS_CAP,
                  name: str = "generated"):
         self._generator = generator
-        self._cache: dict[int, list[Pattern]] = {}
+        self._cache: dict[tuple[Group, int], list[Pattern]] = {}
         self._lock = threading.Lock()
         self.radius_cap = radius_cap
         self.name = name
@@ -70,10 +95,11 @@ class GeneratedFamily(ForbiddenFamily):
         if radius > self.radius_cap:
             raise GeneratorBudgetError(
                 f"family {self.name!r}: radius {radius} exceeds cap {self.radius_cap}")
+        key = (group, radius)
         with self._lock:
-            if radius not in self._cache:
-                self._cache[radius] = list(self._generator(group, radius))
-            return self._cache[radius]
+            if key not in self._cache:
+                self._cache[key] = list(self._generator(group, radius))
+            return self._cache[key]
 
 
 class CompositeFamily(ForbiddenFamily):
@@ -147,78 +173,55 @@ def extendable(
 ) -> bool:
     """Whether some total assignment on B_radius extending x is admissible.
 
-    Exhaustive backtracking with forward checking: cells filled in shortlex
-    order, symbols in alphabet order.  Raises UndeterminedError on budget
+    Exhaustive backtracking over the compiled window: cells filled in
+    shortlex order, symbols in alphabet order, one node per (cell, symbol)
+    tried.  Raises UndeterminedError (carrying the node count) on budget
     exhaustion; that outcome is never coerced to False.
     """
     group = spec.group
-    window = ball(group, radius).sorted_elements()
-    window_set = set(window)
-    for e in x.support:
-        if e not in window_set:
+    window_ball = ball(group, radius)
+    for e in x.assignment:
+        if e not in window_ball:
             raise MalformedInputError("pattern support must lie inside B_radius")
-    # patterns that could embed in the window
-    forbidden = spec.forbidden.patterns_up_to(group, max(2 * radius, 1))
-    assign: dict[Element, int] = dict(x.assignment)
-    if _violation_exists(group, forbidden, assign, None):
-        return False
-    free = [e for e in window if e not in assign]
-    symbols = range(len(spec.alphabet))
-    nodes = 0
-
-    def search(i: int) -> bool:
-        nonlocal nodes
-        if i == len(free):
-            # semantic families constrain more than their pattern lists;
-            # re-check those on the completed assignment
-            if spec.forbidden.semantic:
-                return not spec.forbidden.violates(group, Pattern(dict(assign)))
-            return True
-        cell = free[i]
-        for s in symbols:
-            nodes += 1
-            if nodes > budget:
-                raise UndeterminedError(
-                    f"extendability search exceeded {budget} nodes")
-            assign[cell] = s
-            if not _violation_exists(group, forbidden, assign, cell):
-                if search(i + 1):
-                    return True
-            del assign[cell]
-        return False
-
-    return search(0)
+    window = spec.forbidden.compiled_window(group, radius)
+    fixed = {window.index[e]: v for e, v in x.items()}
+    accept = None
+    if spec.forbidden.semantic:
+        # semantic families constrain more than their pattern lists;
+        # re-check those on the completed assignment
+        def accept(val: list[int]) -> bool:
+            total = Pattern(dict(zip(window.cells, val)))
+            return not spec.forbidden.violates(group, total)
+    return solve(window, fixed, len(spec.alphabet), budget, accept) is not None
 
 
-def _violation_exists(
-    group: Group,
-    forbidden: Sequence[Pattern],
-    assign: Mapping[Element, int],
-    touched: Optional[Element],
-) -> bool:
-    """Check for a fully-assigned forbidden translate (optionally through a cell)."""
-    for q in forbidden:
-        if len(q) == 0:
-            return True
-        items = q.sorted_items(group)
-        if touched is None:
-            candidates = list(assign)
-            anchors = [items[0][0]]
+def _compile_ball(family: ForbiddenFamily, group: Group, radius: int) -> CompiledWindow:
+    """Compile the family's patterns of diameter <= 2*radius onto B_radius.
+
+    A pattern becomes the offsets anchor^-1 * h of its cells from its first
+    cell, each with a singleton allowed set (one shared set per symbol).
+    Under a geodesic normal form an offset longer than 2*radius cannot fit
+    in B_radius, so its pattern is dropped before grounding.
+    """
+    reach = 2 * radius if group.geodesic_normal_form() else None
+    singletons: dict[int, frozenset[int]] = {}
+    constraints = []
+    for q in family.patterns_up_to(group, max(2 * radius, 1)):
+        con = []
+        inv = None
+        for h, v in q.items():
+            if inv is None:
+                inv = group.inverse_element(h)
+            off = group.multiply(inv, h)
+            if reach is not None and group.length_of(off) > reach:
+                break
+            if v not in singletons:
+                singletons[v] = frozenset((v,))
+            con.append((off, singletons[v]))
         else:
-            candidates = [touched]
-            anchors = [h for h, _ in items]
-        for c in candidates:
-            for anchor in anchors:
-                g = group.multiply(c, group.inverse_element(anchor))
-                ok = True
-                for h, v in items:
-                    got = assign.get(group.multiply(g, h))
-                    if got is None or got != v:
-                        ok = False
-                        break
-                if ok:
-                    return True
-    return False
+            constraints.append(con)
+    return compile_window(ball(group, radius).sorted_elements(), constraints,
+                          group.multiply)
 
 
 # -- closure operations --------------------------------------------------------

@@ -1,14 +1,33 @@
+import itertools
+
 import pytest
 
 from groupshift import (
     FreeAbelianGroup,
+    Pattern,
     RewritingGroup,
+    ball,
     bs_group,
     cyclic_group,
     direct_product,
     free_abelian_group,
     free_group,
+    locally_admissible,
 )
+
+
+def brute_force_extendable(pattern, spec, radius):
+    """Oracle: enumerate every total assignment on the ball."""
+    group = spec.group
+    window = ball(group, radius).sorted_elements()
+    fixed = dict(pattern.assignment)
+    free = [c for c in window if c not in fixed]
+    for values in itertools.product(range(len(spec.alphabet)), repeat=len(free)):
+        total = dict(fixed)
+        total.update(zip(free, values))
+        if locally_admissible(Pattern(total), spec):
+            return True
+    return False
 
 
 @pytest.fixture(scope="session")

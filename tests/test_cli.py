@@ -317,3 +317,69 @@ def test_finite_list_subshift_json(runner, tmp_path):
     res = runner.invoke(main, ["subshift", "check", "--spec", spec,
                                "--pattern", bad], standalone_mode=False)
     assert res.exit_code == 1
+
+
+def _verify_instance(runner, tmp_path):
+    g = write(tmp_path, "g.json", Z_GROUP)
+    m = write(tmp_path, "m.json", MOVE_RIGHT)
+    out = str(tmp_path / "inst.json")
+    res = runner.invoke(main, ["compile", "domino", "--group", g,
+                               "--machine", m, "--a1", "windowed:3",
+                               "-o", out], standalone_mode=False)
+    assert res.exit_code == 0
+    return out
+
+
+@pytest.mark.parametrize("budget", ["inf", "nan", "-1", "garbage"])
+def test_bad_budget_option_is_usage_error(runner, tmp_path, budget):
+    inst = _verify_instance(runner, tmp_path)
+    res = runner.invoke(main, ["verify", "window", "--instance", inst,
+                               "--radius", "2", "--height", "3",
+                               "--budget", budget])
+    assert res.exit_code == 2 and "budget" in res.output
+
+
+@pytest.mark.parametrize("raw", ["garbage", "nan", "inf", "-5"])
+def test_bad_budget_env_is_usage_error(runner, tmp_path, monkeypatch, raw):
+    monkeypatch.setenv("GROUPSHIFT_BUDGET", raw)
+    inst = _verify_instance(runner, tmp_path)
+    res = runner.invoke(main, ["verify", "window", "--instance", inst,
+                               "--radius", "2", "--height", "3"])
+    assert res.exit_code == 2 and "GROUPSHIFT_BUDGET" in res.output
+
+
+def test_budget_scientific_notation(runner, tmp_path, monkeypatch):
+    inst = _verify_instance(runner, tmp_path)
+    res = runner.invoke(main, ["verify", "window", "--instance", inst,
+                               "--radius", "2", "--height", "3",
+                               "--budget", "1e7"], standalone_mode=False)
+    assert res.exit_code == 1 and "unsatisfiable" in res.output
+    monkeypatch.setenv("GROUPSHIFT_BUDGET", "1e7")
+    res = runner.invoke(main, ["verify", "window", "--instance", inst,
+                               "--radius", "2", "--height", "3"],
+                        standalone_mode=False)
+    assert res.exit_code == 1 and "unsatisfiable" in res.output
+
+
+def test_undetermined_payloads_carry_nodes(runner, tmp_path):
+    inst = _verify_instance(runner, tmp_path)
+    res = runner.invoke(main, ["verify", "window", "--instance", inst,
+                               "--radius", "2", "--height", "3",
+                               "--budget", "5", "--format", "json"],
+                        standalone_mode=False)
+    payload = json.loads(res.output)
+    assert res.exit_code == 3
+    assert payload["verdict"] == "undetermined" and payload["nodes"] == 6
+    spec = write(tmp_path, "spec.json", {
+        "alphabet": ["0", "1"],
+        "group": {"kind": "free_abelian", "rank": 1, "names": ["a"]},
+        "forbidden": {"kind": "builtin", "name": "one_or_less", "k": 1},
+    })
+    pat = write(tmp_path, "p.json", {"support": [["", "0"]]})
+    res = runner.invoke(main, ["subshift", "extend", "--spec", spec,
+                               "--pattern", pat, "--radius", "2",
+                               "--budget", "3", "--format", "json"],
+                        standalone_mode=False)
+    payload = json.loads(res.output)
+    assert res.exit_code == 3
+    assert payload["verdict"] == "undetermined" and payload["nodes"] == 4

@@ -1,0 +1,207 @@
+"""The compiled constraint engine against independent slow oracles.
+
+`extendable` is compared with brute-force enumeration, and
+`verify_reduction_window` with the same search run on uncompiled
+constraints (`grounded_violations`), whose witness must match exactly and
+pass the full scan `check_window_assignment`.  Windows stay at five to nine
+cells so the oracles finish quickly; Hypothesis runs derandomized.
+"""
+
+import pytest
+from .conftest import brute_force_extendable
+from hypothesis import given, settings, strategies as st
+
+from groupshift import (
+    Alphabet,
+    FiniteFamily,
+    FreeAbelianGroup,
+    GMachineSpec,
+    Pattern,
+    Satisfiable,
+    SubshiftSpec,
+    Undetermined,
+    UndeterminedError,
+    Unsatisfiable,
+    WindowedA1,
+    ball,
+    builtin_delone,
+    compile_domino,
+    extendable,
+    free_abelian_group,
+    free_group,
+    verify_reduction_window,
+)
+from groupshift.constraints import compile_window, solve
+from groupshift.domino import (
+    check_window_assignment,
+    grounded_violations,
+    window_cells,
+)
+
+ZLINE = FreeAbelianGroup(1, names=["a"])
+GROUPS = {"z": ZLINE, "z2": free_abelian_group(2), "f2": free_group(2)}
+# the largest radius per group whose ball has at most five cells
+MAX_RADIUS = {"z": 2, "z2": 1, "f2": 1}
+SIGMA = Alphabet(("_", "1"))
+CHECKS = settings(derandomize=True, max_examples=60, deadline=None)
+
+
+@st.composite
+def finite_subshifts(draw):
+    """A random finite family on a small ball, and a pattern inside it."""
+    kind = draw(st.sampled_from(sorted(GROUPS)))
+    group = GROUPS[kind]
+    radius = draw(st.integers(0, MAX_RADIUS[kind]))
+    k = draw(st.integers(2, 3))
+    near = ball(group, 2).sorted_elements()
+    patterns = []
+    for _ in range(draw(st.integers(1, 5))):
+        support = draw(st.lists(st.sampled_from(near), min_size=1, max_size=2,
+                                unique=True))
+        patterns.append(Pattern({e: draw(st.integers(0, k - 1)) for e in support}))
+    spec = SubshiftSpec(Alphabet(tuple(str(i) for i in range(k))), group,
+                        FiniteFamily(tuple(patterns)))
+    window = ball(group, radius).sorted_elements()
+    cells = draw(st.lists(st.sampled_from(window), max_size=3, unique=True))
+    x = Pattern({e: draw(st.integers(0, k - 1)) for e in cells})
+    return x, spec, radius
+
+
+@CHECKS
+@given(finite_subshifts())
+def test_extendable_matches_brute_force(instance):
+    x, spec, radius = instance
+    assert extendable(x, spec, radius) == brute_force_extendable(x, spec, radius)
+
+
+@st.composite
+def two_state_machines(draw):
+    """A random two-state Z machine; state 1 accepts, move 0/1/2 = stay/a/a^-1."""
+    delta = {(s, q): (draw(st.integers(0, 1)), draw(st.integers(0, 1)),
+                      draw(st.integers(0, 2)))
+             for s in range(2) for q in range(2)}
+    return GMachineSpec(ZLINE, ("q0", "acc"), frozenset({1}), SIGMA, 0, delta)
+
+
+def scan_search(instance, radius_g, height_z):
+    """Oracle: the direct search, re-grounding every constraint through each
+    newly assigned cell; the first admissible window assignment, or None."""
+    cells = window_cells(instance, radius_g, height_z)
+    symbols = list(instance.alphabet.symbols())
+    origin = (ZLINE.identity, 0)
+    assign = {origin: tuple(instance.origin_symbol)}
+    if grounded_violations(instance, assign, origin):
+        return None
+    free = [c for c in cells if c not in assign]
+
+    def search(i):
+        if i == len(free):
+            return True
+        for sym in symbols:
+            assign[free[i]] = sym
+            if not grounded_violations(instance, assign, free[i]) and search(i + 1):
+                return True
+            del assign[free[i]]
+        return False
+
+    return assign if search(0) else None
+
+
+def window_assignment(instance, witness):
+    """A witness over the product group as a {(g, level): symbol} map."""
+    product = instance.product_group()
+    line = product.factors[1]
+    out = {}
+    for e, sym in witness.items():
+        word = line.word_of(product.component(e, 1))
+        out[(product.component(e, 0), word.count(1) - word.count(2))] = sym
+    return out
+
+
+@CHECKS
+@given(two_state_machines(), st.integers(1, 2), st.integers(0, 1),
+       st.integers(0, 2))
+def test_verify_window_matches_scan_search(machine, a1, radius_g, height_z):
+    instance = compile_domino(ZLINE, machine, WindowedA1(a1))
+    out = verify_reduction_window(instance, radius_g, height_z)
+    expected = scan_search(instance, radius_g, height_z)
+    if expected is None:
+        assert isinstance(out, Unsatisfiable)
+    else:
+        assert isinstance(out, Satisfiable)
+        assert window_assignment(instance, out.witness) == expected
+        assert check_window_assignment(instance, expected) == []
+
+
+def z_sft(*forbidden_words):
+    pats = tuple(Pattern({ZLINE.element((1,) * i): int(ch)
+                          for i, ch in enumerate(w)}) for w in forbidden_words)
+    return SubshiftSpec(Alphabet(("0", "1")), ZLINE, FiniteFamily(pats))
+
+
+def machine(states, rules):
+    delta = {(sym, q): rules.get((sym, q), (sym, q, 0))
+             for sym in range(len(SIGMA)) for q in range(len(states))}
+    return GMachineSpec(ZLINE, states, frozenset({len(states) - 1}), SIGMA, 0,
+                        delta)
+
+
+def test_extendable_node_budget_pin():
+    # 18 nodes decide this instance, one node per (cell, symbol) tried
+    spec = z_sft("11", "000", "1001")
+    x = Pattern({ZLINE.identity: 1})
+    with pytest.raises(UndeterminedError) as err:
+        extendable(x, spec, 3, budget=17)
+    assert err.value.nodes == 18
+    assert extendable(x, spec, 3, budget=18)
+
+
+@pytest.mark.parametrize("rules,nodes,verdict", [
+    ({(1, 0): (1, 0, 1), (0, 0): (0, 1, 0)}, 60, Unsatisfiable),
+    ({(0, 0): (0, 0, 1), (1, 0): (1, 0, 1)}, 27, Satisfiable),
+])
+def test_verify_window_node_budget_pin(rules, nodes, verdict):
+    instance = compile_domino(ZLINE, machine(("walk", "acc"), rules),
+                              WindowedA1(3))
+    assert verify_reduction_window(instance, 2, 3, budget=nodes - 1) == \
+        Undetermined(nodes)
+    assert isinstance(verify_reduction_window(instance, 2, 3, budget=nodes),
+                      verdict)
+
+
+def test_empty_forbidden_pattern_always_fires():
+    spec = SubshiftSpec(Alphabet(("0", "1")), ZLINE,
+                        FiniteFamily((Pattern({}),)))
+    for radius in (0, 2):
+        assert not extendable(Pattern({}), spec, radius)
+        assert not brute_force_extendable(Pattern({}), spec, radius)
+    window = compile_window(["c"], [[]], lambda c, off: c)
+    assert solve(window, {}, 2, budget=10) is None
+
+
+def test_compiled_window_cached_per_group_and_radius():
+    spec = z_sft("11")
+    family = spec.forbidden
+    assert family.compiled_window(ZLINE, 2) is family.compiled_window(ZLINE, 2)
+    assert family.compiled_window(ZLINE, 1) is not family.compiled_window(ZLINE, 2)
+    z2 = GROUPS["z2"]
+    assert family.compiled_window(z2, 2).cells == tuple(ball(z2, 2).sorted_elements())
+
+
+def test_placement_completed_after_its_fixed_cells():
+    # both "11" placements through e have their last window cell fixed, so
+    # they are complete only once the search assigns e
+    spec = z_sft("0", "11")
+    a, a_inv = ZLINE.element((1,)), ZLINE.element((2,))
+    x = Pattern({a: 1, a_inv: 1})
+    assert not extendable(x, spec, 1)
+    assert not brute_force_extendable(x, spec, 1)
+
+
+@pytest.mark.parametrize("ones", [(), (0,), (0, 2), (0, 3)])
+def test_semantic_family_rechecks_total_assignment(ones):
+    # two 1s at distance 2 are linked through the 2 each must sit next to;
+    # only the Delone family's symbolic check sees that
+    spec = builtin_delone(ZLINE, 1)
+    x = Pattern({ZLINE.element((1,) * i): 1 for i in ones})
+    assert extendable(x, spec, 3) == brute_force_extendable(x, spec, 3)

@@ -229,3 +229,12 @@ def test_empty_family_satisfiable(z):
     out = verify_reduction_window(inst, 1, 1)
     assert isinstance(out, Satisfiable)
     assert len(out.witness) == 3 * 2
+
+
+@pytest.mark.parametrize("support_len,cells_len", [(0, 0), (1, 0), (1, 2)])
+def test_malformed_constraint_rejected(z, support_len, cells_len):
+    from groupshift.domino import DominoConstraint
+    support = (GOffset(z.identity, 0),) * support_len
+    cells = (((0, frozenset({0})),),) * cells_len
+    with pytest.raises(MalformedInputError):
+        DominoConstraint(support, cells, "bad")

@@ -1,8 +1,7 @@
 """Windowed admissibility, extendability and the closure operations."""
 
-import itertools
-
 import pytest
+from .conftest import brute_force_extendable
 
 from groupshift import (
     Alphabet,
@@ -49,20 +48,6 @@ def z_sft(group, *forbidden_words):
             assignment[group.element((1,) * i)] = int(ch)
         pats.append(Pattern(assignment))
     return SubshiftSpec(BITS, group, FiniteFamily(tuple(pats)))
-
-
-def brute_force_extendable(pattern, spec, radius):
-    """Oracle: enumerate every total assignment on the ball."""
-    group = spec.group
-    window = ball(group, radius).sorted_elements()
-    fixed = dict(pattern.assignment)
-    free = [c for c in window if c not in fixed]
-    for values in itertools.product(range(len(spec.alphabet)), repeat=len(free)):
-        total = dict(fixed)
-        total.update(zip(free, values))
-        if locally_admissible(Pattern(total), spec):
-            return True
-    return False
 
 
 def test_one_or_less_examples(z2):
@@ -248,3 +233,14 @@ def test_generator_radius_budget(z2):
     spec = builtin_one_or_less(z2, 1)
     with pytest.raises(GeneratorBudgetError):
         spec.forbidden.patterns_up_to(z2, 1000)
+
+
+def test_generated_family_keyed_by_group(zline, z2):
+    # one family object reused over a second group must regenerate its
+    # patterns for that group, not hand back the first group's
+    family = builtin_one_or_less(zline, 1).forbidden
+    assert family.patterns_up_to(zline, 1)
+    spec = SubshiftSpec(BITS, z2, family)
+    two_ones = Pattern({z2.identity: 1, z2.element(z2.parse_word("y")): 1})
+    assert not locally_admissible(two_ones, spec)
+    assert not extendable(two_ones, spec, 1)

@@ -98,7 +98,6 @@ from .machines import (
     run_accepts,
     run_multihead,
     simulate_with_balls,
-    step_fixed,
     step_moving,
 )
 from .pathwalk import (

@@ -46,14 +46,6 @@ class CayleyBall:
             self._edges = frozenset(out)
         return self._edges
 
-    def neighbors(self, e: Element) -> list[Element]:
-        out = []
-        for s in self.group.nonidentity_ids:
-            f = self.group.multiply_letter(e, s)
-            if f in self.distances:
-                out.append(f)
-        return out
-
     def sorted_elements(self) -> list[Element]:
         if self._sorted is None:
             self._sorted = sorted(self.elements, key=self.group.shortlex_key)
@@ -164,11 +156,6 @@ def enumerate_words(group: Group, max_len: int) -> Iterator[Letters]:
     for length in range(max_len + 1):
         for tup in itertools.product(ids, repeat=length):
             yield tup
-
-
-def count_words(group: Group, max_len: int) -> int:
-    k = len(group.nonidentity_ids)
-    return sum(k ** l for l in range(max_len + 1))
 
 
 def disjoint_ball_sequences(

@@ -436,16 +436,17 @@ def machine_run(ctx, group_path, machine_path, pattern_path, budget, trace,
     budget = resolve_budget(budget, 10_000)
     lines = []
     if trace:
-        prev = None
+        # the run advances one config in place: keep the last head, not it
+        prev_head = None
         for cfg in trace_run(machine, pat, budget):
             line = (f"step {cfg.steps} state {machine.states[cfg.state]} "
                     f"head {group.format_element(cfg.head)}")
-            if prev is not None:
-                sym = cfg.tape.get(prev.head, machine.blank)
+            if prev_head is not None:
+                sym = cfg.tape.get(prev_head, machine.blank)
                 line += (f" wrote {machine.tape_alphabet[sym]}"
-                         f" at {group.format_element(prev.head)}")
+                         f" at {group.format_element(prev_head)}")
             lines.append(line)
-            prev = cfg
+            prev_head = cfg.head
     out = run_accepts(machine, pat, budget)
     accepted = isinstance(out, Accepted)
     human = "\n".join(lines + [f"accepted at {out.steps}" if accepted

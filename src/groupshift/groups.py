@@ -419,9 +419,6 @@ class FreeAbelianGroup(Group):
     def key_length(self, key) -> int:
         return sum(abs(x) for x in key)
 
-    def exponents(self, word: Iterable[int]) -> tuple[int, ...]:
-        return self.key_of_letters(word)
-
     def geodesic_normal_form(self) -> bool:
         return True
 
@@ -635,9 +632,6 @@ class _ProductBase(Group):
         off = self._offsets[fi]
         return tuple(off + f.nonidentity_ids.index(x) for x in word if x != 0)
 
-    def factor_of_letter(self, letter: int) -> tuple[int, int]:
-        return self._letter_factor[letter]
-
 
 def _name_clash(factors: Sequence[Group]) -> set[str]:
     seen: set[str] = set()
@@ -757,12 +751,6 @@ class FreeProductGroup(_ProductBase):
 
     def key_length(self, key) -> int:
         return sum(self.factors[fi].key_length(sub) for fi, sub in key)
-
-    def embed_element(self, fi: int, e: Element) -> Element:
-        f = self.factors[fi]
-        if e.key == f.identity_key():
-            return self.identity
-        return Element(((fi, e.key),))
 
     def is_finite(self) -> bool:
         nontrivial = [f for f in self.factors if f.nonidentity_ids]

@@ -28,7 +28,6 @@ from .families import (
 from .groups import (
     BaumslagSolitarGroup,
     DirectProductGroup,
-    Element,
     FiniteGroup,
     FreeAbelianGroup,
     FreeGroup,
@@ -94,26 +93,12 @@ def group_to_json(group: Group) -> dict:
 # -- words, codings, patterns ----------------------------------------------
 
 
-def word_to_json(group: Group, word) -> str:
-    return group.format_word(word)
-
-
-def element_to_json(group: Group, e: Element) -> str:
-    return group.format_element(e)
-
-
 def coding_from_json(group: Group, obj: Mapping[str, Any]) -> PatternCoding:
     alphabet = Alphabet(tuple(obj["alphabet"]))
     entries = []
     for w, label in obj["entries"]:
         entries.append((group.parse_word(w), alphabet.index(str(label))))
     return coding(alphabet, entries)
-
-
-def coding_to_json(group: Group, c: PatternCoding) -> dict:
-    return {"alphabet": list(c.alphabet.symbols),
-            "entries": [[group.format_word(w), c.alphabet[s]]
-                        for w, s in c.entries]}
 
 
 def pattern_to_json(group: Group, p: Pattern, alphabet: Optional[Alphabet] = None) -> dict:
@@ -293,12 +278,6 @@ class RunManifest:
         return {"command": self.command, "inputs": self.inputs,
                 "parameters": self.parameters, "version": self.version,
                 "outcome": self.outcome, "timestamp": self.timestamp}
-
-    def stable_json(self) -> dict:
-        """The manifest minus its isolated timestamp field."""
-        out = self.to_json()
-        out.pop("timestamp")
-        return out
 
 
 def dump(obj: Any) -> str:

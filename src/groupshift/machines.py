@@ -1,15 +1,16 @@
 """The group-walking machine VM: both action models, acceptance, retargeting.
 
 Tapes are finite-support dicts keyed by canonical elements; the blank symbol
-is implicit.  The fixed-head model tracks an accumulated offset instead of
-physically shifting the tape; `fixed_moving_equivalent` checks that
-bookkeeping against a literal tape-shifting simulation.
+is implicit.  One mutable `MachineConfig` is the run state and `step_moving`
+advances it in place.  The fixed-head model is a view on that run
+(`MachineConfig.observable_tape`); `fixed_moving_equivalent` checks it against
+a literal tape-shifting simulation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Mapping, Optional, Sequence, Union
 
 from .errors import MalformedInputError, RetargetSoundnessError
 from .groups import Element, Group, Letters
@@ -52,7 +53,11 @@ class GMachineSpec:
 
 @dataclass
 class MachineConfig:
-    """Moving-head configuration: finite-support tape, head element, state."""
+    """Moving-head configuration: finite-support tape, head element, state.
+
+    The same run read in the fixed-head model has base tape `tape` and offset
+    `head`: the head stays at the origin and sees x(h) = tape(head * h).
+    """
 
     tape: dict[Element, int]
     head: Element
@@ -62,26 +67,10 @@ class MachineConfig:
     def read(self, spec: GMachineSpec) -> int:
         return self.tape.get(self.head, spec.blank)
 
-
-@dataclass
-class FixedHeadConfig:
-    """Fixed-head configuration: the tape is shifted via an offset element.
-
-    The observable tape is x(h) = base(offset * h); stepping multiplies the
-    offset on the right by the move generator instead of shifting every cell.
-    """
-
-    base: dict[Element, int]
-    offset: Element
-    state: int
-    steps: int = 0
-
-    def observable(self, group: Group, h: Element) -> Optional[int]:
-        return self.base.get(group.multiply(self.offset, h))
-
     def observable_tape(self, group: Group) -> dict[Element, int]:
-        inv = group.inverse_element(self.offset)
-        return {group.multiply(inv, cell): v for cell, v in self.base.items()}
+        """The fixed-head model's tape {head^-1 * cell: v}."""
+        inv = group.inverse_element(self.head)
+        return {group.multiply(inv, cell): v for cell, v in self.tape.items()}
 
 
 def initial_config(spec: GMachineSpec, p: Pattern) -> MachineConfig:
@@ -95,31 +84,17 @@ def initial_config(spec: GMachineSpec, p: Pattern) -> MachineConfig:
 
 
 def step_moving(spec: GMachineSpec, cfg: MachineConfig) -> MachineConfig:
-    """One moving-head step: write at the head, multiply the head by the move."""
-    group = spec.group
-    sym = cfg.read(spec)
-    write, state, move = spec.delta[(sym, cfg.state)]
-    tape = dict(cfg.tape)
+    """One moving-head step, in place: write at the head, multiply the head
+    on the right by the move.  Returns `cfg`."""
+    write, cfg.state, move = spec.delta[(cfg.read(spec), cfg.state)]
     if write == spec.blank:
-        tape.pop(cfg.head, None)
+        cfg.tape.pop(cfg.head, None)
     else:
-        tape[cfg.head] = write
-    head = cfg.head if move == 0 else group.multiply_letter(cfg.head, move)
-    return MachineConfig(tape, head, state, cfg.steps + 1)
-
-
-def step_fixed(spec: GMachineSpec, cfg: FixedHeadConfig) -> FixedHeadConfig:
-    """One fixed-head step via offset bookkeeping (no tape copy)."""
-    group = spec.group
-    sym = cfg.base.get(cfg.offset, spec.blank)
-    write, state, move = spec.delta[(sym, cfg.state)]
-    base = dict(cfg.base)
-    if write == spec.blank:
-        base.pop(cfg.offset, None)
-    else:
-        base[cfg.offset] = write
-    offset = cfg.offset if move == 0 else group.multiply_letter(cfg.offset, move)
-    return FixedHeadConfig(base, offset, state, cfg.steps + 1)
+        cfg.tape[cfg.head] = write
+    if move:
+        cfg.head = spec.group.multiply_letter(cfg.head, move)
+    cfg.steps += 1
+    return cfg
 
 
 @dataclass(frozen=True)
@@ -143,78 +118,67 @@ def run_accepts(spec: GMachineSpec, p: Pattern, budget: int) -> RunOutcome:
             return Accepted(cfg.steps)
         if cfg.steps >= budget:
             break
-        cfg = step_moving(spec, cfg)
+        step_moving(spec, cfg)
     return Exhausted(cfg.steps)
 
 
 def trace_run(spec: GMachineSpec, p: Pattern, budget: int):
-    """Yield (step, state, head, written symbol) records for the CLI."""
+    """Yield the run's one config after each step, starting at step 0.
+
+    The config is advanced in place, so a consumer that keeps anything from
+    it past the next iteration must copy it first.
+    """
     cfg = initial_config(spec, p)
     while True:
         yield cfg
         if cfg.state in spec.accepting or cfg.steps >= budget:
             return
-        cfg = step_moving(spec, cfg)
+        step_moving(spec, cfg)
 
 
 def fixed_moving_equivalent(spec: GMachineSpec, p: Pattern, steps: int) -> bool:
     """Dual-route conjugacy check of the two action models.
 
-    Runs three trajectories: the production moving-head stepper, the
-    production fixed-head stepper (offset bookkeeping), and an independent
-    literal implementation of the fixed-head semantics that physically
-    shifts its tape each step (in a prepend-oriented frame representation,
-    so a shift costs one letter per cell).  At every step t it checks that
-    all states agree, that the offset bookkeeping matches the moving head,
-    and that the literally-shifted tape equals the moving tape conjugated
-    by head(t)^-1.
+    Runs two trajectories: the production moving-head run (`step_moving`),
+    whose fixed-head reading is `observable_tape`, and an independent literal
+    implementation of the fixed-head semantics that physically shifts its
+    tape each step (in a prepend-oriented frame representation, so a shift
+    costs one letter per cell).  Each literal entry carries its symbol and
+    the moving-tape cell it tracks, the cell labelled when the symbol was
+    written under the head.  At every step t it checks that the states
+    agree, that the literal tape read through those labels equals the moving
+    tape cell for cell, and that the literal origin holds the moving head's
+    cell.
     """
     group = spec.group
-    moving = initial_config(spec, p)
-    fixed = FixedHeadConfig(dict(moving.tape), group.identity, spec.initial_state)
-    # the literal fixed-head tape, keyed by frame positions (head at origin)
-    literal: dict = {group.frame_of_element(cell): v
-                     for cell, v in moving.tape.items()}
+    cfg = initial_config(spec, p)
+    # the literal fixed-head tape: frame position (head at origin) ->
+    # (symbol, moving-tape cell)
+    literal: dict = {group.frame_of_element(cell): (v, cell)
+                     for cell, v in cfg.tape.items()}
     literal_state = spec.initial_state
-    # frame positions of every moving-tape cell, maintained incrementally
-    frame_of: dict[Element, object] = {cell: group.frame_of_element(cell)
-                                       for cell in moving.tape}
     frame_origin = group.frame_identity()
 
     for _ in range(steps + 1):
-        if fixed.state != moving.state or literal_state != moving.state:
+        sym, cell = literal.get(frame_origin, (spec.blank, None))
+        if (literal_state != cfg.state or len(literal) != len(cfg.tape)
+                or cell != (cfg.head if cfg.head in cfg.tape else None)
+                or {c: v for v, c in literal.values()} != cfg.tape):
             return False
-        if fixed.offset != moving.head or fixed.base != moving.tape:
-            return False
-        projected = {frame_of[cell]: v for cell, v in moving.tape.items()}
-        if projected != literal:
-            return False
-        if moving.steps >= steps:
+        if cfg.steps >= steps:
             return True
 
         # advance the independent literal semantics
-        sym = literal.get(frame_origin, spec.blank)
         write, literal_state, move = spec.delta[(sym, literal_state)]
         if write == spec.blank:
             literal.pop(frame_origin, None)
         else:
-            literal[frame_origin] = write
+            literal[frame_origin] = (write, cfg.head)
         if move:
             inv = group.inverse_letter(move)
-            literal = {group.frame_prepend(inv, k): v for k, v in literal.items()}
+            literal = {group.frame_prepend(inv, k): e for k, e in literal.items()}
 
-        # advance the production steppers and the frame cache
-        head = moving.head
-        moving = step_moving(spec, moving)
-        fixed = step_fixed(spec, fixed)
-        if head in moving.tape:
-            frame_of[head] = frame_origin
-        else:
-            frame_of.pop(head, None)
-        if move:
-            inv = group.inverse_letter(move)
-            frame_of = {cell: group.frame_prepend(inv, k)
-                        for cell, k in frame_of.items()}
+        step_moving(spec, cfg)
 
 
 def retarget_generators(
@@ -293,14 +257,6 @@ class MultiHeadSpec:
         return self.delta[(symbols, states)]
 
 
-@dataclass
-class MultiHeadConfig:
-    tapes: list[dict[Element, int]]
-    heads: list[Element]
-    states: tuple[int, ...]
-    steps: int = 0
-
-
 def run_multihead(spec: MultiHeadSpec, p: Pattern, budget: int) -> RunOutcome:
     """Lockstep run; accepts when any coordinate reaches an accepting state."""
     group = spec.group
@@ -327,15 +283,6 @@ def run_multihead(spec: MultiHeadSpec, p: Pattern, budget: int) -> RunOutcome:
     return Exhausted(budget)
 
 
-def single_head_as_multihead(spec: GMachineSpec) -> MultiHeadSpec:
-    def delta(symbols, states):
-        w, r, s = spec.delta[(symbols[0], states[0])]
-        return (w,), (r,), (s,)
-
-    return MultiHeadSpec(spec.group, 1, spec.states, spec.accepting,
-                         spec.tape_alphabet, spec.blank, delta, ("tape",))
-
-
 def acceptance_bound(spec: GMachineSpec, support_size: int) -> int:
     """|Q| * |F| * |Sigma|^|F|: steps before a bounded-support run must accept."""
     return len(spec.states) * support_size * len(spec.tape_alphabet) ** support_size
@@ -356,23 +303,13 @@ def simulate_with_balls(spec: GMachineSpec, c: PatternCoding, budget: int) -> Ba
 
     The inconsistent outcome stands in for the proof's immediate accept.  The
     ball B_k is realized lazily as the tape region the head can reach within
-    k steps (the head moves one generator per step).
+    k steps (the head moves one generator per step), so growing k from
+    2 * coding_length(c) up to the budget resumes one deterministic run: it
+    is a single run of max(budget, 2 * coding_length(c)) steps.
     """
     res = check_consistency(spec.group, c)
     if isinstance(res, Inconsistent):
         return BallSimOutcome("inconsistent", 0, res.witness)
-    pattern = res.pattern
-    n_start = 2 * coding_length(c)
-    cfg = initial_config(spec, pattern)
-    k = n_start
-    while True:
-        # simulate up to k steps total (resuming the single deterministic run)
-        while cfg.steps < k:
-            if cfg.state in spec.accepting:
-                return BallSimOutcome("accepted", cfg.steps)
-            cfg = step_moving(spec, cfg)
-        if cfg.state in spec.accepting:
-            return BallSimOutcome("accepted", cfg.steps)
-        if k >= budget:
-            return BallSimOutcome("exhausted", cfg.steps)
-        k += 1
+    out = run_accepts(spec, res.pattern, max(budget, 2 * coding_length(c)))
+    return BallSimOutcome("accepted" if isinstance(out, Accepted) else "exhausted",
+                          out.steps)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import CompletionBudgetError, MalformedInputError
-from .cayley import count_words, enumerate_words
+from .cayley import enumerate_words
 from .groups import Element, Group, Letters
 
 
@@ -208,10 +208,3 @@ def _in_completion_set(group: Group, c: PatternCoding, c_n: PatternCoding, l_n: 
         return False
     entry_set = set(c.entries)
     return all(pair in entry_set for pair in c_n.entries)
-
-
-def completion_set_size(group: Group, c_n: PatternCoding, l_n: int, alphabet: Alphabet) -> int:
-    """|C_n|: free choices on every word of length <= L_n not pinned by c_n."""
-    pinned = {w for w, _ in c_n.entries}
-    free = count_words(group, l_n) - len(pinned)
-    return len(alphabet) ** free

@@ -148,7 +148,14 @@ def test_machine_run_and_trace(runner, tmp_path):
     res = runner.invoke(main, ["machine", "run", "--group", g, "--machine", m,
                                "--pattern", p, "--trace"], standalone_mode=False)
     assert res.exit_code == 0 and "accepted at 4" in res.output
-    assert "step 0 state walk head e" in res.output
+    lines = res.output.splitlines()
+    assert lines[:5] == [
+        "step 0 state walk head e",
+        "step 1 state walk head a wrote 1 at e",
+        "step 2 state walk head a^2 wrote 1 at a",
+        "step 3 state walk head a^3 wrote 1 at a^2",
+        "step 4 state acc head a^3 wrote _ at a^3",
+    ]
 
 
 def test_machine_path_dot_is_simple(runner, tmp_path):

@@ -17,18 +17,18 @@ from groupshift import (
     bs_group,
     check_consistency,
     coding,
+    coding_length,
     fixed_moving_equivalent,
     free_abelian_group,
     free_group,
     initial_config,
+    pattern_of,
     retarget_generators,
     run_accepts,
     run_multihead,
     simulate_with_balls,
-    step_fixed,
     step_moving,
 )
-from groupshift.machines import FixedHeadConfig
 
 SIGMA = Alphabet(("_", "0", "1"))
 
@@ -78,8 +78,7 @@ def test_moving_head_multiplies_right(z2):
 def test_fixed_head_shift_semantics(f2):
     # one step: blacken the origin then shift by a^-1
     m = machine(f2, ("q1", "q2"), set(), {(0, 0): (2, 1, 1)})
-    cfg = FixedHeadConfig({}, f2.identity, 0)
-    out = step_fixed(m, cfg)
+    out = step_moving(m, initial_config(m, Pattern({})))
     # observable tape: sigma_{a^-1}(written): the mark sits at a^-1 now
     obs = out.observable_tape(f2)
     assert obs == {f2.element(f2.parse_word("a^-1")): 2}
@@ -91,9 +90,12 @@ def test_two_steps_shift_and_return(z):
         (0, 1): (0, 2, 2),   # move back (over the marked cell)
         (1, 1): (1, 2, 2),
     })
-    cfg = FixedHeadConfig({z.element((1,)): 1}, z.identity, 0)
+    cfg = initial_config(m, Pattern({z.element((1,)): 1}))
     before = cfg.observable_tape(z)
-    out = step_fixed(m, step_fixed(m, cfg))
+    assert before == {z.element((1,)): 1}
+    step_moving(m, cfg)
+    assert cfg.observable_tape(z) == {z.identity: 1}
+    out = step_moving(m, cfg)
     assert out.observable_tape(z) == before
 
 
@@ -132,6 +134,31 @@ def test_fixed_moving_equivalent_random(group_name, request):
     for _ in range(5):
         m = random_machine(group, rng)
         assert fixed_moving_equivalent(m, p, 200)
+
+
+@pytest.mark.parametrize("make", [lambda: free_abelian_group(2),
+                                  lambda: free_group(2),
+                                  lambda: bs_group(2)],
+                         ids=["z2", "f2", "bs12"])
+def test_fixed_moving_equivalent_catches_frame_fault(make):
+    """A literal route whose shift ignores one generator must be caught."""
+    group = make()  # a private instance: the patch must not leak
+    rng = random.Random(5)
+    p = Pattern({group.identity: 1})
+    machines = [random_machine(group, rng) for _ in range(12)]
+    ignored = group.nonidentity_ids[0]
+    # mark the origin, step along ignored^-1 (a literal shift by ignored) and
+    # halt: the states never differ, so only the tape checks see the fault
+    blind = machine(group, ("q0", "q1", "q2"), set(), {
+        (0, 0): (1, 1, group.inverse_letter(ignored)),
+        (0, 1): (0, 2, 0), (1, 1): (1, 2, 0)})
+    assert all(fixed_moving_equivalent(m, p, 100) for m in machines)
+    assert fixed_moving_equivalent(blind, Pattern({}), 5)
+    honest = group.frame_prepend
+    group.frame_prepend = lambda letter, lkey: (
+        lkey if letter == ignored else honest(letter, lkey))
+    assert not all(fixed_moving_equivalent(m, p, 100) for m in machines)
+    assert not fixed_moving_equivalent(blind, Pattern({}), 5)
 
 
 def test_retarget_identity_map(z):
@@ -250,18 +277,21 @@ def test_simulate_with_balls_inconsistent(bs12):
     assert out.witness is not None
 
 
-def test_simulate_with_balls_matches_run(z):
+@pytest.mark.parametrize("group_name", ["z", "z2", "f2", "bs12"])
+def test_simulate_with_balls_matches_run(group_name, request):
+    group = request.getfixturevalue(group_name)
     rng = random.Random(11)
-    bits = SIGMA
-    for _ in range(10):
-        m = random_machine(z, rng)
-        c = coding(bits, [(z.parse_word("a"), 2), ((), 1)])
-        from groupshift import pattern_of
-        p = pattern_of(z, c)
-        direct = run_accepts(m, p, 300)
-        balls = simulate_with_balls(m, c, 300)
-        assert isinstance(direct, Accepted) == (balls.kind == "accepted")
-        if balls.kind == "accepted":
+    a = group.nonidentity_ids[:1]
+    c = coding(SIGMA, [(a, 2), ((), 1)])
+    p = pattern_of(group, c)
+    # the second budget is below 2 * coding_length(c) = 2: the first ball rules
+    for budget, steps in ((300, 300), (1, 2 * coding_length(c))):
+        for _ in range(10):
+            m = random_machine(group, rng)
+            direct = run_accepts(m, p, steps)
+            balls = simulate_with_balls(m, c, budget)
+            assert balls.kind == ("accepted" if isinstance(direct, Accepted)
+                                  else "exhausted")
             assert balls.steps == direct.steps
 
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-import threading
 from typing import Iterator, Optional
 
 from .errors import (
@@ -68,20 +67,11 @@ class CayleyBall:
         return "\n".join(lines)
 
 
-_ball_locks: dict[int, threading.Lock] = {}
-_ball_locks_guard = threading.Lock()
-
-
-def _group_lock(group: Group) -> threading.Lock:
-    with _ball_locks_guard:
-        return _ball_locks.setdefault(id(group), threading.Lock())
-
-
 def ball(group: Group, n: int, budget: int = DEFAULT_BALL_BUDGET) -> CayleyBall:
     """Breadth-first canonicalization of B_n; deterministic and cached."""
     if n < 0:
         raise ValueError("radius must be >= 0")
-    with _group_lock(group):
+    with group._ball_lock:
         cache = group._ball_cache
         dist: dict[Element, int] = cache.get("distances", {group.identity: 0})
         built = cache.get("radius", 0)

@@ -49,7 +49,6 @@ from .machines import (
     Accepted,
     fixed_moving_equivalent,
     retarget_generators,
-    run_accepts,
     simulate_with_balls,
     trace_run,
 )
@@ -435,23 +434,23 @@ def machine_run(ctx, group_path, machine_path, pattern_path, budget, trace,
                                    machine.tape_alphabet)
     budget = resolve_budget(budget, 10_000)
     lines = []
-    if trace:
-        # the run advances one config in place: keep the last head, not it
-        prev_head = None
-        for cfg in trace_run(machine, pat, budget):
-            line = (f"step {cfg.steps} state {machine.states[cfg.state]} "
-                    f"head {group.format_element(cfg.head)}")
-            if prev_head is not None:
-                sym = cfg.tape.get(prev_head, machine.blank)
-                line += (f" wrote {machine.tape_alphabet[sym]}"
-                         f" at {group.format_element(prev_head)}")
-            lines.append(line)
-            prev_head = cfg.head
-    out = run_accepts(machine, pat, budget)
-    accepted = isinstance(out, Accepted)
-    human = "\n".join(lines + [f"accepted at {out.steps}" if accepted
-                               else f"exhausted after {out.steps}"])
-    payload = {"accepted": accepted, "steps": out.steps, "trace": lines}
+    # the run advances one config in place: keep the last head, not it
+    prev_head = None
+    for cfg in trace_run(machine, pat, budget):
+        if not trace:
+            continue
+        line = (f"step {cfg.steps} state {machine.states[cfg.state]} "
+                f"head {group.format_element(cfg.head)}")
+        if prev_head is not None:
+            sym = cfg.tape.get(prev_head, machine.blank)
+            line += (f" wrote {machine.tape_alphabet[sym]}"
+                     f" at {group.format_element(prev_head)}")
+        lines.append(line)
+        prev_head = cfg.head
+    accepted, steps = cfg.state in machine.accepting, cfg.steps
+    human = "\n".join(lines + [f"accepted at {steps}" if accepted
+                               else f"exhausted after {steps}"])
+    payload = {"accepted": accepted, "steps": steps, "trace": lines}
     sys.exit(em.emit(human, payload, "accepted" if accepted else "exhausted",
                      EXIT_OK if accepted else EXIT_NEGATIVE))
 
@@ -511,7 +510,7 @@ def machine_visit(ctx, group_path, target, budget, fmt, manifest_path):
 @click.option("--group", "group_path", required=True, type=click.Path(exists=True))
 @click.option("--machine", "machine_path", required=True, type=click.Path(exists=True))
 @click.option("--pattern", "pattern_path", required=True, type=click.Path(exists=True))
-@click.option("--steps", type=int, default=100, show_default=True)
+@click.option("--steps", type=click.IntRange(min=0), default=100, show_default=True)
 @common_options
 @click.pass_context
 def machine_equiv(ctx, group_path, machine_path, pattern_path, steps, fmt,

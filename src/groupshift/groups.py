@@ -17,6 +17,7 @@ have exponentially many letters.
 from __future__ import annotations
 
 import itertools
+import threading
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -156,6 +157,7 @@ class Group:
         self.identity = Element(self.identity_key())
         self._display_to_id = {g.display: g.id for g in self.generators}
         self._ball_cache: dict = {}
+        self._ball_lock = threading.Lock()
 
     # -- key algebra (implemented per kind) --------------------------------
 

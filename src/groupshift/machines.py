@@ -1,16 +1,17 @@
 """The group-walking machine VM: both action models, acceptance, retargeting.
 
 Tapes are finite-support dicts keyed by canonical elements; the blank symbol
-is implicit.  One mutable `MachineConfig` is the run state and `step_moving`
-advances it in place.  The fixed-head model is a view on that run
-(`MachineConfig.observable_tape`); `fixed_moving_equivalent` checks it against
-a literal tape-shifting simulation.
+is implicit.  One mutable `MachineConfig` is the run state, `step_moving`
+advances it in place (the path runs and the wrapped walker step through it
+too) and `trace_run` is the one run loop.  The fixed-head model is a view on
+that run (`MachineConfig.observable_tape`); `fixed_moving_equivalent` checks
+it against a literal tape-shifting simulation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .errors import MalformedInputError, RetargetSoundnessError
 from .groups import Element, Group, Letters
@@ -86,7 +87,8 @@ def initial_config(spec: GMachineSpec, p: Pattern) -> MachineConfig:
 def step_moving(spec: GMachineSpec, cfg: MachineConfig) -> MachineConfig:
     """One moving-head step, in place: write at the head, multiply the head
     on the right by the move.  Returns `cfg`."""
-    write, cfg.state, move = spec.delta[(cfg.read(spec), cfg.state)]
+    write, cfg.state, move = spec.delta[(cfg.tape.get(cfg.head, spec.blank),
+                                         cfg.state)]
     if write == spec.blank:
         cfg.tape.pop(cfg.head, None)
     else:
@@ -112,22 +114,22 @@ RunOutcome = Union[Accepted, Exhausted]
 
 def run_accepts(spec: GMachineSpec, p: Pattern, budget: int) -> RunOutcome:
     """Run the moving-head semantics from x^p until acceptance or budget."""
-    cfg = initial_config(spec, p)
-    for _ in range(budget + 1):
-        if cfg.state in spec.accepting:
-            return Accepted(cfg.steps)
-        if cfg.steps >= budget:
-            break
-        step_moving(spec, cfg)
+    for cfg in trace_run(spec, p, budget):
+        pass
+    if cfg.state in spec.accepting:
+        return Accepted(cfg.steps)
     return Exhausted(cfg.steps)
 
 
 def trace_run(spec: GMachineSpec, p: Pattern, budget: int):
-    """Yield the run's one config after each step, starting at step 0.
+    """Yield the run's one config after each step, starting at step 0; the
+    last config, at acceptance or after `budget` steps, holds the verdict.
 
     The config is advanced in place, so a consumer that keeps anything from
     it past the next iteration must copy it first.
     """
+    if budget < 0:
+        raise MalformedInputError(f"budget must be >= 0, got {budget}")
     cfg = initial_config(spec, p)
     while True:
         yield cfg
@@ -150,6 +152,8 @@ def fixed_moving_equivalent(spec: GMachineSpec, p: Pattern, steps: int) -> bool:
     tape cell for cell, and that the literal origin holds the moving head's
     cell.
     """
+    if steps < 0:
+        raise MalformedInputError(f"steps must be >= 0, got {steps}")
     group = spec.group
     cfg = initial_config(spec, p)
     # the literal fixed-head tape: frame position (head at origin) ->
@@ -238,8 +242,8 @@ def retarget_generators(
 class MultiHeadSpec:
     """n heads in lockstep, each on its own tape, sharing a joint state tuple.
 
-    `delta` maps (symbols under each head, state tuple) to (written symbols,
-    next states, moves); it may be a mapping or a total callable.
+    `delta` is a total callable from (symbols under each head, state tuple)
+    to (written symbols, next states, moves).
     """
 
     group: Group
@@ -248,17 +252,14 @@ class MultiHeadSpec:
     accepting: frozenset[int]
     tape_alphabet: Alphabet
     blank: int
-    delta: object
-    layer_roles: tuple[str, ...] = ()
-
-    def lookup(self, symbols: tuple[int, ...], states: tuple[int, ...]):
-        if callable(self.delta):
-            return self.delta(symbols, states)
-        return self.delta[(symbols, states)]
+    delta: Callable
 
 
 def run_multihead(spec: MultiHeadSpec, p: Pattern, budget: int) -> RunOutcome:
-    """Lockstep run; accepts when any coordinate reaches an accepting state."""
+    """Lockstep run; accepts when any coordinate reaches an accepting state.
+    Its joint step over n tapes has no single-tape table, hence its own loop."""
+    if budget < 0:
+        raise MalformedInputError(f"budget must be >= 0, got {budget}")
     group = spec.group
     tapes: list[dict[Element, int]] = [dict() for _ in range(spec.n)]
     for e, v in p.items():
@@ -272,7 +273,7 @@ def run_multihead(spec: MultiHeadSpec, p: Pattern, budget: int) -> RunOutcome:
         if step >= budget:
             break
         symbols = tuple(tapes[i].get(heads[i], spec.blank) for i in range(spec.n))
-        writes, states, moves = spec.lookup(symbols, states)
+        writes, states, moves = spec.delta(symbols, states)
         for i in range(spec.n):
             if writes[i] == spec.blank:
                 tapes[i].pop(heads[i], None)

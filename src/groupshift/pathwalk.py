@@ -2,10 +2,11 @@
 from classical oracle machines to group-walking machines.
 
 The path machine's six transition rules are transcribed literally into a
-total table; the visit machine and the oracle simulator are layered
-interpreters whose supervision rules (gating, collision resets) live outside
-the per-layer tables, since they depend on head positions and global tape
-state that no finite (Sigma^n, Q^n) table can see.
+total table, plus a second table for depth-gated runs; both run through
+`step_moving`.  The visit machine and the oracle simulator are layered
+interpreters whose supervision rules (collision resets, restarts) live
+outside the per-layer tables, since they depend on head positions and global
+tape state that no finite (Sigma^n, Q^n) table can see.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from .errors import (
     UnsupportedGroupError,
 )
 from .groups import Element, Group, Letters
-from .machines import Accepted, Exhausted, GMachineSpec, RunOutcome
+from .machines import (Accepted, Exhausted, GMachineSpec, MachineConfig,
+                       RunOutcome, step_moving)
 from .patterns import Alphabet, Pattern
 
 # tape component codes: c1 in {BLANK, START} + gens, c2 in {BLANK, MARK},
@@ -61,6 +63,7 @@ class PathMachine:
                  for c3 in range(self.n_c3)]
         self.alphabet = Alphabet(tuple(names))
         self.blank = self.sym(0, 0, 0)
+        self.c2_of = tuple(self.unsym(s)[1] for s in range(len(self.alphabet)))
         states = ["I", "B"]
         for i in range(k):
             d = group.generators[self.dirs[i]].display
@@ -68,7 +71,7 @@ class PathMachine:
         states.append("DEAD")
         self.states = tuple(states)
         self.dead_state = len(states) - 1
-        self.spec = self._build_spec()
+        self.spec, self.gated_spec = self._build_specs()
 
     def sym(self, c1: int, c2: int, c3: int) -> int:
         return (c1 * self.n_c2 + c2) * self.n_c3 + c3
@@ -84,7 +87,8 @@ class PathMachine:
     def state_right(self, i: int) -> int:
         return 3 + 2 * i
 
-    def _build_spec(self) -> GMachineSpec:
+    def _build_specs(self) -> tuple[GMachineSpec, GMachineSpec]:
+        """The six-rule table, and its depth gate: rule 2 bounces as rule 4 does."""
         group, dirs, k = self.group, self.dirs, self.k
         delta: dict[tuple[int, int], tuple[int, int, int]] = {}
         n_states = len(self.states)
@@ -128,8 +132,12 @@ class PathMachine:
                     delta[(marked, _STATE_BACK)] = (
                         blank, _STATE_BACK,
                         group.inverse_letter(dirs[c1 - 2]))
-        return GMachineSpec(group, self.states, frozenset(), self.alphabet,
-                            self.blank, delta)
+        gated = dict(delta)
+        for i in range(k):
+            gated[(blank, self.state_left(i))] = (
+                blank, _STATE_BACK, group.inverse_letter(dirs[i]))
+        return tuple(GMachineSpec(group, self.states, frozenset(), self.alphabet,
+                                  self.blank, table) for table in (delta, gated))
 
 
 def build_m_path(group: Group) -> GMachineSpec:
@@ -137,52 +145,43 @@ def build_m_path(group: Group) -> GMachineSpec:
     return PathMachine(group).spec
 
 
-class PathRun:
+class PathRun(MachineConfig):
     """Instrumented path-machine run with per-step simple-path invariants.
 
-    Tracks the marked path incrementally: every mark must extend the tip by
-    one Cayley edge into an unmarked cell, every erase must remove exactly
-    the tip.  `check_full` re-walks the arrival links from the tip to the
-    root as the deep (non-incremental) verification.
+    Each step tracks the marked path incrementally, then advances the run's
+    `MachineConfig` by `step_moving`: every mark must extend the tip by one
+    Cayley edge into an unmarked cell, every erase must remove exactly the
+    tip.  `check_full` re-walks the arrival links from the tip to the root
+    as the deep (non-incremental) verification.
     """
 
     def __init__(self, machine: PathMachine, check: bool = True):
+        super().__init__({}, machine.group.identity, _STATE_INIT)
         self.m = machine
         self.group = machine.group
-        self.tape: dict[Element, int] = {}
-        self.head: Element = self.group.identity
-        self.state: int = _STATE_INIT
-        self.steps = 0
         self.check = check
         self.path: list[Element] = []
         self.path_set: set[Element] = set()
         self.arrival: list[int] = []  # letter used to reach path[i] from path[i-1]
         self.max_path_len = 0
 
-    def read(self) -> int:
-        return self.tape.get(self.head, self.m.blank)
-
-    def _peek(self) -> tuple[int, int, int]:
-        return self.m.spec.delta[(self.read(), self.state)]
+    def _table(self) -> GMachineSpec:
+        return self.m.spec
 
     def step(self) -> Optional[tuple[str, Element]]:
         """Advance one step; returns a ('mark'|'erase', cell) event or None."""
-        m, group = self.m, self.group
-        sym = self.read()
-        write, state, move = m.spec.delta[(sym, self.state)]
+        m = self.m
+        spec = self._table()
+        sym = self.tape.get(self.head, m.blank)
+        write, state, _ = spec.delta[(sym, self.state)]
         if state == m.dead_state:
             raise GroupExhaustedError(
                 "every direction from the root is exhausted")
         event: Optional[tuple[str, Element]] = None
-        _, was_marked, _ = m.unsym(sym)
-        _, now_marked, _ = m.unsym(write)
+        was_marked, now_marked = m.c2_of[sym], m.c2_of[write]
         cell = self.head
         if self.check:
             self._check_transition(sym, was_marked, now_marked)
-        if write == m.blank:
-            self.tape.pop(cell, None)
-        else:
-            self.tape[cell] = write
         if was_marked == _C2_BLANK and now_marked == _C2_MARK:
             self.path.append(cell)
             self.path_set.add(cell)
@@ -195,10 +194,7 @@ class PathRun:
             self.path_set.discard(cell)
             self.arrival.pop()
             event = ("erase", cell)
-        self.state = state
-        if move:
-            self.head = group.multiply_letter(self.head, move)
-        self.steps += 1
+        step_moving(spec, self)
         return event
 
     def _check_transition(self, sym: int, was_marked: int, now_marked: int) -> None:
@@ -258,9 +254,10 @@ class PathRun:
 class GatedPathRun(PathRun):
     """A path run restricted to paths of length <= depth_limit.
 
-    When an extension would exceed the limit, the machine behaves exactly as
-    if the target cell were occupied (the bounce rule).  Reaching the
-    exhausted-root transition reports completion instead of raising.
+    Once the path has depth_limit edges it steps by the machine's
+    `gated_spec`, whose rule 2 bounces off a fresh cell as rule 4 does off an
+    occupied one.  Reaching the exhausted-root transition reports completion
+    instead of raising.
     """
 
     def __init__(self, machine: PathMachine, depth_limit: int, check: bool = True):
@@ -268,24 +265,15 @@ class GatedPathRun(PathRun):
         self.depth_limit = depth_limit
         self.completed = False
 
+    def _table(self) -> GMachineSpec:
+        return self.m.gated_spec if len(self.path) > self.depth_limit else self.m.spec
+
     def step(self) -> Optional[tuple[str, Element]]:
-        m = self.m
-        sym = self.read()
-        write, state, move = m.spec.delta[(sym, self.state)]
-        if state == m.dead_state:
+        try:
+            return super().step()
+        except GroupExhaustedError:
             self.completed = True
             return None
-        if (2 <= self.state and self.state % 2 == 0  # some g_i<-  (arriving)
-                and sym == m.blank
-                and len(self.path) >= self.depth_limit + 1):
-            # gate: pretend the cell is occupied and bounce back
-            i = (self.state - 2) // 2
-            self.state = _STATE_BACK
-            self.head = self.group.multiply_letter(
-                self.head, self.group.inverse_letter(m.dirs[i]))
-            self.steps += 1
-            return None
-        return super().step()
 
 
 @dataclass
@@ -430,6 +418,9 @@ class ClassicalMachineSpec:
 
 INPUT_BLANK = "_"
 
+# classical machine steps per tick of the oracle simulator's visit layer
+SIM_STEPS_PER_TICK = 4
+
 
 class ClassicalRun:
     """Interpreter for ClassicalMachineSpec over a growing input token list."""
@@ -499,11 +490,10 @@ class OracleSimulator:
     n_layers = 6
 
     def __init__(self, group: Group, classical: ClassicalMachineSpec,
-                 pattern_alphabet: Alphabet, sim_steps_per_tick: int = 4):
+                 pattern_alphabet: Alphabet):
         self.group = group
         self.classical = classical
         self.pattern_alphabet = pattern_alphabet
-        self.sim_steps_per_tick = sim_steps_per_tick
         self.oracle_calls: list[tuple[Letters, bool]] = []
 
     # -- the oracle layer ---------------------------------------------------
@@ -556,7 +546,7 @@ class OracleSimulator:
             if len(visit.layer1.path) < _sim_tape_use(sim, input_tokens):
                 # the free path backtracked into simulated-tape territory
                 sim.reset()
-            for _ in range(self.sim_steps_per_tick):
+            for _ in range(SIM_STEPS_PER_TICK):
                 sim.step(input_tokens)
             if sim.accepted():
                 return Accepted(tick + 1)
@@ -570,13 +560,9 @@ def _sim_tape_use(sim: ClassicalRun, input_tokens: Sequence[str]) -> int:
     return width
 
 
-def build_oracle_simulator(
-    group: Group,
-    classical: ClassicalMachineSpec,
-    pattern_alphabet: Alphabet,
-    sim_steps_per_tick: int = 4,
-) -> OracleSimulator:
-    return OracleSimulator(group, classical, pattern_alphabet, sim_steps_per_tick)
+def build_oracle_simulator(group: Group, classical: ClassicalMachineSpec,
+                           pattern_alphabet: Alphabet) -> OracleSimulator:
+    return OracleSimulator(group, classical, pattern_alphabet)
 
 
 # -- ready-made classical machines (used by tests and the CLI) ----------------
@@ -625,16 +611,8 @@ def classical_query_word(group: Group, word: Letters) -> ClassicalMachineSpec:
     delta: dict[tuple[int, str, str], tuple[str, int, int, int]] = {}
     for i, letter in enumerate(letters):
         delta[(i, INPUT_BLANK, "_")] = (letter, 0, 1, i + 1)
-    if n == 0:
-        pass  # starts directly in the ask state below
-    states_ask = n
-    spec = ClassicalMachineSpec(
-        states=states if n else ("ask", "yes", "no"),
-        accepting=frozenset({states_ask + 1 if n else 1}),
-        input_tokens=(INPUT_BLANK,),
-        work_tokens=work_tokens,
-        delta=delta,
-        query=QueryHook(trigger=states_ask if n else 0,
-                        yes=(states_ask + 1) if n else 1,
-                        no=(states_ask + 2) if n else 2))
-    return spec
+    # an empty word starts directly in the ask state
+    return ClassicalMachineSpec(
+        states=states, accepting=frozenset({n + 1}), input_tokens=(INPUT_BLANK,),
+        work_tokens=work_tokens, delta=delta,
+        query=QueryHook(trigger=n, yes=n + 1, no=n + 2))

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Mapping, Optional, Union
 
 from .errors import MalformedInputError, UnsupportedGroupError
 from .cayley import ball, enumerate_words
 from .families import DeloneFamily
 from .groups import Element, Group, Letters
-from .machines import GMachineSpec
+from .machines import Accepted, GMachineSpec, run_accepts
 from .patterns import Alphabet, Pattern
 from .domino import (
     CellReq,
@@ -291,6 +292,17 @@ class WrappedMachineSpec:
     def accepting(self) -> int:
         return len(self.states) - 1
 
+    @cached_property
+    def _machine(self) -> GMachineSpec:
+        """The walker over one tape of (read, work) cells, for `run_wrapped`."""
+        n_work = len(self.work_alphabet)
+        delta = {(x * n_work + a, q): (x * n_work + b, r, s)
+                 for (x, a, q), (b, r, s) in self.delta.items()}
+        labels = tuple(str((x, a)) for x in self.read_alphabet.symbols
+                       for a in self.work_alphabet.symbols)
+        return GMachineSpec(self.group, self.states, frozenset({self.accepting}),
+                            Alphabet(labels), _work_blank(self), delta)
+
     def validate_total(self) -> None:
         for x in range(len(self.read_alphabet)):
             for a in range(len(self.work_alphabet)):
@@ -429,28 +441,13 @@ def build_wrapped_machine(group: Group, m_x: GMachineSpec,
 
 def run_wrapped(spec: WrappedMachineSpec, read: Pattern, budget: int
                 ) -> tuple[bool, int]:
-    """Drive the two-track walker; returns (accepted, steps)."""
-    group = spec.group
-    read_tape = {cell: v for cell, v in read.items()}
-    # reads default to the blank work symbol's label position 0 of read track
-    work_tape: dict[Element, int] = {}
-    head = group.identity
-    q = 0
-    for step in range(budget):
-        if q == spec.accepting:
-            return True, step
-        x = read_tape.get(head, 0)
-        blank_work = _work_blank(spec)
-        a = work_tape.get(head, blank_work)
-        b, r, s = spec.delta[(x, a, q)]
-        if b == blank_work:
-            work_tape.pop(head, None)
-        else:
-            work_tape[head] = b
-        if s:
-            head = group.multiply_letter(head, s)
-        q = r
-    return q == spec.accepting, budget
+    """Drive the two-track walker as one machine (`run_accepts`) whose cell
+    symbol x * |work| + a holds read symbol x and work symbol a, with blank
+    (0, work blank); returns (accepted, steps)."""
+    n_work, blank = len(spec.work_alphabet), _work_blank(spec)
+    tape = Pattern({cell: x * n_work + blank for cell, x in read.items()})
+    out = run_accepts(spec._machine, tape, budget)
+    return isinstance(out, Accepted), out.steps
 
 
 def _work_blank(spec: WrappedMachineSpec) -> int:

@@ -158,6 +158,27 @@ def test_machine_run_and_trace(runner, tmp_path):
     ]
 
 
+@pytest.mark.parametrize("trace", [False, True])
+def test_machine_run_steps_once(runner, tmp_path, monkeypatch, trace):
+    """The verdict and the trace come from one run of the machine."""
+    from groupshift import machines
+    calls = []
+    step = machines.step_moving
+    monkeypatch.setattr(machines, "step_moving",
+                        lambda spec, cfg: calls.append(1) or step(spec, cfg))
+    g = write(tmp_path, "g.json", Z_GROUP)
+    m = write(tmp_path, "m.json", MOVE_RIGHT)
+    p = write(tmp_path, "p.json",
+              {"support": [["", "1"], ["a", "1"], ["a^2", "1"]]})
+    res = runner.invoke(main, ["machine", "run", "--group", g, "--machine", m,
+                               "--pattern", p, "--format", "json"]
+                        + ["--trace"] * trace, standalone_mode=False)
+    payload = json.loads(res.output)
+    assert res.exit_code == 0 and payload["accepted"] and payload["steps"] == 4
+    assert len(payload["trace"]) == (5 if trace else 0)
+    assert len(calls) == 4
+
+
 def test_machine_path_dot_is_simple(runner, tmp_path):
     g = write(tmp_path, "g.json", F2_GROUP)
     res = runner.invoke(main, ["machine", "path", "--group", g,
@@ -185,6 +206,15 @@ def test_machine_equiv(runner, tmp_path):
                                "--pattern", p, "--steps", "50"],
                         standalone_mode=False)
     assert res.exit_code == 0 and "true" in res.output
+
+
+def test_machine_equiv_negative_steps_is_usage_error(runner, tmp_path):
+    g = write(tmp_path, "g.json", Z_GROUP)
+    m = write(tmp_path, "m.json", MOVE_RIGHT)
+    p = write(tmp_path, "p.json", {"support": [["", "1"]]})
+    res = runner.invoke(main, ["machine", "equiv", "--group", g, "--machine", m,
+                               "--pattern", p, "--steps", "-1"])
+    assert res.exit_code == 2 and "none" not in res.output
 
 
 def test_machine_retarget(runner, tmp_path):

@@ -126,6 +126,25 @@ def test_fixed_moving_equivalent_zero_steps(z):
     assert fixed_moving_equivalent(m, Pattern({}), 0)
 
 
+def test_negative_budgets_rejected(z):
+    """A negative budget or step count is malformed input, even for a
+    machine that accepts before its first step."""
+    from groupshift.machines import trace_run
+    m = machine(z, ("q0",), {0}, {})
+    with pytest.raises(MalformedInputError):
+        run_accepts(m, Pattern({}), -1)
+    with pytest.raises(MalformedInputError):
+        list(trace_run(m, Pattern({}), -1))
+    with pytest.raises(MalformedInputError):
+        fixed_moving_equivalent(m, Pattern({}), -1)
+    mh = MultiHeadSpec(z, 1, m.states, m.accepting, SIGMA, 0,
+                       lambda symbols, states: (symbols, states, (0,)))
+    with pytest.raises(MalformedInputError):
+        run_multihead(mh, Pattern({}), -1)
+    assert run_accepts(m, Pattern({}), 0) == Accepted(0)
+    assert run_multihead(mh, Pattern({}), 0) == Accepted(0)
+
+
 @pytest.mark.parametrize("group_name", ["z", "z2", "f2", "bs12"])
 def test_fixed_moving_equivalent_random(group_name, request):
     group = request.getfixturevalue(group_name)

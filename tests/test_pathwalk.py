@@ -99,8 +99,11 @@ def test_path_group_exhausted_error():
         PathMachine(cyclic_group(3))
 
 
-def test_gated_run_completes_ball(f2):
-    run = GatedPathRun(PathMachine(f2), 1)
+@pytest.mark.parametrize("group_name,depth",
+                         [("f2", 1), ("f2", 2), ("z2", 3), ("bs12", 2)])
+def test_gated_run_completes_ball(group_name, depth, request):
+    group = request.getfixturevalue(group_name)
+    run = GatedPathRun(PathMachine(group), depth)
     marks = set()
     for _ in range(10_000):
         ev = run.step()
@@ -109,7 +112,7 @@ def test_gated_run_completes_ball(f2):
         if run.completed:
             break
     assert run.completed
-    assert marks == ball(f2, 1).elements
+    assert marks == ball(group, depth).elements
 
 
 def test_visit_machine_f2_b1(f2):

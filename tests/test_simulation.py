@@ -1,5 +1,7 @@
 """The clock stream, its product rules and the simulation bundle."""
 
+import random
+
 import pytest
 
 from groupshift import (
@@ -198,6 +200,64 @@ def test_wrapped_machine_sees_neighbour_cells(z, inner):
     wm = build_wrapped_machine(z, _scan_machine(z), Alphabet(("0", "1")), n_max=2)
     acc, _ = run_wrapped(wm, Pattern({z.element((1,)): 1}), 4000)
     assert acc
+
+
+def _literal_run_wrapped(spec, read, budget):
+    """Independent oracle: the walker on two separate track dicts."""
+    group = spec.group
+    blank_work = (spec.work_alphabet.symbols.index("_")
+                  if "_" in spec.work_alphabet.symbols else 0)
+    work_tape = {}
+    head = group.identity
+    q = 0
+    for step in range(budget):
+        if q == spec.accepting:
+            return True, step
+        b, r, s = spec.delta[(read.get(head, 0), work_tape.get(head, blank_work), q)]
+        if b == blank_work:
+            work_tape.pop(head, None)
+        else:
+            work_tape[head] = b
+        if s:
+            head = group.multiply_letter(head, s)
+        q = r
+    return q == spec.accepting, budget
+
+
+def _random_inner(group, rng):
+    """A random total machine over {_, 0, 1} whose last state accepts."""
+    n_states = rng.randrange(2, 5)
+    sigma = Alphabet(("_", "0", "1"))
+    delta = {(sym, q): (rng.randrange(3), rng.randrange(n_states),
+                        rng.randrange(len(group.generators)))
+             for sym in range(3) for q in range(n_states)}
+    return GMachineSpec(group, tuple(f"q{i}" for i in range(n_states)),
+                        frozenset({n_states - 1}), sigma, 0, delta)
+
+
+@pytest.mark.parametrize("group_name", ["z", "f2"])
+def test_run_wrapped_matches_literal_two_track_run(group_name, request):
+    group = request.getfixturevalue(group_name)
+    rng = random.Random(12)
+    accepted = 0
+    for case in range(36):
+        wm = build_wrapped_machine(group, _random_inner(group, rng),
+                                   Alphabet(("0", "1")), n_max=1 + case % 2)
+        read = Pattern({group.element(tuple(rng.choice(group.nonidentity_ids)
+                                            for _ in range(rng.randrange(3)))):
+                        rng.randrange(2) for _ in range(rng.randrange(4))})
+        budget = rng.randrange(0, 2001)
+        got = run_wrapped(wm, read, budget)
+        assert got == _literal_run_wrapped(wm, read, budget)
+        accepted += got[0]
+    assert 0 < accepted < 36
+
+
+def test_run_wrapped_negative_budget_rejected(z, inner):
+    wm = build_wrapped_machine(z, inner, Alphabet(("0", "1")), n_max=1)
+    with pytest.raises(MalformedInputError):
+        run_wrapped(wm, Pattern({}), -1)
+    assert run_wrapped(wm, Pattern({}), 0) == (False, 0)
 
 
 def _scan_machine(z):

@@ -1,8 +1,15 @@
-"""Metric balls of Cayley graphs and the recursive element-sequence builders."""
+"""Metric balls of Cayley graphs and the recursive element-sequence builders.
+
+Every ball of a group is a prefix of one table (`BallTable`): the breadth-
+first search that `ball()` runs numbers the elements in BFS order and keeps
+each product e * s it computes as an integer neighbour entry, so the
+translated-ball scans walk integers instead of redoing group arithmetic.
+"""
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from typing import Iterator, Optional
 
 from .errors import (
@@ -14,40 +21,228 @@ from .groups import Element, Group, Letters
 
 DEFAULT_BALL_BUDGET = 200_000
 
+#: `BallTable.nbr` entry of a product not computed yet
+UNKNOWN = -2
+
+
+class BallTable:
+    """B_radius of a group's Cayley graph, its elements numbered in BFS order.
+
+    Element i is `elements[i]` and `index` inverts that.  Shell r (the
+    elements at distance r from the identity) is the index range
+    `starts[r]:starts[r + 1]`, so every B_m is a prefix.  `nbr[i][s - 1]` is
+    the index of `elements[i] * s` for the non-identity generator s, -1 when
+    that product lies outside the table, and UNKNOWN while it is not computed.
+
+    Growing to radius r computes the rows of shell r - 1 (the products that
+    find shell r) and nothing more; each computed edge e * s = f also fills
+    f's entry for s^-1, so a row of the outer shell starts with its inward
+    entries and the rest are computed on demand.  Rows of shells below
+    `radius` are complete.  The table only grows; it is changed only under
+    `lock`, which callers of `walk` hold.
+
+    A node of a walk is a table index, or the Element itself for a cell
+    outside the table (`node` / `element` convert).
+    """
+
+    def __init__(self, group: Group):
+        self.group = group
+        self.lock = group._ball_lock
+        self.inverse_col = [group.generators[s].inverse - 1 for s in group.nonidentity_ids]
+        self.elements: list[Element] = [group.identity]
+        self.index: dict[Element, int] = {group.identity: 0}
+        self.starts = [0, 1]
+        self.nbr: list[list[int]] = [[UNKNOWN] * len(self.inverse_col)]
+        self.full = False          # the whole (finite) group is in the table
+        self.views: dict[int, CayleyBall] = {}
+
+    @property
+    def radius(self) -> int:
+        return len(self.starts) - 2
+
+    def size(self, m: int) -> int:
+        """|B_m| for m >= 0 (capped at the table)."""
+        return self.starts[min(m, self.radius) + 1]
+
+    def shell(self, i: int) -> int:
+        """Distance from the identity of element i."""
+        return bisect_right(self.starts, i) - 1
+
+    def node(self, e: Element):
+        return self.index.get(e, e)
+
+    def element(self, v) -> Element:
+        return self.elements[v] if type(v) is int else v
+
+    def grow(self, n: int, budget: int) -> None:
+        """Extend the table shell by shell to radius n.  A shell is committed
+        only once complete: BallBudgetError leaves the table as it was."""
+        group, elements, index, nbr = self.group, self.elements, self.index, self.nbr
+        inverse_col, k = self.inverse_col, len(self.inverse_col)
+        while not self.full and self.radius < n:
+            lo, hi = self.starts[-2], self.starts[-1]
+            try:
+                for i in range(lo, hi):
+                    e, row = elements[i], nbr[i]
+                    for c in range(k):
+                        if row[c] >= 0:
+                            continue
+                        f = group.multiply_letter(e, c + 1)
+                        j = index.get(f)
+                        if j is None:
+                            j = len(elements)
+                            if j >= budget:
+                                raise BallBudgetError(
+                                    f"ball budget of {budget} elements exceeded "
+                                    f"at radius {self.radius + 1}")
+                            elements.append(f)
+                            index[f] = j
+                            nbr.append([UNKNOWN] * k)
+                        row[c] = j
+                        nbr[j][inverse_col[c]] = i
+            except BallBudgetError:
+                for f in elements[hi:]:
+                    del index[f]
+                del elements[hi:], nbr[hi:]
+                for i in range(lo, hi):
+                    nbr[i] = [j if j < hi else UNKNOWN for j in nbr[i]]
+                raise
+            if len(elements) == hi:
+                self.full = True   # no new shell: the group is finite and covered
+            else:
+                self.starts.append(len(elements))
+
+    def _fill(self, i: int, c: int) -> Element:
+        """Compute the entry nbr[i][c] and return the product."""
+        f = self.group.multiply_letter(self.elements[i], c + 1)
+        j = self.nbr[i][c] = self.index.get(f, -1)
+        if j >= 0:
+            self.nbr[j][self.inverse_col[c]] = i
+        return f
+
+    def row(self, i: int) -> list[int]:
+        """nbr[i] with every entry computed."""
+        row = self.nbr[i]
+        for c, j in enumerate(row):
+            if j == UNKNOWN:
+                self._fill(i, c)
+        return row
+
+    def walk(self, start, depth: Optional[int] = None, limit: Optional[int] = None,
+             within=None) -> Iterator[list]:
+        """Yield the BFS shells of nodes around the node `start`: shell d holds
+        the nodes first reached after d steps, out to `depth` steps (or until
+        a shell is empty).
+
+        `within`: a container of nodes; only those are entered.
+        `limit`: the border rule of a scan whose targets lie in B_w, walked to
+        depth L with limit = w + L: a cell at depth d farther than limit - d
+        from the identity cannot get back into B_w in time and is dropped.
+        Its distance is read off the table, and for a cell outside it is
+        bounded by its normal-form length (geodesic kinds) or radius + 1.
+        Products are computed with `multiply_letter` only at the outer shell
+        and beyond, and only when the limit leaves room for them.
+        """
+        group, elements, index, nbr = self.group, self.elements, self.index, self.nbr
+        outer = self.radius
+        inner = len(elements) if self.full else self.starts[outer]  # complete rows
+        geodesic = group.geodesic_normal_form()
+        shell, seen, d = [start], {start}, 0
+        yield shell
+        while shell and (depth is None or d < depth):
+            cap = None if limit is None else limit - d - 1   # distance allowed next
+            bound = (len(elements) if cap is None or cap >= outer
+                     else self.starts[max(cap + 1, 0)])      # indices allowed next
+            nxt = []
+            for v in shell:
+                if type(v) is int and v < inner:
+                    for w in nbr[v]:
+                        if w < bound and w not in seen and (within is None or w in within):
+                            seen.add(w)
+                            nxt.append(w)
+                    continue
+                if type(v) is int:      # outer shell: its open entries lead outward
+                    step = []
+                    for c, j in enumerate(nbr[v]):
+                        # an UNKNOWN product lies in shell `outer` or beyond,
+                        # a -1 one beyond: computed only if the cap allows it
+                        if j < 0 and (cap is None or cap >= outer + (j == -1)):
+                            f = group.multiply_letter(elements[v], c + 1) if j == -1 \
+                                else self._fill(v, c)
+                            j = index.get(f, f)
+                        step.append(j)
+                else:                   # outside the table
+                    step = [index.get(f, f) for f in
+                            (group.multiply_letter(v, s) for s in group.nonidentity_ids)]
+                for w in step:
+                    if type(w) is int:
+                        if w < 0 or w >= bound:
+                            continue
+                    elif cap is not None and \
+                            (group.length_of(w) if geodesic else outer + 1) > cap:
+                        continue
+                    if w not in seen and (within is None or w in within):
+                        seen.add(w)
+                        nxt.append(w)
+            d += 1
+            shell = nxt
+            yield shell
+
 
 class CayleyBall:
-    """The ball B_n: elements of word length <= n plus all internal edges."""
+    """The ball B_n: elements of word length <= n plus all internal edges.
 
-    def __init__(self, group: Group, radius: int, distances: dict[Element, int]):
+    A view of the prefix B_n of the group's `BallTable`; `distances`,
+    `elements` and `edges` are built on first use.
+    """
+
+    def __init__(self, group: Group, radius: int, table: BallTable):
         self.group = group
         self.radius = radius
-        self.distances = distances
-        self.elements = frozenset(distances)
+        self.table = table
+        self._size = table.size(radius)
+        self._distances: Optional[dict[Element, int]] = None
+        self._elements: Optional[frozenset[Element]] = None
         self._edges: Optional[frozenset] = None
         self._sorted: Optional[list[Element]] = None
 
     def __contains__(self, e: Element) -> bool:
-        return e in self.distances
+        i = self.table.index.get(e)
+        return i is not None and i < self._size
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return self._size
+
+    @property
+    def distances(self) -> dict[Element, int]:
+        if self._distances is None:
+            t = self.table
+            self._distances = {t.elements[i]: r
+                               for r in range(min(self.radius, t.radius) + 1)
+                               for i in range(t.starts[r], t.starts[r + 1])}
+        return self._distances
+
+    @property
+    def elements(self) -> frozenset[Element]:
+        if self._elements is None:
+            self._elements = frozenset(self.table.elements[:self._size])
+        return self._elements
 
     @property
     def edges(self) -> frozenset[tuple[Element, int, Element]]:
         """Triples (g, s, h) with g*s = h, both endpoints inside the ball."""
         if self._edges is None:
-            out = set()
-            for e in self.distances:
-                for s in self.group.nonidentity_ids:
-                    f = self.group.multiply_letter(e, s)
-                    if f in self.distances:
-                        out.add((e, s, f))
-            self._edges = frozenset(out)
+            t, size = self.table, self._size
+            with t.lock:
+                self._edges = frozenset(
+                    (t.elements[i], c + 1, t.elements[j])
+                    for i in range(size) for c, j in enumerate(t.row(i)) if 0 <= j < size)
         return self._edges
 
     def sorted_elements(self) -> list[Element]:
         if self._sorted is None:
-            self._sorted = sorted(self.elements, key=self.group.shortlex_key)
+            self._sorted = sorted(self.table.elements[:self._size],
+                                  key=self.group.shortlex_key)
         return self._sorted
 
     def to_dot(self) -> str:
@@ -72,44 +267,25 @@ def ball(group: Group, n: int, budget: int = DEFAULT_BALL_BUDGET) -> CayleyBall:
     if n < 0:
         raise ValueError("radius must be >= 0")
     with group._ball_lock:
-        cache = group._ball_cache
-        dist: dict[Element, int] = cache.get("distances", {group.identity: 0})
-        built = cache.get("radius", 0)
-        if n > built:
-            frontier = [e for e, d in dist.items() if d == built]
-            for r in range(built + 1, n + 1):
-                nxt = []
-                for e in frontier:
-                    for s in group.nonidentity_ids:
-                        f = group.multiply_letter(e, s)
-                        if f not in dist:
-                            dist[f] = r
-                            nxt.append(f)
-                            if len(dist) > budget:
-                                raise BallBudgetError(
-                                    f"ball budget of {budget} elements exceeded at radius {r}")
-                frontier = nxt
-                if not frontier:
-                    break  # the whole (finite) group is already covered
-            cache["distances"] = dist
-            cache["radius"] = max(built, n)
-        balls = cache.setdefault("balls", {})
-        if n not in balls:
-            sub = {e: d for e, d in dist.items() if d <= n}
-            balls[n] = CayleyBall(group, n, sub)
-        return balls[n]
+        table = group._ball_table
+        if table is None:
+            table = group._ball_table = BallTable(group)
+        table.grow(n, budget)
+        view = table.views.get(n)
+        if view is None:
+            view = table.views[n] = CayleyBall(group, n, table)
+        return view
 
 
 def distance_from_identity(group: Group, e: Element, budget: int = DEFAULT_BALL_BUDGET) -> int:
-    """|g| via the geodesic normal form, or BFS for non-geodesic kinds."""
+    """|g| via the geodesic normal form, or the shell of g in the ball table
+    (grown until it holds g) for non-geodesic kinds."""
     if group.geodesic_normal_form():
         return group.length_of(e)
-    r = 0
-    while True:
-        b = ball(group, r, budget=budget)
-        if e in b.distances:
-            return b.distances[e]
-        r += 1
+    table = ball(group, 0).table
+    while e not in table.index:
+        ball(group, table.radius + 1, budget=budget)
+    return table.shell(table.index[e])
 
 
 def word_metric(group: Group, word, budget: int = DEFAULT_BALL_BUDGET) -> int:
@@ -126,18 +302,11 @@ def element_distance(group: Group, a: Element, b: Element,
 def translated_ball_cells(group: Group, center: Element, radius: int
                           ) -> list[set[Element]]:
     """BFS shells around a center: shells[d] = cells at graph distance d."""
-    shells = [{center}]
-    seen = {center}
-    for _ in range(radius):
-        nxt = set()
-        for e in shells[-1]:
-            for s in group.nonidentity_ids:
-                f = group.multiply_letter(e, s)
-                if f not in seen:
-                    seen.add(f)
-                    nxt.add(f)
-        shells.append(nxt)
-    return shells
+    table = ball(group, 0).table
+    with table.lock:
+        shells = [set(map(table.element, shell))
+                  for shell in table.walk(table.node(center), radius)]
+    return shells + [set() for _ in range(radius + 1 - len(shells))]
 
 
 def enumerate_words(group: Group, max_len: int) -> Iterator[Letters]:
@@ -208,14 +377,15 @@ def component_sequence(
     if count == 0:
         return [seed_el]
     m = n_cut + count + seed_len
-    big = ball(group, m, budget=budget)
-    outside = {e for e, d in big.distances.items() if d > n_cut}
-    component = _component_of(group, outside, seed_el)
+    table = ball(group, m, budget=budget).table
+    with table.lock:
+        outside = set(range(table.size(n_cut), table.size(m)))
+        component = _component_of(table, outside, table.index[seed_el])
     found = [seed_el]
     seen = {seed_el}
     for w in enumerate_words(group, n_cut + count):
         cand = group.multiply(seed_el, group.element(w))
-        if cand in component and cand not in seen:
+        if table.index.get(cand) in component and cand not in seen:
             seen.add(cand)
             found.append(cand)
             if len(found) == count + 1:
@@ -224,18 +394,9 @@ def component_sequence(
         f"component holds fewer than {count + 1} reachable elements")
 
 
-def _component_of(group: Group, cells: set[Element], start: Element) -> set[Element]:
+def _component_of(table: BallTable, cells: set, start) -> set:
+    """The nodes of `start`'s connected component in the subgraph on the node
+    set `cells`; the caller holds the table's lock."""
     if start not in cells:
         raise ValueError("start not inside the cell set")
-    comp = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for e in frontier:
-            for s in group.nonidentity_ids:
-                f = group.multiply_letter(e, s)
-                if f in cells and f not in comp:
-                    comp.add(f)
-                    nxt.append(f)
-        frontier = nxt
-    return comp
+    return set(itertools.chain.from_iterable(table.walk(start, within=cells)))

@@ -23,7 +23,6 @@ from . import jsonio
 from .errors import (
     CompletionBudgetError,
     GroupShiftError,
-    MalformedInputError,
     UndeterminedError,
 )
 from .cayley import (
@@ -31,11 +30,9 @@ from .cayley import (
     component_sequence,
     disjoint_ball_sequences,
     enumerate_words,
-    word_metric,
 )
 from .domino import (
     Satisfiable,
-    Undetermined,
     Unsatisfiable,
     UserSftCover,
     WindowedA1,

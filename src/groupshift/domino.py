@@ -20,15 +20,15 @@ counts one node per (cell, symbol) tried.  `grounded_violations` and
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import MalformedInputError, UndeterminedError, UnsupportedGroupError
 from .cayley import ball
 from .constraints import compile_window, solve
-from .groups import Element, FiniteGroup, FreeAbelianGroup, Group, direct_product, free_product
+from .groups import Element, FiniteGroup, FreeAbelianGroup, Group, direct_product
 from .machines import GMachineSpec
-from .patterns import Alphabet, Pattern
+from .patterns import Pattern
 
 SYM, STATE, STAR = "sym", "state", "star"
 COVER, MARKER = "cover", "marker"

@@ -5,8 +5,8 @@ from __future__ import annotations
 import itertools
 from typing import Iterable
 
-from .errors import MalformedInputError, UnsupportedGroupError
-from .cayley import ball, disjoint_ball_sequences, translated_ball_cells
+from .errors import BallBudgetError, MalformedInputError, UnsupportedGroupError
+from .cayley import BallTable, ball, disjoint_ball_sequences
 from .groups import Element, FreeAbelianGroup, Group
 from .patterns import Alphabet, Pattern
 from .subshifts import ForbiddenFamily, GeneratedFamily, SubshiftSpec
@@ -106,63 +106,62 @@ class DeloneFamily(ForbiddenFamily):
         return out
 
     def violates(self, group: Group, x: Pattern) -> bool:
-        return (self._violates_guard(group, x)
-                or self._violates_cover(group, x)
-                or self._violates_linking(group, x))
+        if self._violates_guard(group, x):
+            return True
+        table = ball(group, self.n).table
+        with table.lock:
+            # the guard looks up only the cells it touches; the other two
+            # rules read every cell, so the pattern is keyed by node once
+            nodes = {table.node(c): v for c, v in x.items()}
+            return (self._violates_cover(group, x, table, nodes)
+                    or self._violates_linking(table, nodes))
 
     def _violates_guard(self, group: Group, x: Pattern) -> bool:
-        guard = [e for e in ball(group, self.n).sorted_elements()
-                 if e != group.identity]
-        for c, v in x.items():
-            if v != 1:
-                continue
-            for g in guard:
-                got = x.get(group.multiply(c, g))
-                if got is not None and got != 2:
+        table = ball(group, self.n).table
+        with table.lock:
+            for c, v in x.items():
+                if v != 1:
+                    continue
+                shells = table.walk(table.node(c), self.n)
+                next(shells)   # the center itself
+                for shell in shells:
+                    for w in shell:
+                        got = x.get(table.element(w))
+                        if got is not None and got != 2:
+                            return True
+        return False
+
+    def _violates_cover(self, group: Group, x: Pattern, table: BallTable,
+                        nodes: dict) -> bool:
+        reach = 4 * self.n
+        prune = group.geodesics_extend()
+        max_len = max((group.length_of(c) for c in x.support), default=0)
+        for center in x.assignment:
+            if prune and group.length_of(center) + reach > max_len:
+                continue  # some geodesic extension of the center exits the support
+            seen_one = False
+            for shell in table.walk(table.node(center), reach):
+                if not all(w in nodes for w in shell):
+                    break
+                seen_one = seen_one or any(nodes[w] == 1 for w in shell)
+            else:
+                if not seen_one:
                     return True
         return False
 
-    def _violates_cover(self, group: Group, x: Pattern) -> bool:
-        reach = 4 * self.n
-        ones = {c for c, v in x.items() if v == 1}
-        prune = group.geodesics_extend()
-        max_len = max((group.length_of(c) for c in x.support), default=0)
-        for center in x.support:
-            if prune and group.length_of(center) + reach > max_len:
-                continue  # some geodesic extension of the center exits the support
-            seen_one = center in ones
-            inside = True
-            for shell in translated_ball_cells(group, center, reach):
-                for c in shell:
-                    if c not in x.assignment:
-                        inside = False
-                        break
-                    if c in ones:
-                        seen_one = True
-                if not inside:
-                    break
-            if inside and not seen_one:
-                return True
-        return False
-
-    def _violates_linking(self, group: Group, x: Pattern) -> bool:
-        live = {c for c, v in x.items() if v in (1, 2)}
-        seen: set[Element] = set()
+    @staticmethod
+    def _violates_linking(table: BallTable, nodes: dict) -> bool:
+        live = [w for w, v in nodes.items() if v in (1, 2)]
+        live_set = set(live)
+        seen: set = set()
         for start in live:
             if start in seen:
                 continue
-            comp = [start]
-            seen.add(start)
-            stack = [start]
-            while stack:
-                e = stack.pop()
-                for s in group.nonidentity_ids:
-                    f = group.multiply_letter(e, s)
-                    if f in live and f not in seen:
-                        seen.add(f)
-                        comp.append(f)
-                        stack.append(f)
-            if sum(1 for c in comp if x[c] == 1) >= 2:
+            ones = 0
+            for shell in table.walk(start, within=live_set):
+                seen.update(shell)
+                ones += sum(1 for w in shell if nodes[w] == 1)
+            if ones >= 2:
                 return True
         return False
 
@@ -182,30 +181,29 @@ def greedy_delone_configuration(group: Group, n: int, radius: int) -> Pattern:
         raise MalformedInputError("n must be >= 1")
     if radius < 4 * n:
         raise MalformedInputError("radius must be at least 4n")
-    cells = ball(group, radius).sorted_elements()
-    in_window = ball(group, radius).elements
-    chosen: list[Element] = []
-    blocked: set[Element] = set()   # within 4n-1 of a chosen center
-    halo: set[Element] = set()      # within n of a chosen center (gets a 2)
     sep = 4 * n
-    for c in cells:
-        if c in blocked:
-            continue
-        chosen.append(c)
-        for d, shell in enumerate(translated_ball_cells(group, c, sep - 1)):
-            blocked.update(shell)
-            if d <= n:
-                halo.update(shell)
-    chosen_set = set(chosen)
-    assignment: dict[Element, int] = {}
-    for c in cells:
-        if c in chosen_set:
-            assignment[c] = 1
-        elif c in halo:
-            assignment[c] = 2
-        else:
-            assignment[c] = 0
-    return Pattern(assignment)
+    window = ball(group, radius)
+    try:
+        # every cell the bordered walk below keeps lies in this margin
+        ball(group, radius + (sep - 1) // 2)
+    except BallBudgetError:
+        pass  # cells beyond the capped table are walked with key arithmetic
+    table, cells = window.table, window.sorted_elements()
+    with table.lock:
+        order = [table.index[c] for c in cells]
+        chosen: set[int] = set()
+        blocked: set = set()   # within 4n-1 of a chosen center
+        halo: set = set()      # within n of a chosen center (gets a 2)
+        for i in order:
+            if i in blocked:
+                continue
+            chosen.add(i)
+            for d, shell in enumerate(table.walk(i, sep - 1, limit=radius + sep - 1)):
+                blocked.update(shell)
+                if d <= n:
+                    halo.update(shell)
+    return Pattern({c: 1 if i in chosen else 2 if i in halo else 0
+                    for c, i in zip(cells, order)})
 
 
 def builtin_amenable_witness(group: Group, n_max: int) -> SubshiftSpec:

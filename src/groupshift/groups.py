@@ -148,6 +148,8 @@ class Group:
         self.generators: tuple[GeneratorSymbol, ...] = tuple(generators)
         if not self.generators or not self.generators[0].is_identity:
             raise MalformedInputError("generator 0 must be the identity symbol")
+        if any(g.id != i for i, g in enumerate(self.generators)):
+            raise MalformedInputError("generator ids must be 0, 1, 2, ... in list order")
         if sum(1 for g in self.generators if g.is_identity) != 1:
             raise MalformedInputError("exactly one identity generator expected")
         for g in self.generators:
@@ -156,8 +158,10 @@ class Group:
                 raise MalformedInputError(f"inverse of {g.display} is not an involution")
         self.identity = Element(self.identity_key())
         self._display_to_id = {g.display: g.id for g in self.generators}
-        self._ball_cache: dict = {}
-        self._ball_lock = threading.Lock()
+        self.nonidentity_ids: tuple[int, ...] = tuple(
+            g.id for g in self.generators if not g.is_identity)
+        self._ball_table = None       # the cayley.BallTable, built by ball()
+        self._ball_lock = threading.RLock()
 
     # -- key algebra (implemented per kind) --------------------------------
 
@@ -186,10 +190,6 @@ class Group:
         return len(self.key_letters(key))
 
     # -- word plumbing ------------------------------------------------------
-
-    @property
-    def nonidentity_ids(self) -> tuple[int, ...]:
-        return tuple(g.id for g in self.generators if not g.is_identity)
 
     def check_word(self, word: Iterable[int]) -> Letters:
         w = tuple(word)
@@ -611,28 +611,26 @@ class _ProductBase(Group):
     def __init__(self, factors: Sequence[Group]):
         self.factors = tuple(factors)
         gens = [GeneratorSymbol(0, "e", 0, is_identity=True)]
-        self._offsets: list[int] = []
         self._letter_factor: dict[int, tuple[int, int]] = {}
+        self._embedding: list[dict[int, int]] = []   # factor letter -> product letter
         next_id = 1
+        clash = _name_clash(self.factors)
         for fi, f in enumerate(self.factors):
-            self._offsets.append(next_id)
-            clash = _name_clash(self.factors)
+            local = {s: next_id + i for i, s in enumerate(f.nonidentity_ids)}
+            self._embedding.append(local)
             for g in f.generators:
                 if g.is_identity:
                     continue
-                local = f.nonidentity_ids.index(g.id)
-                inv_local = f.nonidentity_ids.index(g.inverse)
                 display = f"{g.display}.{fi}" if g.display in clash else g.display
-                gens.append(GeneratorSymbol(next_id + local, display, next_id + inv_local))
-                self._letter_factor[next_id + local] = (fi, g.id)
-            next_id += len(f.nonidentity_ids)
+                gens.append(GeneratorSymbol(local[g.id], display, local[g.inverse]))
+                self._letter_factor[local[g.id]] = (fi, g.id)
+            next_id += len(local)
         gens.sort(key=lambda g: g.id)
         super().__init__(gens)
 
     def embed_word(self, fi: int, word: Iterable[int]) -> Letters:
-        f = self.factors[fi]
-        off = self._offsets[fi]
-        return tuple(off + f.nonidentity_ids.index(x) for x in word if x != 0)
+        local = self._embedding[fi]
+        return tuple(local[x] for x in word if x != 0)
 
 
 def _name_clash(factors: Sequence[Group]) -> set[str]:

@@ -7,7 +7,7 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Mapping, Optional
 
 from .errors import MalformedInputError
 from .domino import (
@@ -16,8 +16,6 @@ from .domino import (
     DominoInstance,
     GOffset,
     HOffset,
-    UserSftCover,
-    WindowedA1,
 )
 from .families import (
     builtin_amenable_witness,

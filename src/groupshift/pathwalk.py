@@ -11,8 +11,8 @@ tape state that no finite (Sigma^n, Q^n) table can see.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import (
     GroupExhaustedError,

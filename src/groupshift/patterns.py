@@ -8,7 +8,7 @@ conflicting entries are representable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import CompletionBudgetError, MalformedInputError

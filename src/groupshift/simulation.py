@@ -11,18 +11,17 @@ materialized beyond explicitly requested prefixes).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Optional, Union
+from typing import Callable, Mapping, Optional
 
-from .errors import MalformedInputError, UnsupportedGroupError
-from .cayley import ball, enumerate_words
+from .errors import MalformedInputError
+from .cayley import enumerate_words
 from .families import DeloneFamily
 from .groups import Element, Group, Letters
 from .machines import Accepted, GMachineSpec, run_accepts
 from .patterns import Alphabet, Pattern
 from .domino import (
-    CellReq,
     ComponentAlphabet,
     DominoConstraint,
     GOffset,

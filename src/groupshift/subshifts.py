@@ -28,7 +28,7 @@ from .errors import GroupShiftError, MalformedInputError, UndeterminedError
 from .cayley import ball, distance_from_identity
 from .constraints import CompiledWindow, compile_window, solve
 from .groups import Element, Group
-from .patterns import Alphabet, Pattern, translate_pattern
+from .patterns import Alphabet, Pattern
 
 DEFAULT_SEARCH_BUDGET = 500_000
 DEFAULT_RADIUS_CAP = 64

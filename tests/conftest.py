@@ -72,3 +72,121 @@ def z4_rewriting():
 @pytest.fixture(scope="session")
 def z2xz2():
     return direct_product(cyclic_group(2), FreeAbelianGroup(1, names=["a"]))
+
+
+# -- key-arithmetic oracles for the ball-table scans -------------------------
+#
+# The BFS walks below redo the group arithmetic at every step, with no table:
+# they are the breadth-first searches the table replaced, kept as written so
+# the integer walks have an independent reference.
+
+
+def oracle_ball(group, n):
+    """{element: distance from the identity} over B_n, by a fresh BFS."""
+    dist = {group.identity: 0}
+    frontier = [group.identity]
+    for r in range(1, n + 1):
+        nxt = []
+        for e in frontier:
+            for s in group.nonidentity_ids:
+                f = group.multiply_letter(e, s)
+                if f not in dist:
+                    dist[f] = r
+                    nxt.append(f)
+        frontier = nxt
+    return dist
+
+
+def oracle_edges(group, n):
+    dist = oracle_ball(group, n)
+    return {(e, s, group.multiply_letter(e, s)) for e in dist
+            for s in group.nonidentity_ids if group.multiply_letter(e, s) in dist}
+
+
+def oracle_translated_ball_cells(group, center, radius):
+    return list(oracle_shells(group, center, radius))
+
+
+def oracle_shells(group, center, radius):
+    """Yield the BFS shells around center, cells at graph distance 0..radius."""
+    shell = {center}
+    seen = {center}
+    yield shell
+    for _ in range(radius):
+        nxt = set()
+        for e in shell:
+            for s in group.nonidentity_ids:
+                f = group.multiply_letter(e, s)
+                if f not in seen:
+                    seen.add(f)
+                    nxt.add(f)
+        shell = nxt
+        yield shell
+
+
+def oracle_component(group, cells, start):
+    comp = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for e in frontier:
+            for s in group.nonidentity_ids:
+                f = group.multiply_letter(e, s)
+                if f in cells and f not in comp:
+                    comp.add(f)
+                    nxt.append(f)
+        frontier = nxt
+    return comp
+
+
+def oracle_greedy_delone(group, n, radius):
+    """The greedy 4n-separated configuration with unpruned translated balls."""
+    dist = oracle_ball(group, radius)
+    cells = sorted(dist, key=group.shortlex_key)
+    chosen, blocked, halo = set(), set(), set()
+    for c in cells:
+        if c in blocked:
+            continue
+        chosen.add(c)
+        for d, shell in enumerate(oracle_translated_ball_cells(group, c, 4 * n - 1)):
+            blocked.update(shell)
+            if d <= n:
+                halo.update(shell)
+    return Pattern({c: 1 if c in chosen else 2 if c in halo else 0 for c in cells})
+
+
+def oracle_delone_guard(group, n, x):
+    guard = [e for e in oracle_ball(group, n) if e != group.identity]
+    return any(x.get(group.multiply(c, g)) not in (None, 2)
+               for c, v in x.items() if v == 1 for g in guard)
+
+
+def oracle_delone_cover(group, n, x):
+    reach = 4 * n
+    ones = {c for c, v in x.items() if v == 1}
+    prune = group.geodesics_extend()
+    max_len = max((group.length_of(c) for c in x.support), default=0)
+    for center in x.support:
+        if prune and group.length_of(center) + reach > max_len:
+            continue
+        seen_one = False
+        for shell in oracle_shells(group, center, reach):
+            if not shell <= x.assignment.keys():
+                break
+            seen_one = seen_one or not ones.isdisjoint(shell)
+        else:
+            if not seen_one:
+                return True
+    return False
+
+
+def oracle_delone_linking(group, x):
+    live = {c for c, v in x.items() if v in (1, 2)}
+    seen = set()
+    for start in live:
+        if start not in seen:
+            comp = oracle_component(group, live, start)
+            seen |= comp
+            if sum(1 for c in comp if x[c] == 1) >= 2:
+                return True
+    return False

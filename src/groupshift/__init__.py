@@ -117,7 +117,6 @@ from .domino import (
     DominoConstraint,
     DominoInstance,
     Satisfiable,
-    Undetermined,
     Unsatisfiable,
     UserSftCover,
     WindowedA1,

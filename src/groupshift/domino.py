@@ -23,7 +23,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .errors import MalformedInputError, UndeterminedError, UnsupportedGroupError
+from .errors import MalformedInputError, UnsupportedGroupError
 from .cayley import ball
 from .constraints import compile_window, solve
 from .groups import Element, FiniteGroup, FreeAbelianGroup, Group, direct_product
@@ -304,12 +304,7 @@ class Unsatisfiable:
     pass
 
 
-@dataclass(frozen=True)
-class Undetermined:
-    nodes: int
-
-
-VerifyOutcome = Union[Satisfiable, Unsatisfiable, Undetermined]
+VerifyOutcome = Union[Satisfiable, Unsatisfiable]
 
 Cell = tuple[Element, int]
 
@@ -403,7 +398,11 @@ def verify_reduction_window(
     budget: int = 10_000_000,
 ) -> VerifyOutcome:
     """Exhaustive backtracking search for an admissible total window
-    assignment containing the origin symbol at the base of the window."""
+    assignment containing the origin symbol at the base of the window.
+
+    Raises UndeterminedError (carrying the node count) when the search
+    exceeds `budget` nodes.
+    """
     group = instance.g_group
     symbols = list(instance.alphabet.symbols())
     moved: dict[tuple[Element, Element], Element] = {}  # shared by every level
@@ -422,10 +421,7 @@ def verify_reduction_window(
         if origin not in symbols:
             raise MalformedInputError(f"origin symbol {origin} outside the alphabet")
         fixed[window.index[(group.identity, 0)]] = symbols.index(origin)
-    try:
-        val = solve(window, fixed, len(symbols), budget)
-    except UndeterminedError as e:
-        return Undetermined(e.nodes)
+    val = solve(window, fixed, len(symbols), budget)
     if val is None:
         return Unsatisfiable()
     product = instance.product_group()

@@ -1,8 +1,13 @@
 """JSON schemas for groups, codings, patterns, subshifts, machines and
-emitted constraint systems, plus the reproducible run manifest."""
+emitted constraint systems, plus the reproducible run manifest.
+
+Every `*_from_json` decoder raises MalformedInputError when its input lacks
+a key or holds a value of the wrong type or shape.
+"""
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import time
@@ -16,6 +21,7 @@ from .domino import (
     DominoInstance,
     GOffset,
     HOffset,
+    UserSftCover,
 )
 from .families import (
     builtin_amenable_witness,
@@ -40,9 +46,24 @@ from .subshifts import FiniteFamily, SubshiftSpec
 VERSION = "0.1.0"
 
 
+def _decoder(fn):
+    """A `*_from_json` entry point: input of the wrong shape is malformed."""
+    what = fn.__name__.removesuffix("_from_json")
+
+    @functools.wraps(fn)
+    def decode(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except (AttributeError, IndexError, KeyError, TypeError, ValueError) as e:
+            raise MalformedInputError(
+                f"bad {what} JSON: {type(e).__name__}: {e}") from e
+    return decode
+
+
 # -- groups --------------------------------------------------------------------
 
 
+@_decoder
 def group_from_json(obj: Mapping[str, Any]) -> Group:
     kind = obj.get("kind")
     if kind == "free":
@@ -91,12 +112,19 @@ def group_to_json(group: Group) -> dict:
 # -- words, codings, patterns ----------------------------------------------
 
 
+@_decoder
 def coding_from_json(group: Group, obj: Mapping[str, Any]) -> PatternCoding:
     alphabet = Alphabet(tuple(obj["alphabet"]))
     entries = []
     for w, label in obj["entries"]:
         entries.append((group.parse_word(w), alphabet.index(str(label))))
     return coding(alphabet, entries)
+
+
+@_decoder
+def enumeration_from_json(group: Group, obj: list) -> list[PatternCoding]:
+    """A JSON list of pattern codings."""
+    return [coding_from_json(group, o) for o in obj]
 
 
 def pattern_to_json(group: Group, p: Pattern, alphabet: Optional[Alphabet] = None) -> dict:
@@ -108,6 +136,7 @@ def pattern_to_json(group: Group, p: Pattern, alphabet: Optional[Alphabet] = Non
     return {"support": out}
 
 
+@_decoder
 def pattern_from_json(group: Group, obj: Mapping[str, Any],
                       alphabet: Alphabet) -> Pattern:
     assignment = {}
@@ -119,6 +148,7 @@ def pattern_from_json(group: Group, obj: Mapping[str, Any],
 # -- subshifts ------------------------------------------------------------
 
 
+@_decoder
 def subshift_from_json(obj: Mapping[str, Any]) -> SubshiftSpec:
     group = group_from_json(obj["group"])
     forb = obj["forbidden"]
@@ -145,6 +175,7 @@ def subshift_from_json(obj: Mapping[str, Any]) -> SubshiftSpec:
 # -- machines ---------------------------------------------------------------
 
 
+@_decoder
 def machine_from_json(group: Group, obj: Mapping[str, Any]) -> GMachineSpec:
     states = tuple(obj["states"])
     state_index = {s: i for i, s in enumerate(states)}
@@ -160,6 +191,18 @@ def machine_from_json(group: Group, obj: Mapping[str, Any]) -> GMachineSpec:
         move = move_word[0] if move_word else 0
         delta[key] = (alphabet.index(rule["write"]), state_index[rule["next"]], move)
     return GMachineSpec(group, states, accepting, alphabet, blank, delta)
+
+
+@_decoder
+def retarget_map_from_json(group: Group, obj: Mapping[str, str]) -> dict:
+    """{"generator display": "word", ...} as generator id -> letters."""
+    gamma = {0: ()}
+    for key, word in obj.items():
+        letters = group.parse_word(key)
+        if len(letters) != 1:
+            raise MalformedInputError(f"retarget key {key!r} is not one generator")
+        gamma[letters[0]] = group.parse_word(word)
+    return gamma
 
 
 def machine_to_json(machine: GMachineSpec) -> dict:
@@ -217,6 +260,17 @@ def instance_to_json(instance: DominoInstance) -> dict:
     return out
 
 
+@_decoder
+def cover_from_json(obj: Mapping[str, Any]) -> UserSftCover:
+    """{"values": [...], "constraints": [{"support": [{"g": word, "dz": int},
+    ...], "cells": [{component: [labels]}, ...]}, ...]}"""
+    return UserSftCover(
+        tuple(obj["values"]),
+        tuple((tuple((s["g"], s["dz"]) for s in c["support"]), tuple(c["cells"]))
+              for c in obj["constraints"]))
+
+
+@_decoder
 def instance_from_json(obj: Mapping[str, Any]) -> DominoInstance:
     group = group_from_json(obj["group"])
     alphabet = ComponentAlphabet(tuple(
@@ -258,14 +312,13 @@ def instance_from_json(obj: Mapping[str, Any]) -> DominoInstance:
 class RunManifest:
     command: list[str]
     inputs: dict[str, str] = field(default_factory=dict)
-    parameters: dict[str, Any] = field(default_factory=dict)
     version: str = VERSION
     outcome: str = ""
     timestamp: float = 0.0
 
-    def add_input(self, path: str) -> None:
-        with open(path, "rb") as fh:
-            self.inputs[path] = hashlib.sha256(fh.read()).hexdigest()
+    def add_input(self, path: str, data: bytes) -> None:
+        """Record the digest of the bytes read from `path`."""
+        self.inputs[path] = hashlib.sha256(data).hexdigest()
 
     def finish(self, outcome: str) -> dict:
         self.outcome = outcome
@@ -274,8 +327,8 @@ class RunManifest:
 
     def to_json(self) -> dict:
         return {"command": self.command, "inputs": self.inputs,
-                "parameters": self.parameters, "version": self.version,
-                "outcome": self.outcome, "timestamp": self.timestamp}
+                "version": self.version, "outcome": self.outcome,
+                "timestamp": self.timestamp}
 
 
 def dump(obj: Any) -> str:

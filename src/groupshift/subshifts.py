@@ -156,8 +156,9 @@ def matches_somewhere(group: Group, q: Pattern, x: Pattern) -> bool:
 
 def locally_admissible(x: Pattern, spec: SubshiftSpec) -> bool:
     """No forbidden pattern (generated up to the support's diameter) embeds."""
+    size = len(spec.alphabet)
     for v in x.assignment.values():
-        if not 0 <= v < len(spec.alphabet):
+        if not 0 <= v < size:
             raise MalformedInputError(f"pattern symbol {v} outside alphabet")
     return not spec.forbidden.violates(spec.group, x)
 

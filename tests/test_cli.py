@@ -1,11 +1,16 @@
 """End-to-end CLI coverage over the JSON interfaces."""
 
 import json
+import sys
+from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 
-from groupshift.cli import main
+from groupshift.cli import main, run_main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 Z_GROUP = {"kind": "free_abelian", "rank": 1, "names": ["a"]}
 F2_GROUP = {"kind": "free", "rank": 2}
@@ -420,3 +425,80 @@ def test_undetermined_payloads_carry_nodes(runner, tmp_path):
     payload = json.loads(res.output)
     assert res.exit_code == 3
     assert payload["verdict"] == "undetermined" and payload["nodes"] == 4
+    g = write(tmp_path, "f2.json", F2_GROUP)
+    res = runner.invoke(main, ["machine", "visit", "--group", g, "-n", "2",
+                               "--budget", "1", "--format", "json"],
+                        standalone_mode=False)
+    payload = json.loads(res.output)
+    assert res.exit_code == 3
+    assert payload["verdict"] == "undetermined" and payload["nodes"] is None
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["wp", "--group", "{bad}", "--word", "a"], id="invalid-json"),
+    pytest.param(["wp", "--group", "{tmp}", "--word", "a"], id="unreadable-file"),
+    pytest.param(["wp", "--group", "{rank}", "--word", "a"], id="wrong-type"),
+    pytest.param(["subshift", "extend", "--spec", "{z}", "--pattern", "{p}",
+                  "--radius", "1"], id="missing-key"),
+    pytest.param(["completion", "--group", "{z}", "--coding", "{c}",
+                  "--enumeration", "{n}"], id="enumeration-not-a-list"),
+    pytest.param(["machine", "retarget", "--group", "{z}", "--machine", "{m}",
+                  "--gamma", "{gamma}"], id="retarget-key"),
+    pytest.param(["compile", "domino", "--group", "{z}", "--machine", "{m}",
+                  "--a1", "windowed:abc"], id="a1-windowed"),
+    pytest.param(["compile", "domino", "--group", "{z}", "--machine", "{m}",
+                  "--a1", "cover:{tmp}/missing.json"], id="a1-cover"),
+    pytest.param(["machine", "oracle-sim", "--group", "{z2}",
+                  "--classical", "contains:a"], id="classical-symbol"),
+    pytest.param(["ball", "--group", "{z}", "-n", "-1"], id="ball"),
+    pytest.param(["sequences", "disjoint", "--group", "{z}", "-n", "-1"],
+                 id="sequences-disjoint"),
+    pytest.param(["words", "--group", "{z}", "--max-len", "-2"], id="words"),
+    pytest.param(["machine", "visit", "--group", "{f2}", "-n", "-1"],
+                 id="machine-visit"),
+    pytest.param(["machine", "path", "--group", "{f2}", "--steps", "-5"],
+                 id="machine-path"),
+    pytest.param(["xtime", "prefix", "--group", "{z}", "-n", "-1"],
+                 id="xtime-prefix"),
+])
+def test_malformed_input_exits_2(tmp_path, monkeypatch, capsys, argv):
+    (tmp_path / "bad.json").write_text('{"kind": ')
+    files = {
+        "tmp": str(tmp_path), "bad": str(tmp_path / "bad.json"),
+        "rank": write(tmp_path, "rank.json", {"kind": "free", "rank": "x"}),
+        "z": write(tmp_path, "z.json", Z_GROUP),
+        "z2": write(tmp_path, "z2.json", {"kind": "free_abelian", "rank": 2}),
+        "f2": write(tmp_path, "f2.json", F2_GROUP),
+        "m": write(tmp_path, "m.json", MOVE_RIGHT),
+        "p": write(tmp_path, "p.json", {"support": [["", "1"]]}),
+        "c": write(tmp_path, "c.json", {"alphabet": ["0"], "entries": [["", "0"]]}),
+        "n": write(tmp_path, "n.json", 5),
+        "gamma": write(tmp_path, "gamma.json", {"a a": "a"}),
+    }
+    monkeypatch.setattr(sys, "argv", ["groupshift"] + [a.format(**files) for a in argv])
+    with pytest.raises(SystemExit) as exited:
+        run_main()
+    out = capsys.readouterr()
+    assert exited.value.code == 2
+    assert "Traceback" not in out.out + out.err
+
+
+def _leaf_commands(group, path=()):
+    for name, cmd in group.commands.items():
+        if isinstance(cmd, click.Group):
+            yield from _leaf_commands(cmd, path + (name,))
+        else:
+            yield path + (name,), cmd
+
+
+LEAF_COMMANDS = dict(_leaf_commands(main))
+
+
+@pytest.mark.parametrize("path", LEAF_COMMANDS, ids=" ".join)
+def test_leaf_command_has_common_options_and_docs(runner, path):
+    """Every leaf is declared through the command decorator and documented."""
+    options = {opt for param in LEAF_COMMANDS[path].params for opt in param.opts}
+    assert {"--format", "--manifest"} <= options
+    assert runner.invoke(main, [*path, "--help"]).exit_code == 0
+    usage = README.read_text().split("## Command line", 1)[1].splitlines()
+    assert any(line.startswith(f"groupshift {' '.join(path)} ") for line in usage)

@@ -19,7 +19,6 @@ from groupshift import (
     Pattern,
     Satisfiable,
     SubshiftSpec,
-    Undetermined,
     UndeterminedError,
     Unsatisfiable,
     WindowedA1,
@@ -163,8 +162,9 @@ def test_extendable_node_budget_pin():
 def test_verify_window_node_budget_pin(rules, nodes, verdict):
     instance = compile_domino(ZLINE, machine(("walk", "acc"), rules),
                               WindowedA1(3))
-    assert verify_reduction_window(instance, 2, 3, budget=nodes - 1) == \
-        Undetermined(nodes)
+    with pytest.raises(UndeterminedError) as err:
+        verify_reduction_window(instance, 2, 3, budget=nodes - 1)
+    assert err.value.nodes == nodes
     assert isinstance(verify_reduction_window(instance, 2, 3, budget=nodes),
                       verdict)
 

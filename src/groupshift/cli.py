@@ -9,9 +9,11 @@ mode (--format json, whose payload embeds the run manifest) and
 JSON file it reads as a manifest input, and maps its result to output and
 an exit code.  An undetermined outcome's JSON payload is
 {"verdict": "undetermined", "nodes": N}, with N null where the search
-counts no nodes.  The environment variable GROUPSHIFT_BUDGET overrides
-default budgets; a --budget option overrides both.  A budget that is not a
-finite, non-negative number is a usage error.
+counts no nodes; `machine run` exits 3 this way when its step budget runs
+out before the machine accepts, and adds its steps and trace.  The
+environment variable GROUPSHIFT_BUDGET overrides default budgets; a
+--budget option overrides both.  A budget that is not a finite,
+non-negative number is a usage error.
 """
 
 from __future__ import annotations
@@ -145,17 +147,17 @@ group_option = click.option("--group", required=True, type=click.Path(exists=Tru
 
 def command(parent: click.Group, name: Optional[str] = None):
     """Declare a leaf command of `parent` whose body returns a `Result`
-    (see `verdict` and `ok`).  Adds --format and --manifest, reports an
-    undetermined search with exit code 3, prints the result with its run
-    manifest and exits with the result's code."""
+    (see `verdict`, `ok` and `undetermined`).  Adds --format and --manifest,
+    reports an undetermined search with exit code 3, prints the result with
+    its run manifest and exits with the result's code."""
     def decorate(body):
         @functools.wraps(body)
         def run(fmt: str, manifest_path: Optional[str], **params):
             try:
                 human, payload, outcome, code = body(**params)
             except (UndeterminedError, CompletionBudgetError) as e:
-                human, outcome, code = f"undetermined: {e}", "undetermined", EXIT_UNDETERMINED
-                payload = {"verdict": "undetermined", "nodes": getattr(e, "nodes", None)}
+                human, payload, outcome, code = undetermined(
+                    f"undetermined: {e}", getattr(e, "nodes", None))
             manifest = _manifest().finish(outcome)
             click.echo(jsonio.dump({**payload, "manifest": manifest})
                        if fmt == "json" else human)
@@ -182,6 +184,12 @@ def verdict(holds: bool, payload: dict, human: Optional[str] = None,
 def ok(human: str, payload: dict, outcome: str = "ok") -> Result:
     """A result that is not a verdict: exit 0."""
     return verdict(True, payload, human, outcome)
+
+
+def undetermined(human: str, nodes: Optional[int], **extra) -> Result:
+    """A budget ran out before the answer was known: exit 3."""
+    return (human, {"verdict": "undetermined", "nodes": nodes, **extra},
+            "undetermined", EXIT_UNDETERMINED)
 
 
 @click.group()
@@ -397,11 +405,13 @@ def machine_run(group, machine_path, pattern_path, budget, trace):
                      f" at {group.format_element(prev_head)}")
         lines.append(line)
         prev_head = cfg.head
-    accepted, steps = cfg.state in machine.accepting, cfg.steps
-    human = "\n".join(lines + [f"accepted at {steps}" if accepted
-                               else f"exhausted after {steps}"])
-    payload = {"accepted": accepted, "steps": steps, "trace": lines}
-    return verdict(accepted, payload, human, "accepted" if accepted else "exhausted")
+    steps = cfg.steps
+    if cfg.state in machine.accepting:
+        return ok("\n".join(lines + [f"accepted at {steps}"]),
+                  {"accepted": True, "steps": steps, "trace": lines}, "accepted")
+    # a run that has not accepted within its budget may still accept later
+    human = "\n".join(lines + [f"undetermined: exhausted after {steps}"])
+    return undetermined(human, None, steps=steps, trace=lines)
 
 
 @command(machine_group, "path")

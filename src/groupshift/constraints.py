@@ -1,5 +1,6 @@
 """Compiled local constraints on a finite window, and the one backtracking
-solver that `extendable` and `verify_reduction_window` share.
+solver, shared by `extendable`, `factor_window_admissible` and
+`verify_reduction_window`.
 
 A constraint is a sequence of (offset, allowed) pairs: placed at an anchor
 cell c it covers the cells shift(c, offset), and it fires when each of

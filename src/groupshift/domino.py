@@ -13,8 +13,10 @@ window once per call (`constraints.compile_window`): each constraint becomes
 offsets (anchor.g^-1 * o.g, o.dz - anchor.dz) from its first support cell,
 and each cell requirement becomes the set of indices into
 `list(alphabet.symbols())` it allows.  The search (`constraints.solve`)
-counts one node per (cell, symbol) tried.  `grounded_violations` and
-`check_window_assignment` stay as the direct, uncompiled scans.
+counts one node per (cell, symbol) tried.  `grounded_violations` is the one
+direct, uncompiled scan, kept as the check of explicit assignments: behind
+`check_window_assignment`, `simulation.URuleSet.check_window` and the
+tests' search oracle.
 """
 
 from __future__ import annotations
@@ -322,41 +324,34 @@ def _require_g_offsets(con: DominoConstraint) -> None:
 
 
 def grounded_violations(
-    instance: DominoInstance,
+    group: Group,
+    constraints: Sequence[DominoConstraint],
     assign: Mapping[Cell, tuple[int, ...]],
     touched: Optional[Cell] = None,
 ) -> list[tuple[DominoConstraint, Cell]]:
-    """Fully-assigned forbidden combinations (optionally through one cell)."""
-    group = instance.g_group
+    """Every (constraint, anchor) firing on an explicit assignment of cells;
+    with `touched`, only the placements that cover that cell.
+
+    The direct, uncompiled scan: each constraint is placed by group
+    multiplication at every anchor tried.
+    """
     out = []
-    for con in instance.constraints:
+    for con in constraints:
         _require_g_offsets(con)
-        anchors: Iterable[Cell]
         if touched is None:
-            anchors = list(assign)
-            anchor_indices = [0]
+            through = [(cell, con.support[0]) for cell in assign]
         else:
-            anchors = [touched]
-            anchor_indices = range(len(con.support))
-        hit = False
-        for cell in anchors:
-            for ai in anchor_indices:
-                off = con.support[ai]
-                g0 = group.multiply(cell[0], group.inverse_element(off.g))
-                z0 = cell[1] - off.dz
-                ok = True
-                for i, o in enumerate(con.support):
-                    target = (group.multiply(g0, o.g), z0 + o.dz)
-                    sym = assign.get(target)
-                    if sym is None or not con.cell_matches(i, sym):
-                        ok = False
-                        break
-                if ok:
-                    out.append((con, (g0, z0)))
-                    hit = True
+            through = [(touched, off) for off in con.support]
+        anchors = dict.fromkeys(
+            (group.multiply(cell[0], group.inverse_element(off.g)), cell[1] - off.dz)
+            for cell, off in through)
+        for g0, z0 in anchors:
+            for i, o in enumerate(con.support):
+                sym = assign.get((group.multiply(g0, o.g), z0 + o.dz))
+                if sym is None or not con.cell_matches(i, sym):
                     break
-            if hit:
-                break
+            else:
+                out.append((con, (g0, z0)))
     return out
 
 
@@ -364,31 +359,7 @@ def check_window_assignment(
     instance: DominoInstance, assign: Mapping[Cell, tuple[int, ...]]
 ) -> list[tuple[DominoConstraint, Cell]]:
     """Full constraint scan of an explicit window assignment."""
-    return scan_constraints(instance.g_group, instance.constraints, assign)
-
-
-def scan_constraints(
-    group: Group,
-    constraints: Sequence[DominoConstraint],
-    assign: Mapping[Cell, tuple[int, ...]],
-) -> list[tuple[DominoConstraint, Cell]]:
-    """Every (constraint, anchor) firing on an explicit assignment of cells."""
-    out = []
-    for con in constraints:
-        _require_g_offsets(con)
-        for cell in assign:
-            g0 = group.multiply(cell[0], group.inverse_element(con.support[0].g))
-            z0 = cell[1] - con.support[0].dz
-            ok = True
-            for i, o in enumerate(con.support):
-                target = (group.multiply(g0, o.g), z0 + o.dz)
-                sym = assign.get(target)
-                if sym is None or not con.cell_matches(i, sym):
-                    ok = False
-                    break
-            if ok:
-                out.append((con, (g0, z0)))
-    return out
+    return grounded_violations(instance.g_group, instance.constraints, assign)
 
 
 def verify_reduction_window(

@@ -26,7 +26,7 @@ from .domino import (
     DominoConstraint,
     GOffset,
     _req,
-    scan_constraints,
+    grounded_violations,
 )
 
 MAX_PREFIX = 1_000_000
@@ -191,7 +191,7 @@ class URuleSet:
                      ) -> list[str]:
         """All violations (finite rules + Delone hooks) in a window."""
         out = [f"{con.tag}@{cell}" for con, cell in
-               scan_constraints(self.group, self.constraints, assign)]
+               grounded_violations(self.group, self.constraints, assign)]
         out.extend(self.delone_hook_violations(assign))
         return out
 

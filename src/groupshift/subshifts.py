@@ -2,31 +2,35 @@
 
 Exact emptiness is undecidable, so every closure operation (union, factor,
 projective subdynamics) is realized at a caller-chosen radius with
-`extendable` standing in for "the cylinder meets the subshift".  Budget
-exhaustion is a distinct outcome (UndeterminedError), never folded into a
-boolean.
+"some admissible total assignment on the window" standing in for "the
+cylinder meets the subshift".  Budget exhaustion is a distinct outcome
+(UndeterminedError), never folded into a boolean.
 
-`extendable` compiles the forbidden patterns onto B_r once
-(`constraints.compile_window`): each pattern becomes offsets from one of its
-cells, patterns that cannot fit in B_r are dropped, and every translate
-lying inside B_r is grounded to window-cell indices.  The compiled window is
-cached on the forbidden family per (group, radius), alongside the family's
-own pattern cache, so repeated searches on one window pay for grounding
-once.  The search (`constraints.solve`) counts one node per (cell, symbol)
-tried.  `matches_somewhere` and `ForbiddenFamily.violates` stay as the
-direct, uncompiled check.
+`extendable` and `factor_window_admissible` search the forbidden patterns
+compiled onto a ball (`constraints.compile_window`): each pattern becomes
+offsets from one of its cells, patterns that cannot fit in the ball are
+dropped, and every translate lying inside it is grounded to window-cell
+indices.  The compiled window is cached on the forbidden family per
+(group, radius), alongside the family's own pattern cache, so repeated
+searches on one window pay for grounding once; a factor query adds its
+targets' output constraints to a copy of the cached watch lists.  The one
+search (`constraints.solve`) counts one node per (cell, symbol) tried, and
+re-checks a semantic family's completed assignments through `violates`.
+`matches_somewhere` and `ForbiddenFamily.violates` stay as the direct,
+uncompiled check.
 """
 
 from __future__ import annotations
 
+import itertools
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import GroupShiftError, MalformedInputError, UndeterminedError
 from .cayley import ball, distance_from_identity
-from .constraints import CompiledWindow, compile_window, solve
+from .constraints import CompiledWindow, Rest, compile_window, solve
 from .groups import Element, Group
 from .patterns import Alphabet, Pattern
 
@@ -186,14 +190,22 @@ def extendable(
             raise MalformedInputError("pattern support must lie inside B_radius")
     window = spec.forbidden.compiled_window(group, radius)
     fixed = {window.index[e]: v for e, v in x.items()}
-    accept = None
-    if spec.forbidden.semantic:
-        # semantic families constrain more than their pattern lists;
-        # re-check those on the completed assignment
-        def accept(val: list[int]) -> bool:
-            total = Pattern(dict(zip(window.cells, val)))
-            return not spec.forbidden.violates(group, total)
-    return solve(window, fixed, len(spec.alphabet), budget, accept) is not None
+    return solve(window, fixed, len(spec.alphabet), budget,
+                 _semantic_check(spec, window)) is not None
+
+
+def _semantic_check(spec: SubshiftSpec,
+                    window: CompiledWindow) -> Optional[Callable[[list[int]], bool]]:
+    """The accept hook of a search over `window`: None for a pattern family;
+    for a semantic family, which constrains more than its pattern list, a
+    re-check of the completed assignment through `violates`."""
+    if not spec.forbidden.semantic:
+        return None
+
+    def accept(val: list[int]) -> bool:
+        total = Pattern(dict(zip(window.cells, val)))
+        return not spec.forbidden.violates(spec.group, total)
+    return accept
 
 
 def _compile_ball(family: ForbiddenFamily, group: Group, radius: int) -> CompiledWindow:
@@ -268,25 +280,12 @@ class BlockCode:
 
     group: Group
     window: tuple[Element, ...]
-    local: Union[Mapping[tuple, int], Callable[[tuple], int]]
+    local: Callable[[tuple], int]
     source_size: int
     target_size: int
 
-    def apply_local(self, values: tuple) -> int:
-        if callable(self.local):
-            return self.local(values)
-        return self.local[values]
-
     def reach(self) -> int:
         return max((self.group.length_of(e) for e in self.window), default=0)
-
-    def validate_total(self) -> None:
-        if callable(self.local):
-            return
-        import itertools as _it
-        for values in _it.product(range(self.source_size), repeat=len(self.window)):
-            if values not in self.local:
-                raise MalformedInputError(f"local map misses input {values}")
 
 
 def identity_block_code(group: Group, alphabet_size: int) -> BlockCode:
@@ -311,7 +310,7 @@ def apply_block_code(x: Pattern, code: BlockCode) -> Pattern:
                 break
             values.append(v)
         else:
-            out[g] = code.apply_local(tuple(values))
+            out[g] = code.local(tuple(values))
     return Pattern(out)
 
 
@@ -322,50 +321,44 @@ def factor_window_admissible(
     radius: int,
     budget: int = DEFAULT_SEARCH_BUDGET,
 ) -> bool:
-    """Windowed factor membership: search a preimage pattern, then extend it."""
+    """Windowed factor membership: whether some admissible total assignment
+    on B_{radius+reach} takes the value y[g] under the block code at every
+    target g of y.
+
+    One search (`constraints.solve`) over the family's compiled window of
+    B_{radius+reach}, to which each target adds its output constraint: every
+    source tuple v over the cells g*w with local(v) != y[g], filed under its
+    last cell in window order.  The targets must lie inside B_radius, and
+    the code must read the subshift's alphabet.  One node is counted per
+    (cell, symbol) tried over the whole search; budget exhaustion raises
+    UndeterminedError carrying the count.
+    """
     group = x_spec.group
-    cells: list[Element] = []
-    seen = set()
-    for g in sorted(y.support, key=group.shortlex_key):
-        for w in code.window:
-            c = group.multiply(g, w)
-            if c not in seen:
-                seen.add(c)
-                cells.append(c)
-    targets = y.sorted_items(group)
-    assign: dict[Element, int] = {}
-    nodes = 0
-
-    def output_consistent() -> bool:
-        for g, want in targets:
-            values = []
-            for w in code.window:
-                v = assign.get(group.multiply(g, w))
-                if v is None:
-                    break
-                values.append(v)
-            else:
-                if code.apply_local(tuple(values)) != want:
-                    return False
-        return True
-
-    def search(i: int) -> bool:
-        nonlocal nodes
-        if i == len(cells):
-            return extendable(Pattern(dict(assign)), x_spec,
-                              radius + code.reach(), budget)
-        cell = cells[i]
-        for s in range(code.source_size):
-            nodes += 1
-            if nodes > budget:
-                raise UndeterminedError("factor preimage search exceeded budget")
-            assign[cell] = s
-            if output_consistent() and search(i + 1):
-                return True
-            del assign[cell]
-        return False
-
-    return search(0)
+    if code.source_size != len(x_spec.alphabet):
+        raise MalformedInputError("the block code must read the subshift's alphabet")
+    target_ball = ball(group, radius)
+    if any(g not in target_ball for g in y.support):
+        raise MalformedInputError("factor targets must lie inside B_radius")
+    window = x_spec.forbidden.compiled_window(group, radius + code.reach())
+    watch = list(window.watch)
+    singletons = [frozenset((s,)) for s in range(code.source_size)]
+    for g, want in y.items():
+        js = [window.index[group.multiply(g, w)] for w in code.window]
+        last = max(range(len(js)), key=js.__getitem__, default=None)
+        filed: dict[int, list[Rest]] = {}
+        for v in itertools.product(range(code.source_size), repeat=len(js)):
+            if code.local(v) == want:
+                continue
+            if last is None:
+                return False
+            filed.setdefault(v[last], []).append(tuple(
+                (j, singletons[s]) for k, (j, s) in enumerate(zip(js, v)) if k != last))
+        if filed:
+            watch[js[last]] += tuple((singletons[s], tuple(rests))
+                                     for s, rests in filed.items())
+    window = replace(window, watch=tuple(watch))
+    return solve(window, {}, code.source_size, budget,
+                 _semantic_check(x_spec, window)) is not None
 
 
 def projective_window_admissible(

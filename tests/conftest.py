@@ -1,11 +1,16 @@
 import itertools
 
 import pytest
+from hypothesis import settings, strategies as st
 
 from groupshift import (
+    Alphabet,
+    FiniteFamily,
     FreeAbelianGroup,
     Pattern,
     RewritingGroup,
+    SubshiftSpec,
+    apply_block_code,
     ball,
     bs_group,
     cyclic_group,
@@ -14,6 +19,29 @@ from groupshift import (
     free_group,
     locally_admissible,
 )
+
+
+# the groups of the small-window properties, and the largest radius per
+# group whose ball has at most five cells
+GROUPS = {"z": FreeAbelianGroup(1, names=["a"]), "z2": free_abelian_group(2),
+          "f2": free_group(2)}
+MAX_RADIUS = {"z": 2, "z2": 1, "f2": 1}
+CHECKS = settings(derandomize=True, max_examples=60, deadline=None)
+
+
+@st.composite
+def finite_specs(draw, group, max_patterns):
+    """A random finite family of one- and two-cell patterns on B_2, over two
+    or three symbols."""
+    k = draw(st.integers(2, 3))
+    near = ball(group, 2).sorted_elements()
+    patterns = []
+    for _ in range(draw(st.integers(1, max_patterns))):
+        support = draw(st.lists(st.sampled_from(near), min_size=1, max_size=2,
+                                unique=True))
+        patterns.append(Pattern({e: draw(st.integers(0, k - 1)) for e in support}))
+    return SubshiftSpec(Alphabet(tuple(str(i) for i in range(k))), group,
+                        FiniteFamily(tuple(patterns)))
 
 
 def brute_force_extendable(pattern, spec, radius):
@@ -26,6 +54,19 @@ def brute_force_extendable(pattern, spec, radius):
         total = dict(fixed)
         total.update(zip(free, values))
         if locally_admissible(Pattern(total), spec):
+            return True
+    return False
+
+
+def brute_force_factor(y, spec, code, radius):
+    """Oracle: enumerate every total assignment on B_{radius+reach}, apply the
+    block code and compare the image with y at y's targets."""
+    window = ball(spec.group, radius + code.reach()).sorted_elements()
+    for values in itertools.product(range(len(spec.alphabet)), repeat=len(window)):
+        total = Pattern(dict(zip(window, values)))
+        image = apply_block_code(total, code)
+        if (all(image.get(g) == v for g, v in y.items())
+                and locally_admissible(total, spec)):
             return True
     return False
 

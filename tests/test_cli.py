@@ -432,6 +432,18 @@ def test_undetermined_payloads_carry_nodes(runner, tmp_path):
     payload = json.loads(res.output)
     assert res.exit_code == 3
     assert payload["verdict"] == "undetermined" and payload["nodes"] is None
+    g = write(tmp_path, "z.json", Z_GROUP)
+    m = write(tmp_path, "m.json", MOVE_RIGHT)
+    p = write(tmp_path, "p.json",
+              {"support": [["", "1"], ["a", "1"], ["a^2", "1"]]})
+    res = runner.invoke(main, ["machine", "run", "--group", g, "--machine", m,
+                               "--pattern", p, "--budget", "2", "--trace",
+                               "--format", "json"], standalone_mode=False)
+    payload = json.loads(res.output)
+    assert res.exit_code == 3
+    assert payload["verdict"] == "undetermined" and payload["nodes"] is None
+    assert payload["steps"] == 2 and len(payload["trace"]) == 3
+    assert payload["manifest"]["outcome"] == "undetermined"
 
 
 @pytest.mark.parametrize("argv", [

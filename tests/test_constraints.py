@@ -8,13 +8,18 @@ cells so the oracles finish quickly; Hypothesis runs derandomized.
 """
 
 import pytest
-from .conftest import brute_force_extendable
-from hypothesis import given, settings, strategies as st
+from .conftest import (
+    CHECKS,
+    GROUPS,
+    MAX_RADIUS,
+    brute_force_extendable,
+    finite_specs,
+)
+from hypothesis import given, strategies as st
 
 from groupshift import (
     Alphabet,
     FiniteFamily,
-    FreeAbelianGroup,
     GMachineSpec,
     Pattern,
     Satisfiable,
@@ -26,8 +31,8 @@ from groupshift import (
     builtin_delone,
     compile_domino,
     extendable,
-    free_abelian_group,
-    free_group,
+    factor_window_admissible,
+    identity_block_code,
     verify_reduction_window,
 )
 from groupshift.constraints import compile_window, solve
@@ -37,12 +42,8 @@ from groupshift.domino import (
     window_cells,
 )
 
-ZLINE = FreeAbelianGroup(1, names=["a"])
-GROUPS = {"z": ZLINE, "z2": free_abelian_group(2), "f2": free_group(2)}
-# the largest radius per group whose ball has at most five cells
-MAX_RADIUS = {"z": 2, "z2": 1, "f2": 1}
+ZLINE = GROUPS["z"]
 SIGMA = Alphabet(("_", "1"))
-CHECKS = settings(derandomize=True, max_examples=60, deadline=None)
 
 
 @st.composite
@@ -51,15 +52,8 @@ def finite_subshifts(draw):
     kind = draw(st.sampled_from(sorted(GROUPS)))
     group = GROUPS[kind]
     radius = draw(st.integers(0, MAX_RADIUS[kind]))
-    k = draw(st.integers(2, 3))
-    near = ball(group, 2).sorted_elements()
-    patterns = []
-    for _ in range(draw(st.integers(1, 5))):
-        support = draw(st.lists(st.sampled_from(near), min_size=1, max_size=2,
-                                unique=True))
-        patterns.append(Pattern({e: draw(st.integers(0, k - 1)) for e in support}))
-    spec = SubshiftSpec(Alphabet(tuple(str(i) for i in range(k))), group,
-                        FiniteFamily(tuple(patterns)))
+    spec = draw(finite_specs(group, 5))
+    k = len(spec.alphabet)
     window = ball(group, radius).sorted_elements()
     cells = draw(st.lists(st.sampled_from(window), max_size=3, unique=True))
     x = Pattern({e: draw(st.integers(0, k - 1)) for e in cells})
@@ -89,7 +83,11 @@ def scan_search(instance, radius_g, height_z):
     symbols = list(instance.alphabet.symbols())
     origin = (ZLINE.identity, 0)
     assign = {origin: tuple(instance.origin_symbol)}
-    if grounded_violations(instance, assign, origin):
+
+    def fires(cell):
+        return grounded_violations(instance.g_group, instance.constraints, assign, cell)
+
+    if fires(origin):
         return None
     free = [c for c in cells if c not in assign]
 
@@ -98,7 +96,7 @@ def scan_search(instance, radius_g, height_z):
             return True
         for sym in symbols:
             assign[free[i]] = sym
-            if not grounded_violations(instance, assign, free[i]) and search(i + 1):
+            if not fires(free[i]) and search(i + 1):
                 return True
             del assign[free[i]]
         return False
@@ -204,4 +202,7 @@ def test_semantic_family_rechecks_total_assignment(ones):
     # only the Delone family's symbolic check sees that
     spec = builtin_delone(ZLINE, 1)
     x = Pattern({ZLINE.element((1,) * i): 1 for i in ones})
-    assert extendable(x, spec, 3) == brute_force_extendable(x, spec, 3)
+    expected = brute_force_extendable(x, spec, 3)
+    assert extendable(x, spec, 3) == expected
+    code = identity_block_code(ZLINE, 3)
+    assert factor_window_admissible(x, spec, code, 3) == expected

@@ -1,7 +1,17 @@
 """Windowed admissibility, extendability and the closure operations."""
 
+import itertools
+
 import pytest
-from .conftest import brute_force_extendable
+from .conftest import (
+    CHECKS,
+    GROUPS,
+    MAX_RADIUS,
+    brute_force_extendable,
+    brute_force_factor,
+    finite_specs,
+)
+from hypothesis import given, strategies as st
 
 from groupshift import (
     Alphabet,
@@ -14,6 +24,7 @@ from groupshift import (
     UndeterminedError,
     apply_block_code,
     ball,
+    builtin_delone,
     builtin_one_or_less,
     extendable,
     factor_window_admissible,
@@ -167,11 +178,86 @@ def test_apply_block_code_window_too_big(zline):
     assert len(apply_block_code(p, code)) == 0
 
 
-def test_factor_window_identity_code(zline):
-    spec = z_sft(zline, "11")
+@st.composite
+def small_subshifts(draw):
+    """A subshift on a small group, and the largest radius whose ball there
+    has at most five cells; the family is a random finite one, one-or-less,
+    or the semantic Delone family."""
+    kind = draw(st.sampled_from(sorted(GROUPS)))
+    group = GROUPS[kind]
+    family = draw(st.sampled_from(("finite", "one_or_less", "delone")))
+    if family == "one_or_less":
+        spec = builtin_one_or_less(group, draw(st.integers(1, 2)))
+    elif family == "delone":
+        spec = builtin_delone(group, 1)
+    else:
+        spec = draw(finite_specs(group, 4))
+    return spec, MAX_RADIUS[kind]
+
+
+def small_pattern(draw, group, radius, size, min_size=0):
+    cells = draw(st.lists(st.sampled_from(ball(group, radius).sorted_elements()),
+                          min_size=min_size, max_size=3, unique=True))
+    return Pattern({e: draw(st.integers(0, size - 1)) for e in cells})
+
+
+@CHECKS
+@given(small_subshifts(), st.data())
+def test_factor_window_identity_code(instance, data):
+    spec, cap = instance
+    k = len(spec.alphabet)
+    radius = data.draw(st.integers(0, cap))
+    p = small_pattern(data.draw, spec.group, radius, k)
+    code = identity_block_code(spec.group, k)
+    assert factor_window_admissible(p, spec, code, radius) == extendable(p, spec, radius)
+
+
+@CHECKS
+@given(small_subshifts(), st.data())
+def test_factor_window_matches_brute_force(instance, data):
+    """Block codes on one or two cells with random local maps; the targets
+    lie in B_radius and the search window B_{radius+reach} has at most five
+    cells."""
+    spec, cap = instance
+    group, k = spec.group, len(spec.alphabet)
+    size = data.draw(st.integers(1, 2))
+    radius = data.draw(st.integers(0, cap - (size - 1)))
+    window = data.draw(st.lists(
+        st.sampled_from(ball(group, cap - radius).sorted_elements()),
+        min_size=size, max_size=size, unique=True))
+    target_size = data.draw(st.integers(2, 3))
+    table = {v: data.draw(st.integers(0, target_size - 1))
+             for v in itertools.product(range(k), repeat=size)}
+    code = BlockCode(group, tuple(window), table.__getitem__, k, target_size)
+    y = small_pattern(data.draw, group, radius, target_size, min_size=1)
+    assert (factor_window_admissible(y, spec, code, radius)
+            == brute_force_factor(y, spec, code, radius))
+
+
+@pytest.mark.parametrize("local", [lambda v: 0, lambda v: v[0]],
+                         ids=["constant", "identity"])
+def test_factor_target_outside_window_is_malformed(zline, local):
+    code = BlockCode(zline, (zline.identity,), local, 2, 2)
+    y = Pattern({zline.element((1,) * 5): 1})
+    with pytest.raises(MalformedInputError):
+        factor_window_admissible(y, z_sft(zline), code, 1)
+
+
+def test_factor_code_must_read_the_alphabet(zline):
+    code = BlockCode(zline, (zline.identity,), lambda v: v[0], 3, 3)
+    with pytest.raises(MalformedInputError):
+        factor_window_admissible(Pattern({zline.identity: 2}), z_sft(zline), code, 1)
+
+
+def test_factor_window_budget_counts_the_whole_search(zline):
+    """Two nodes place the target's preimage and two more fill the rest of
+    B_1: one count of four, under one budget."""
     code = identity_block_code(zline, 2)
-    p = Pattern({zline.identity: 1})
-    assert factor_window_admissible(p, spec, code, 1) == extendable(p, spec, 1)
+    y = Pattern({zline.identity: 1})
+    with pytest.raises(UndeterminedError) as err:
+        factor_window_admissible(y, z_sft(zline), code, 1, budget=3)
+    assert err.value.nodes == 4
+    assert factor_window_admissible(y, z_sft(zline), code, 1, budget=4)
 
 
 def test_factor_window_constant_code(zline):

@@ -12,9 +12,10 @@ offsets from one of its cells, patterns that cannot fit in the ball are
 dropped, and every translate lying inside it is grounded to window-cell
 indices.  The compiled window is cached on the forbidden family per
 (group, radius), alongside the family's own pattern cache, so repeated
-searches on one window pay for grounding once; a factor query adds its
-targets' output constraints to a copy of the cached watch lists.  The one
-search (`constraints.solve`) counts one node per (cell, symbol) tried, and
+searches on one window pay for grounding once.  A factor query compiles
+its own window, with its targets' preimage cells searched first, and adds
+the targets' output constraints to it.  The one search
+(`constraints.solve`) counts one node per (cell, symbol) tried, and
 re-checks a semantic family's completed assignments through `violates`.
 `matches_somewhere` and `ForbiddenFamily.violates` stay as the direct,
 uncompiled check.
@@ -71,7 +72,7 @@ class ForbiddenFamily:
         key = (group, radius)
         window = self._windows.get(key)
         if window is None:
-            window = self._windows.setdefault(key, _compile_ball(self, group, radius))
+            window = self._windows.setdefault(key, _compile_ball(self, group, radius, ()))
         return window
 
 
@@ -208,8 +209,11 @@ def _semantic_check(spec: SubshiftSpec,
     return accept
 
 
-def _compile_ball(family: ForbiddenFamily, group: Group, radius: int) -> CompiledWindow:
-    """Compile the family's patterns of diameter <= 2*radius onto B_radius.
+def _compile_ball(family: ForbiddenFamily, group: Group, radius: int,
+                  first: Sequence[Element]) -> CompiledWindow:
+    """Compile the family's patterns of diameter <= 2*radius onto B_radius,
+    whose cells are numbered `first` (cells of B_radius) then the rest in
+    shortlex order.
 
     A pattern becomes the offsets anchor^-1 * h of its cells from its first
     cell, each with a singleton allowed set (one shared set per symbol).
@@ -233,8 +237,10 @@ def _compile_ball(family: ForbiddenFamily, group: Group, radius: int) -> Compile
             con.append((off, singletons[v]))
         else:
             constraints.append(con)
-    return compile_window(ball(group, radius).sorted_elements(), constraints,
-                          group.multiply)
+    cells = list(dict.fromkeys(first))
+    taken = set(cells)
+    cells += [c for c in ball(group, radius).sorted_elements() if c not in taken]
+    return compile_window(cells, constraints, group.multiply)
 
 
 # -- closure operations --------------------------------------------------------
@@ -325,13 +331,17 @@ def factor_window_admissible(
     on B_{radius+reach} takes the value y[g] under the block code at every
     target g of y.
 
-    One search (`constraints.solve`) over the family's compiled window of
-    B_{radius+reach}, to which each target adds its output constraint: every
+    One search (`constraints.solve`) over the family's patterns compiled
+    onto B_{radius+reach}, with the targets' preimage cells g*w first (targets
+    in shortlex order), so that each target's output is checked as soon as
+    its preimage is placed.  Each target adds its output constraint: every
     source tuple v over the cells g*w with local(v) != y[g], filed under its
-    last cell in window order.  The targets must lie inside B_radius, and
-    the code must read the subshift's alphabet.  One node is counted per
-    (cell, symbol) tried over the whole search; budget exhaustion raises
-    UndeterminedError carrying the count.
+    last cell in that order; a target no source tuple maps to y[g] decides
+    False at once.  The targets must lie inside B_radius, and the code must
+    read the subshift's alphabet.  One node is counted per (cell, symbol)
+    tried over the whole search; budget exhaustion raises UndeterminedError
+    carrying the count.  The budget bounds the search only: building the
+    output constraints calls `local` source_size^|window| times per target.
     """
     group = x_spec.group
     if code.source_size != len(x_spec.alphabet):
@@ -339,23 +349,26 @@ def factor_window_admissible(
     target_ball = ball(group, radius)
     if any(g not in target_ball for g in y.support):
         raise MalformedInputError("factor targets must lie inside B_radius")
-    window = x_spec.forbidden.compiled_window(group, radius + code.reach())
+    targets = y.sorted_items(group)
+    window = _compile_ball(x_spec.forbidden, group, radius + code.reach(),
+                           [group.multiply(g, w) for g, _ in targets for w in code.window])
     watch = list(window.watch)
     singletons = [frozenset((s,)) for s in range(code.source_size)]
-    for g, want in y.items():
+    for g, want in targets:
         js = [window.index[group.multiply(g, w)] for w in code.window]
-        last = max(range(len(js)), key=js.__getitem__, default=None)
+        bad = [v for v in itertools.product(range(code.source_size), repeat=len(js))
+               if code.local(v) != want]
+        if len(bad) == code.source_size ** len(js):
+            return False
+        if not bad:
+            continue
+        last = max(range(len(js)), key=js.__getitem__)
         filed: dict[int, list[Rest]] = {}
-        for v in itertools.product(range(code.source_size), repeat=len(js)):
-            if code.local(v) == want:
-                continue
-            if last is None:
-                return False
+        for v in bad:
             filed.setdefault(v[last], []).append(tuple(
                 (j, singletons[s]) for k, (j, s) in enumerate(zip(js, v)) if k != last))
-        if filed:
-            watch[js[last]] += tuple((singletons[s], tuple(rests))
-                                     for s, rests in filed.items())
+        watch[js[last]] += tuple((singletons[s], tuple(rests))
+                                 for s, rests in filed.items())
     window = replace(window, watch=tuple(watch))
     return solve(window, {}, code.source_size, budget,
                  _semantic_check(x_spec, window)) is not None

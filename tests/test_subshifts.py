@@ -260,6 +260,21 @@ def test_factor_window_budget_counts_the_whole_search(zline):
     assert factor_window_admissible(y, z_sft(zline), code, 1, budget=4)
 
 
+@pytest.mark.parametrize("local, forbidden, targets", [
+    (lambda v: 0, (), {10: 1}),
+    (lambda v: v[0], ("11",), {9: 1, 10: 1}),
+], ids=["constant", "identity"])
+def test_factor_window_checks_targets_first(zline, local, forbidden, targets):
+    """A target that cannot take its value is refuted within a few nodes,
+    however many window cells precede it in shortlex order."""
+    spec = z_sft(zline, *forbidden)
+    code = BlockCode(zline, (zline.identity,), local, 2, 2)
+    y = Pattern({zline.element((1,) * i): v for i, v in targets.items()})
+    assert not factor_window_admissible(y, spec, code, 10, budget=100)
+    if forbidden:
+        assert not extendable(y, spec, 10, budget=100)
+
+
 def test_factor_window_constant_code(zline):
     full = z_sft(zline)
     code = BlockCode(zline, (zline.identity,), lambda v: 0, 2, 2)

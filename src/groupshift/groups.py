@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import threading
-import warnings
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -768,51 +767,46 @@ class FreeProductGroup(_ProductBase):
         return any(f.geodesics_extend() for f in self.factors)
 
 
-@dataclass(frozen=True)
-class RewriteRule:
-    lhs: Letters
-    rhs: Letters
-
-
 class RewritingGroup(Group):
     """A group presented by a confluent, shortlex-decreasing rule set.
 
-    Confluence is asserted by the caller; the loader runs a bounded critical
-    pair spot check and warns (does not error) on unresolved overlaps.  Free
-    reduction rules s s^-1 -> eps are added automatically.  Canonical keys
-    are normal-form words; appends only re-examine a suffix window.
+    Free-reduction rules s s^-1 -> eps are added to the caller's rules.
+    Shortlex-decreasing rules terminate, so by Newman's lemma the system is
+    confluent exactly when every critical pair (two rules whose left-hand
+    sides overlap, one inside the other, or coincide) reduces to one normal
+    form; the constructor checks every pair and raises MalformedInputError
+    on the first that does not.  Canonical keys are normal-form words.
     """
 
     kind = "rewriting"
 
-    def __init__(
-        self,
-        names: Sequence[str],
-        rules: Sequence[tuple[str, str]],
-        rewrite_budget: int = DEFAULT_REWRITE_BUDGET,
-        critical_pair_checks: int = 200,
-    ):
-        gens = self._build_generators(names)
-        super().__init__(gens)
-        self.rewrite_budget = rewrite_budget
+    def __init__(self, names: Sequence[str], rules: Sequence[tuple[str, str]]):
+        super().__init__(self._build_generators(names))
         self.user_rules = tuple((lhs, rhs) for lhs, rhs in rules)
-        parsed: list[RewriteRule] = []
+        parsed: list[tuple[Letters, Letters]] = []
         for lhs, rhs in rules:
             l, r = self.parse_word(lhs), self.parse_word(rhs)
             if not l:
                 raise MalformedInputError("rule with empty left-hand side")
+            if 0 in l:
+                raise MalformedInputError(
+                    f"rule {lhs!r} -> {rhs!r}: the identity symbol e cannot "
+                    f"appear in a left-hand side")
             if (len(r), r) >= (len(l), l):
                 raise MalformedInputError(
                     f"rule {lhs!r} -> {rhs!r} is not shortlex-decreasing")
-            parsed.append(RewriteRule(l, r))
-        for g in self.generators:
-            if g.is_identity:
-                continue
-            parsed.append(RewriteRule((g.id, g.inverse), ()))
-        parsed.append(RewriteRule((0,), ()))
-        self.rules = tuple(parsed)
-        self._max_lhs = max(len(r.lhs) for r in self.rules)
-        self._spot_check_confluence(critical_pair_checks)
+            parsed.append((l, r))
+        parsed += [((g.id, g.inverse), ()) for g in self.generators if not g.is_identity]
+        # one rule per left-hand side; the check below shows the choice is free
+        self._rules: dict[Letters, Letters] = dict(parsed)
+        self._lhs_lengths = sorted({len(l) for l in self._rules})
+        for word, u, v in _critical_pairs(parsed):
+            u, v = self._rewrite((), u), self._rewrite((), v)
+            if u != v:
+                raise MalformedInputError(
+                    f"rewriting system is not confluent: "
+                    f"{self.format_word(word)!r} reduces to the normal forms "
+                    f"{self.format_word(u) or 'e'!r} and {self.format_word(v) or 'e'!r}")
 
     @staticmethod
     def _build_generators(names: Sequence[str]) -> list[GeneratorSymbol]:
@@ -836,74 +830,75 @@ class RewritingGroup(Group):
             raise MalformedInputError("generator list is inconsistent")
         return gens
 
+    def _rewrite(self, prefix: Letters, letters: Iterable[int]) -> Letters:
+        """The normal form of prefix * letters, for an irreducible prefix.
+
+        Letters are pushed one at a time, identity letters skipped.  The
+        word kept so far stays irreducible, so only its suffixes up to the
+        longest left-hand side can match; a match pops the left-hand side and
+        pushes the right-hand side back onto the input.  More than
+        DEFAULT_REWRITE_BUDGET rewrites raise SolverBudgetError.
+        """
+        out = list(prefix)
+        todo = list(letters)
+        todo.reverse()
+        rules, lengths = self._rules, self._lhs_lengths
+        budget = DEFAULT_REWRITE_BUDGET
+        while todo:
+            letter = todo.pop()
+            if letter == 0:
+                continue
+            out.append(letter)
+            n = len(out)
+            for k in lengths:
+                if k > n:
+                    break
+                rhs = rules.get(tuple(out[n - k:]))
+                if rhs is not None:
+                    del out[n - k:]
+                    todo.extend(reversed(rhs))
+                    budget -= 1
+                    if budget < 0:
+                        raise SolverBudgetError(
+                            "rewriting did not reach a normal form within budget")
+                    break
+        return tuple(out)
+
     def identity_key(self):
         return ()
 
-    def _reduce(self, w: list[int], start: int) -> Letters:
-        """Rewrite to a fixpoint, scanning left-to-right from `start`."""
-        steps = 0
-        pos = max(0, start)
-        while pos <= len(w):
-            applied = False
-            for i in range(max(0, pos - self._max_lhs + 1), len(w)):
-                for rule in self.rules:
-                    l = len(rule.lhs)
-                    if tuple(w[i:i + l]) == rule.lhs:
-                        w[i:i + l] = list(rule.rhs)
-                        pos = max(0, i - self._max_lhs + 1)
-                        applied = True
-                        break
-                if applied:
-                    break
-            if not applied:
-                break
-            steps += 1
-            if steps > self.rewrite_budget:
-                raise SolverBudgetError(
-                    "rewriting did not reach a normal form within budget; "
-                    "the rule system is likely not confluent/terminating")
-        return tuple(w)
+    def key_of_letters(self, letters: Iterable[int]):
+        return self._rewrite((), letters)
 
     def key_append(self, key: Letters, letter: int):
-        if letter == 0:
-            return key
-        w = list(key) + [letter]
-        return self._reduce(w, len(w) - self._max_lhs)
+        return self._rewrite(key, (letter,))
 
     def key_multiply(self, a: Letters, b: Letters):
-        key = a
-        for letter in b:
-            key = self.key_append(key, letter)
-        return key
+        return self._rewrite(a, b)
 
     def key_inverse(self, a: Letters):
-        return self.key_of_letters(self.inverse_word(a))
-
-    def key_of_letters(self, letters: Iterable[int]):
-        w = [x for x in letters if x != 0]
-        return self._reduce(w, 0)
+        return self._rewrite((), self.inverse_word(a))
 
     def key_letters(self, key: Letters) -> Letters:
         return key
 
-    def _spot_check_confluence(self, limit: int) -> None:
-        checked = 0
-        for r1, r2 in itertools.product(self.rules, repeat=2):
-            if checked >= limit:
-                return
-            l1, l2 = r1.lhs, r2.lhs
-            for k in range(1, min(len(l1), len(l2))):
-                if l1[-k:] == l2[:k]:
-                    checked += 1
-                    overlap = l1 + l2[k:]
-                    a = self.key_of_letters(r1.rhs + l2[k:])
-                    b = self.key_of_letters(l1[:-k] + r2.rhs)
-                    if a != b:
-                        warnings.warn(
-                            f"unresolved critical pair at overlap "
-                            f"{self.format_word(overlap)!r}; rewriting system "
-                            f"may not be confluent", stacklevel=3)
-                        return
+
+def _critical_pairs(rules: Sequence[tuple[Letters, Letters]]):
+    """(word, u, v): a word two rules can both rewrite, and the two results.
+
+    Covers every proper overlap of a left-hand side's suffix with another's
+    prefix (a rule with itself included) and every occurrence of one
+    left-hand side inside another's, equal left-hand sides of two rules
+    among them.
+    """
+    for (i, (l1, r1)), (j, (l2, r2)) in itertools.product(enumerate(rules), repeat=2):
+        for k in range(1, min(len(l1), len(l2))):
+            if l1[-k:] == l2[:k]:
+                yield l1 + l2[k:], r1 + l2[k:], l1[:-k] + r2
+        if i != j:
+            for p in range(len(l1) - len(l2) + 1):
+                if l1[p:p + len(l2)] == l2:
+                    yield l1, r1, l1[:p] + r2 + l1[p + len(l2):]
 
 
 # -- spec-level operations ----------------------------------------------------

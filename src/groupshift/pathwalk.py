@@ -293,9 +293,6 @@ class VisitMachine:
     restart at n = 1.
     """
 
-    n_layers = 3
-    layer_roles = ("path", "counter", "bounded-path")
-
     def __init__(self, group: Group, check: bool = True):
         self.group = group
         self.machine = PathMachine(group)
@@ -485,9 +482,6 @@ class OracleSimulator:
     word and testing for return to the marked origin.  sim: the classical
     machine itself.
     """
-
-    layer_roles = ("store", "path", "visit", "oracle", "harvest", "sim")
-    n_layers = 6
 
     def __init__(self, group: Group, classical: ClassicalMachineSpec,
                  pattern_alphabet: Alphabet):

@@ -159,12 +159,15 @@ def matches_somewhere(group: Group, q: Pattern, x: Pattern) -> bool:
     return False
 
 
-def locally_admissible(x: Pattern, spec: SubshiftSpec) -> bool:
-    """No forbidden pattern (generated up to the support's diameter) embeds."""
-    size = len(spec.alphabet)
+def _check_symbols(x: Pattern, size: int) -> None:
     for v in x.assignment.values():
         if not 0 <= v < size:
             raise MalformedInputError(f"pattern symbol {v} outside alphabet")
+
+
+def locally_admissible(x: Pattern, spec: SubshiftSpec) -> bool:
+    """No forbidden pattern (generated up to the support's diameter) embeds."""
+    _check_symbols(x, len(spec.alphabet))
     return not spec.forbidden.violates(spec.group, x)
 
 
@@ -185,6 +188,7 @@ def extendable(
     exhaustion; that outcome is never coerced to False.
     """
     group = spec.group
+    _check_symbols(x, len(spec.alphabet))
     window_ball = ball(group, radius)
     for e in x.assignment:
         if e not in window_ball:
@@ -346,6 +350,7 @@ def factor_window_admissible(
     group = x_spec.group
     if code.source_size != len(x_spec.alphabet):
         raise MalformedInputError("the block code must read the subshift's alphabet")
+    _check_symbols(y, code.target_size)
     target_ball = ball(group, radius)
     if any(g not in target_ball for g in y.support):
         raise MalformedInputError("factor targets must lie inside B_radius")

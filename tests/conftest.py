@@ -115,6 +115,25 @@ def z2xz2():
     return direct_product(cyclic_group(2), FreeAbelianGroup(1, names=["a"]))
 
 
+def oracle_normal_form(rules, word):
+    """Oracle: rewrite to a fixpoint, rescanning from the left after every
+    rewrite; at each position the first rule in list order that matches
+    fires.  `rules` are (lhs, rhs) letter tuples."""
+    w = list(word)
+    longest = max(len(lhs) for lhs, _ in rules)
+    pos = 0
+    while True:
+        for i in range(max(0, pos - longest + 1), len(w)):
+            rule = next(((lhs, rhs) for lhs, rhs in rules
+                         if tuple(w[i:i + len(lhs)]) == lhs), None)
+            if rule is not None:
+                w[i:i + len(rule[0])] = rule[1]
+                pos = i
+                break
+        else:
+            return tuple(w)
+
+
 # -- key-arithmetic oracles for the ball-table scans -------------------------
 #
 # The BFS walks below redo the group arithmetic at every step, with no table:

@@ -322,7 +322,7 @@ def test_manifest_file_and_idempotence(runner, tmp_path):
     p1["manifest"].pop("timestamp")
     p2["manifest"].pop("timestamp")
     assert p1 == p2
-    saved = json.loads(open(man).read())
+    saved = json.loads(Path(man).read_text())
     assert saved["inputs"]
 
 
@@ -450,6 +450,7 @@ def test_undetermined_payloads_carry_nodes(runner, tmp_path):
     pytest.param(["wp", "--group", "{bad}", "--word", "a"], id="invalid-json"),
     pytest.param(["wp", "--group", "{tmp}", "--word", "a"], id="unreadable-file"),
     pytest.param(["wp", "--group", "{rank}", "--word", "a"], id="wrong-type"),
+    pytest.param(["wp", "--group", "{nc}", "--word", "b"], id="non-confluent"),
     pytest.param(["subshift", "extend", "--spec", "{z}", "--pattern", "{p}",
                   "--radius", "1"], id="missing-key"),
     pytest.param(["completion", "--group", "{z}", "--coding", "{c}",
@@ -478,6 +479,9 @@ def test_malformed_input_exits_2(tmp_path, monkeypatch, capsys, argv):
     files = {
         "tmp": str(tmp_path), "bad": str(tmp_path / "bad.json"),
         "rank": write(tmp_path, "rank.json", {"kind": "free", "rank": "x"}),
+        "nc": write(tmp_path, "nc.json", {
+            "kind": "rewriting", "generators": ["a", "a^-1", "b", "b^-1"],
+            "rules": [["b", ""]]}),
         "z": write(tmp_path, "z.json", Z_GROUP),
         "z2": write(tmp_path, "z2.json", {"kind": "free_abelian", "rank": 2}),
         "f2": write(tmp_path, "f2.json", F2_GROUP),

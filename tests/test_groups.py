@@ -17,7 +17,11 @@ from groupshift import (
     free_product,
     solve_word_problem,
 )
+from groupshift import groups
 from groupshift.groups import RewritingGroup
+
+from .conftest import CHECKS, oracle_normal_form
+from .test_ball_table import GROUPS as TABLE_GROUPS
 
 
 def test_bs_paper_relation(bs12):
@@ -87,8 +91,69 @@ def test_rewriting_rejects_increasing_rules():
         RewritingGroup(["a", "a^-1"], [("a", "a a")])
 
 
-def test_rewriting_budget():
-    g = RewritingGroup(["a", "a^-1"], [], rewrite_budget=2)
+def test_rewriting_rejects_non_confluent_systems():
+    names = ["a", "a^-1", "b", "b^-1"]
+    # b b^-1 reduces to e by free reduction, but through b -> e to b^-1 and
+    # through b -> a^-1 to a^-1 b^-1
+    for rules in ([("b", "")], [("b", "a^-1")]):
+        with pytest.raises(MalformedInputError, match="b b\\^-1"):
+            RewritingGroup(names, rules)
+    # Z^2 with one of its four commutation rules: b a a^-1 has two normal forms
+    with pytest.raises(MalformedInputError, match="'a b a\\^-1' and 'b'"):
+        RewritingGroup(names, [("b a", "a b")])
+    # one left-hand side, two normal forms
+    with pytest.raises(MalformedInputError, match="'a' and 'a\\^-1'"):
+        RewritingGroup(names, [("b", "a"), ("b", "a^-1")])
+    with pytest.raises(MalformedInputError, match="identity symbol"):
+        RewritingGroup(names, [("a e", "a")])
+    commuting = [("b a", "a b"), ("b a^-1", "a^-1 b"), ("b^-1 a", "a b^-1"),
+                 ("b^-1 a^-1", "a^-1 b^-1")]
+    z2 = RewritingGroup(names, commuting)
+    assert z2.element(z2.parse_word("b a b^-1 a^-1")) == z2.identity
+
+
+# the systems of the rewriting property: Z on {A = a^2, a}, Z/4 = <a | a^4>,
+# and the rank-2 free group with free reduction only
+REWRITING = {"z4_rewriting": TABLE_GROUPS["z_a_a2"](), "rw_c4": TABLE_GROUPS["rw_c4"](),
+             "free": RewritingGroup(["a", "a^-1", "b", "b^-1"], [])}
+
+
+def _letter_sum(g, weights):
+    """The letter sum of a word over g under {display: weight}."""
+    ids = {g.parse_word(name)[0]: w for name, w in weights.items()}
+    return lambda word: sum(ids.get(x, 0) for x in word)
+
+
+Z_SUM = _letter_sum(REWRITING["z4_rewriting"], {"A": 2, "A^-1": -2, "a": 1, "a^-1": -1})
+C4_SUM = _letter_sum(REWRITING["rw_c4"], {"a": 1, "a^-1": -1})
+CLOSED_FORM = {"z4_rewriting": Z_SUM, "rw_c4": lambda word: C4_SUM(word) % 4,
+               "free": free_group(2).canonical}
+
+
+@pytest.mark.parametrize("name", REWRITING)
+@CHECKS
+@given(data=st.data())
+def test_rewriting_keys_match_oracle(name, data):
+    g = REWRITING[name]
+    rules = ([(g.parse_word(lhs), g.parse_word(rhs)) for lhs, rhs in g.user_rules]
+             + [((s.id, s.inverse), ()) for s in g.generators if not s.is_identity]
+             + [((0,), ())])
+    word = st.lists(st.integers(0, len(g.generators) - 1), max_size=16).map(tuple)
+    u, v = data.draw(word), data.draw(word)
+    ku, kv = g.element(u).key, g.element(v).key
+    assert ku == oracle_normal_form(rules, u)
+    key = ku
+    for letter in v:
+        key = g.key_append(key, letter)
+    assert key == g.key_multiply(ku, kv)
+    assert g.key_inverse(g.key_inverse(ku)) == ku
+    assert g.key_multiply(ku, g.key_inverse(ku)) == g.identity_key()
+    assert CLOSED_FORM[name](ku) == CLOSED_FORM[name](u)
+
+
+def test_rewriting_budget(monkeypatch):
+    g = RewritingGroup(["a", "a^-1"], [])
+    monkeypatch.setattr(groups, "DEFAULT_REWRITE_BUDGET", 2)
     with pytest.raises(SolverBudgetError):
         g.canonical(g.parse_word("a a^-1 " * 10))
 

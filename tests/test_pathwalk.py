@@ -155,11 +155,6 @@ def test_visit_collision_reset(z):
     assert not vm.counter_tape
 
 
-def test_visit_layer_roles():
-    assert VisitMachine.n_layers == 3
-    assert VisitMachine.layer_roles == ("path", "counter", "bounded-path")
-
-
 # -- oracle simulator -----------------------------------------------------------
 
 

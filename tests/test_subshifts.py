@@ -249,6 +249,21 @@ def test_factor_code_must_read_the_alphabet(zline):
         factor_window_admissible(Pattern({zline.identity: 2}), z_sft(zline), code, 1)
 
 
+@pytest.mark.parametrize("entry", [
+    lambda x, spec: locally_admissible(x, spec),
+    lambda x, spec: extendable(x, spec, 1),
+    lambda x, spec: union_window_admissible(x, spec, spec, 1),
+    lambda x, spec: projective_window_admissible(
+        x, spec.group, {1: (1,), 2: (2,)}, spec, 1),
+    lambda x, spec: factor_window_admissible(
+        x, spec, identity_block_code(spec.group, 2), 1),
+], ids=["locally_admissible", "extendable", "union", "projective", "factor"])
+@pytest.mark.parametrize("symbol", [2, 7, -1])
+def test_symbol_outside_alphabet_is_malformed(zline, entry, symbol):
+    with pytest.raises(MalformedInputError, match="outside alphabet"):
+        entry(Pattern({zline.identity: symbol}), z_sft(zline))
+
+
 def test_factor_window_budget_counts_the_whole_search(zline):
     """Two nodes place the target's preimage and two more fill the rest of
     B_1: one count of four, under one budget."""

@@ -284,15 +284,18 @@ class Group:
         return False
 
     # -- left-action frame keys (used by the literal-shift oracle) ---------
+    #
+    # A frame key is a second injective encoding of an element, built by
+    # letters acting on the left.  Each kind supplies its own left action,
+    # coded apart from key_append and key_multiply, so the literal-shift
+    # route of the conjugacy check stays an independent oracle.
 
     def frame_identity(self):
         return self.identity_key()
 
     def frame_prepend(self, letter: int, lkey):
-        """The key of letter * (element of lkey); letters act on the left."""
-        if letter == 0:
-            return lkey
-        return self.key_multiply(self.key_of_letters((letter,)), lkey)
+        """The frame key of letter * (element of lkey)."""
+        raise NotImplementedError
 
     def frame_of_element(self, e: Element):
         lkey = self.frame_identity()
@@ -362,11 +365,8 @@ class FreeGroup(Group):
     def key_length(self, key: ConsWord) -> int:
         return key.length
 
-    def frame_identity(self):
-        # frame keys store the word reversed, so prepending is a push
-        return ConsWord.EMPTY
-
     def frame_prepend(self, letter: int, lkey: ConsWord):
+        # frame keys store the word reversed, so prepending is a push
         if letter == 0:
             return lkey
         if lkey.parent is not None and lkey.letter == self.generators[letter].inverse:
@@ -419,6 +419,14 @@ class FreeAbelianGroup(Group):
 
     def key_length(self, key) -> int:
         return sum(abs(x) for x in key)
+
+    def frame_prepend(self, letter: int, lkey):
+        if letter == 0:
+            return lkey
+        axis = (letter - 1) >> 1
+        vec = list(lkey)
+        vec[axis] += 1 if letter & 1 else -1
+        return tuple(vec)
 
     def geodesic_normal_form(self) -> bool:
         return True
@@ -504,6 +512,24 @@ class BaumslagSolitarGroup(Group):
         else:
             c2, d2 = -c * n ** (-d2), 0
         return (-s, *self._norm(c2, d2))
+
+    def frame_prepend(self, letter: int, lkey):
+        # t -> t +/- 1 for a^{+/-1}, t -> t / n for b, t -> n t for b^-1
+        scale, c, d = lkey
+        n = self.n
+        if letter == self.A:
+            return (scale, c + n ** d, d)
+        if letter == self.A_INV:
+            return (scale, c - n ** d, d)
+        if letter == self.B:
+            if d == 0 and c % n == 0:
+                return (scale - 1, c // n, 0)
+            return (scale - 1, c, d + 1)
+        if letter == self.B_INV:
+            if d > 0:
+                return (scale + 1, c, d - 1)
+            return (scale + 1, c * n, 0)
+        return lkey
 
     def _normal_form(self, key) -> tuple[int, int, int]:
         """(p, q, r) with the element equal to b^p a^q b^-r."""
@@ -597,6 +623,9 @@ class FiniteGroup(Group):
     def key_letters(self, key) -> Letters:
         return () if key == 0 else (key,)
 
+    def frame_prepend(self, letter: int, lkey):
+        return self.table[letter][lkey]
+
     def is_finite(self) -> bool:
         return True
 
@@ -672,6 +701,17 @@ class DirectProductGroup(_ProductBase):
 
     def key_length(self, key) -> int:
         return sum(f.key_length(sub) for f, sub in zip(self.factors, key))
+
+    def frame_identity(self):
+        return tuple(f.frame_identity() for f in self.factors)
+
+    def frame_prepend(self, letter: int, lkey):
+        if letter == 0:
+            return lkey
+        fi, local = self._letter_factor[letter]
+        out = list(lkey)
+        out[fi] = self.factors[fi].frame_prepend(local, out[fi])
+        return tuple(out)
 
     def component(self, e: Element, fi: int) -> Element:
         return Element(e.key[fi])
@@ -751,6 +791,24 @@ class FreeProductGroup(_ProductBase):
     def key_length(self, key) -> int:
         return sum(self.factors[fi].key_length(sub) for fi, sub in key)
 
+    def frame_prepend(self, letter: int, lkey):
+        # frame keys hold (factor, factor frame key) syllables last-first,
+        # so a prepend works on the tail
+        if letter == 0:
+            return lkey
+        fi, local = self._letter_factor[letter]
+        f = self.factors[fi]
+        one = f.frame_identity()
+        if lkey and lkey[-1][0] == fi:
+            merged = f.frame_prepend(local, lkey[-1][1])
+            if merged == one:
+                return lkey[:-1]
+            return lkey[:-1] + ((fi, merged),)
+        sub = f.frame_prepend(local, one)
+        if sub == one:
+            return lkey
+        return lkey + ((fi, sub),)
+
     def is_finite(self) -> bool:
         nontrivial = [f for f in self.factors if f.nonidentity_ids]
         if len(nontrivial) >= 2:
@@ -800,6 +858,10 @@ class RewritingGroup(Group):
         # one rule per left-hand side; the check below shows the choice is free
         self._rules: dict[Letters, Letters] = dict(parsed)
         self._lhs_lengths = sorted({len(l) for l in self._rules})
+        # the mirrored system rewrites reversed words: its normal forms are
+        # the reversed normal forms, and it is confluent and terminating
+        # because each of its rewrites mirrors one of the rules above
+        self._mirrored = {l[::-1]: r[::-1] for l, r in self._rules.items()}
         for word, u, v in _critical_pairs(parsed):
             u, v = self._rewrite((), u), self._rewrite((), v)
             if u != v:
@@ -830,8 +892,11 @@ class RewritingGroup(Group):
             raise MalformedInputError("generator list is inconsistent")
         return gens
 
-    def _rewrite(self, prefix: Letters, letters: Iterable[int]) -> Letters:
-        """The normal form of prefix * letters, for an irreducible prefix.
+    def _rewrite(self, prefix: Letters, letters: Iterable[int],
+                 _rules: Optional[dict] = None) -> Letters:
+        """The normal form of prefix * letters, for an irreducible prefix,
+        under the group's rules or, given `_rules`, under that rule dict
+        (the mirrored rules of the frame keys).
 
         Letters are pushed one at a time, identity letters skipped.  The
         word kept so far stays irreducible, so only its suffixes up to the
@@ -842,7 +907,8 @@ class RewritingGroup(Group):
         out = list(prefix)
         todo = list(letters)
         todo.reverse()
-        rules, lengths = self._rules, self._lhs_lengths
+        rules = self._rules if _rules is None else _rules
+        lengths = self._lhs_lengths
         budget = DEFAULT_REWRITE_BUDGET
         while todo:
             letter = todo.pop()
@@ -881,6 +947,11 @@ class RewritingGroup(Group):
 
     def key_letters(self, key: Letters) -> Letters:
         return key
+
+    def frame_prepend(self, letter: int, lkey: Letters):
+        # frame keys are reversed normal forms, so a prepend is an append
+        # under the mirrored rules
+        return self._rewrite(lkey, (letter,), self._mirrored)
 
 
 def _critical_pairs(rules: Sequence[tuple[Letters, Letters]]):

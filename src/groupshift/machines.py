@@ -144,10 +144,15 @@ def fixed_moving_equivalent(spec: GMachineSpec, p: Pattern, steps: int) -> bool:
     Runs two trajectories: the production moving-head run (`step_moving`),
     whose fixed-head reading is `observable_tape`, and an independent literal
     implementation of the fixed-head semantics that physically shifts its
-    tape each step (in a prepend-oriented frame representation, so a shift
-    costs one letter per cell).  Each literal entry carries its symbol and
-    the moving-tape cell it tracks, the cell labelled when the symbol was
-    written under the head.  At every step t it checks that the states
+    tape each step.  The shift moves every cell's frame key by the group's
+    own left action (`frame_prepend`), coded apart from the key algebra of
+    the moving run.  Per cell that is a few integer operations on Z^n and
+    BS(1,n), a table lookup on finite groups, a push or pop on free groups,
+    a change to the outer syllable on free products, and on rewriting
+    groups a rewrite of the reversed normal form that can reach its whole
+    length.  Each literal entry carries its symbol and the moving-tape cell
+    it tracks, the cell labelled when the symbol was written under the
+    head.  At every step t it checks that the states
     agree, that the literal tape read through those labels equals the moving
     tape cell for cell, and that the literal origin holds the moving head's
     cell.

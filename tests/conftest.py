@@ -15,8 +15,10 @@ from groupshift import (
     bs_group,
     cyclic_group,
     direct_product,
+    finite_group,
     free_abelian_group,
     free_group,
+    free_product,
     locally_admissible,
 )
 
@@ -27,6 +29,29 @@ GROUPS = {"z": FreeAbelianGroup(1, names=["a"]), "z2": free_abelian_group(2),
           "f2": free_group(2)}
 MAX_RADIUS = {"z": 2, "z2": 1, "f2": 1}
 CHECKS = settings(derandomize=True, max_examples=60, deadline=None)
+
+# Z on the generating set {A = a^2, a}: normal forms A^k a^{0,1}
+Z_A_A2_RULES = [("a a", "A"), ("a^-1 a^-1", "A^-1"), ("a A", "A a"),
+                ("a^-1 A^-1", "A^-1 a^-1"), ("a A^-1", "a^-1"), ("A^-1 a", "a^-1"),
+                ("a^-1 A", "a"), ("A a^-1", "a")]
+
+# S3 as a table group: element i is the i-th permutation of (0, 1, 2) in
+# lexicographic order, and i * j composes them (apply j first)
+_S3 = list(itertools.permutations(range(3)))
+S3_TABLE = [[_S3.index(tuple(p[q[i]] for i in range(3))) for q in _S3] for p in _S3]
+
+# the seven kinds of the benchmark plus a finite table group, each built
+# fresh by its maker
+KINDS = {
+    "z": lambda: FreeAbelianGroup(1, names=["a"]),
+    "z2": lambda: free_abelian_group(2),
+    "f2": lambda: free_group(2),
+    "bs12": lambda: bs_group(2),
+    "z_a_a2": lambda: RewritingGroup(["A", "A^-1", "a", "a^-1"], Z_A_A2_RULES),
+    "c2xz": lambda: direct_product(cyclic_group(2), FreeAbelianGroup(1, names=["a"])),
+    "c2*c3": lambda: free_product(cyclic_group(2), cyclic_group(3)),
+    "s3": lambda: finite_group(S3_TABLE),
+}
 
 
 @st.composite
@@ -95,19 +120,7 @@ def bs12():
 @pytest.fixture(scope="session")
 def z4_rewriting():
     """Z presented on the generating set {A=a^2, A^-1, a, a^-1}."""
-    return RewritingGroup(
-        ["A", "A^-1", "a", "a^-1"],
-        [
-            ("a a", "A"),
-            ("a^-1 a^-1", "A^-1"),
-            ("a A", "A a"),
-            ("a^-1 A^-1", "A^-1 a^-1"),
-            ("a A^-1", "a^-1"),
-            ("A^-1 a", "a^-1"),
-            ("a^-1 A", "a"),
-            ("A a^-1", "a"),
-        ],
-    )
+    return KINDS["z_a_a2"]()
 
 
 @pytest.fixture(scope="session")

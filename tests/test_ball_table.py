@@ -33,6 +33,7 @@ from groupshift.cayley import (
 from groupshift.families import DeloneFamily
 
 from .conftest import (
+    Z_A_A2_RULES,
     oracle_ball,
     oracle_component,
     oracle_delone_cover,
@@ -42,10 +43,6 @@ from .conftest import (
     oracle_greedy_delone,
     oracle_translated_ball_cells,
 )
-
-Z_A_A2_RULES = [("a a", "A"), ("a^-1 a^-1", "A^-1"), ("a A", "A a"),
-                ("a^-1 A^-1", "A^-1 a^-1"), ("a A^-1", "a^-1"), ("A^-1 a", "a^-1"),
-                ("a^-1 A", "a"), ("A a^-1", "a")]
 
 GROUPS = {
     "z": lambda: FreeAbelianGroup(1, names=["a"]),

@@ -1,26 +1,24 @@
 """Canonical forms and word-problem solvers across the group kinds."""
 
-import random
+import functools
+import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from groupshift import (
     MalformedInputError,
     SolverBudgetError,
-    bs_group,
     canonical_form,
     cyclic_group,
-    direct_product,
-    free_abelian_group,
     free_group,
     free_product,
     solve_word_problem,
 )
 from groupshift import groups
-from groupshift.groups import RewritingGroup
+from groupshift.groups import ConsWord, RewritingGroup
 
-from .conftest import CHECKS, oracle_normal_form
+from .conftest import CHECKS, KINDS, oracle_ball, oracle_normal_form
 from .test_ball_table import GROUPS as TABLE_GROUPS
 
 
@@ -149,6 +147,9 @@ def test_rewriting_keys_match_oracle(name, data):
     assert g.key_inverse(g.key_inverse(ku)) == ku
     assert g.key_multiply(ku, g.key_inverse(ku)) == g.identity_key()
     assert CLOSED_FORM[name](ku) == CLOSED_FORM[name](u)
+    # the mirrored rules on the reversed normal form: a left multiplication
+    s = data.draw(st.integers(0, len(g.generators) - 1))
+    assert g.frame_prepend(s, ku[::-1]) == oracle_normal_form(rules, (s,) + u)[::-1]
 
 
 def test_rewriting_budget(monkeypatch):
@@ -172,33 +173,130 @@ def test_generator_involution(f2, z2, bs12):
         assert sum(1 for sym in g.generators if sym.is_identity) == 1
 
 
-@st.composite
-def random_word(draw, gens=4, max_len=12):
-    letters = draw(st.lists(st.integers(1, gens), max_size=max_len))
-    return tuple(letters)
+# -- one property suite over every kind ---------------------------------------
+
+LAWS = {name: make() for name, make in KINDS.items()}
+GEODESIC = {"z", "z2", "f2", "c2xz", "c2*c3", "s3"}
 
 
-@given(u=random_word(), v=random_word())
-@settings(max_examples=150, deadline=None)
-def test_wp_iff_equal_canonical_f2(u, v):
-    f2 = free_group(2)
-    product = u + f2.inverse_word(v)
-    assert solve_word_problem(f2, product) == (f2.element(u) == f2.element(v))
+def words(g, max_size=12):
+    """Words over g's letters, the identity letter included."""
+    return st.lists(st.integers(0, len(g.generators) - 1), max_size=max_size).map(tuple)
 
 
-@given(u=random_word(), v=random_word())
-@settings(max_examples=150, deadline=None)
-def test_wp_iff_equal_canonical_bs(u, v):
-    bs = bs_group(2)
-    product = u + bs.inverse_word(v)
-    assert solve_word_problem(bs, product) == (bs.element(u) == bs.element(v))
+@pytest.mark.parametrize("name", LAWS)
+@CHECKS
+@given(data=st.data())
+def test_key_algebra_laws(name, data):
+    """Associativity, inverses, key_append against key_multiply, and the word
+    problem against key equality."""
+    g = LAWS[name]
+    u, v, w = (data.draw(words(g)) for _ in range(3))
+    ku, kv, kw = (g.element(x).key for x in (u, v, w))
+    assert (g.key_multiply(g.key_multiply(ku, kv), kw)
+            == g.key_multiply(ku, g.key_multiply(kv, kw)))
+    inv = g.key_inverse(ku)
+    assert g.key_multiply(ku, inv) == g.identity_key() == g.key_multiply(inv, ku)
+    assert g.key_inverse(inv) == ku
+    key = ku
+    for letter in v:
+        key = g.key_append(key, letter)
+    assert key == g.key_multiply(ku, kv)
+    assert solve_word_problem(g, u + g.inverse_word(v)) == (ku == kv)
+    assert solve_word_problem(g, u + g.inverse_word(u))
 
 
-@given(w=random_word())
-@settings(max_examples=100, deadline=None)
-def test_uu_inverse_is_identity(w):
-    for g in (free_group(2), free_abelian_group(2), bs_group(2)):
-        assert solve_word_problem(g, w + g.inverse_word(w))
+@pytest.mark.parametrize("name", LAWS)
+@CHECKS
+@given(data=st.data())
+def test_canonical_words_round_trip(name, data):
+    g = LAWS[name]
+    u, v = data.draw(words(g)), data.draw(words(g))
+    e = g.element(u)
+    w = g.word_of(e)
+    assert 0 not in w
+    assert g.element(w) == e
+    assert g.canonical(w) == w == g.canonical(u)
+    assert g.length_of(e) == len(w)
+    if name == "z_a_a2":   # Z through A -> 2, a -> 1
+        assert Z_SUM(w) == Z_SUM(u)
+        assert (e == g.element(v)) == (Z_SUM(u) == Z_SUM(v))
+
+
+@pytest.mark.parametrize("name", LAWS)
+def test_length_against_ball_distance(name):
+    """A canonical word is never shorter than the ball distance, and is as
+    long under a geodesic normal form; the rewriting Z's distances are the
+    closed form ceil(|m| / 2) of its image m in Z."""
+    g = LAWS[name]
+    assert g.geodesic_normal_form() == (name in GEODESIC)
+    for e, d in oracle_ball(g, 4).items():
+        if name in GEODESIC:
+            assert g.length_of(e) == d
+        else:
+            assert g.length_of(e) >= d
+        if name == "z_a_a2":
+            assert d == (abs(Z_SUM(g.word_of(e))) + 1) // 2
+
+
+# each kind's frame key of an element, from its key: the key itself, or the
+# normal form read backwards
+FRAME_OF_KEY = {"f2": lambda k: functools.reduce(ConsWord.push, reversed(k.letters()),
+                                                 ConsWord.EMPTY),
+                "z_a_a2": lambda k: k[::-1], "c2*c3": lambda k: k[::-1]}
+
+
+@pytest.mark.parametrize("name", LAWS)
+@CHECKS
+@given(data=st.data())
+def test_frame_prepend_is_left_multiplication(name, data):
+    """Prepending s to the frame key of u gives the frame key of the word
+    s u, which frame_of_element reaches through a different, reduced letter
+    sequence."""
+    g = LAWS[name]
+    u = data.draw(words(g))
+    s = data.draw(st.integers(0, len(g.generators) - 1))
+    e = g.element(u)
+    assert g.frame_of_element(e) == FRAME_OF_KEY.get(name, lambda k: k)(e.key)
+    assert (g.frame_prepend(s, g.frame_of_element(e))
+            == g.frame_of_element(g.element((s,) + u)))
+
+
+@pytest.mark.parametrize("name", KINDS)
+def test_frame_prepend_avoids_key_algebra(name, monkeypatch):
+    """The left action is coded apart from key_append and key_multiply, the
+    factors' included, so the literal-shift route of the conjugacy check
+    stays an independent oracle."""
+    g = KINDS[name]()
+    ball3 = [g.element(w) for n in range(4)
+             for w in itertools.product(g.nonidentity_ids, repeat=n)]
+
+    def forbidden(*args):
+        raise AssertionError("frame_prepend used the key algebra")
+
+    for h in (g, *getattr(g, "factors", ())):
+        for op in ("key_of_letters", "key_append", "key_multiply"):
+            monkeypatch.setattr(h, op, forbidden)
+    for e in ball3:
+        lkey = g.frame_of_element(e)
+        for s in g.nonidentity_ids:
+            g.frame_prepend(s, lkey)
+
+
+@pytest.mark.parametrize("name", LAWS)
+def test_frame_keys_injective_on_ball(name):
+    """Over every word of length <= 3, prepended letter by letter, two words
+    get one frame key exactly when they name one element."""
+    g = LAWS[name]
+    frames: dict = {}
+    for n in range(4):
+        for word in itertools.product(g.nonidentity_ids, repeat=n):
+            lkey = g.frame_identity()
+            for letter in reversed(word):
+                lkey = g.frame_prepend(letter, lkey)
+            frames.setdefault(g.element(word), set()).add(lkey)
+    assert all(len(keys) == 1 for keys in frames.values())
+    assert len(set().union(*frames.values())) == len(frames)
 
 
 def test_identity_letter_vanishes(f2):

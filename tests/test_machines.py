@@ -14,13 +14,9 @@ from groupshift import (
     Pattern,
     RetargetSoundnessError,
     acceptance_bound,
-    bs_group,
-    check_consistency,
     coding,
     coding_length,
     fixed_moving_equivalent,
-    free_abelian_group,
-    free_group,
     initial_config,
     pattern_of,
     retarget_generators,
@@ -29,6 +25,8 @@ from groupshift import (
     simulate_with_balls,
     step_moving,
 )
+
+from .conftest import KINDS
 
 SIGMA = Alphabet(("_", "0", "1"))
 
@@ -155,13 +153,10 @@ def test_fixed_moving_equivalent_random(group_name, request):
         assert fixed_moving_equivalent(m, p, 200)
 
 
-@pytest.mark.parametrize("make", [lambda: free_abelian_group(2),
-                                  lambda: free_group(2),
-                                  lambda: bs_group(2)],
-                         ids=["z2", "f2", "bs12"])
-def test_fixed_moving_equivalent_catches_frame_fault(make):
+@pytest.mark.parametrize("kind", KINDS)
+def test_fixed_moving_equivalent_catches_frame_fault(kind):
     """A literal route whose shift ignores one generator must be caught."""
-    group = make()  # a private instance: the patch must not leak
+    group = KINDS[kind]()  # a private instance: the patch must not leak
     rng = random.Random(5)
     p = Pattern({group.identity: 1})
     machines = [random_machine(group, rng) for _ in range(12)]

@@ -15,6 +15,7 @@ from typing import Iterator, Optional
 from .errors import (
     BallBudgetError,
     ComponentExhaustedError,
+    MalformedInputError,
     UnsupportedGroupError,
 )
 from .groups import Element, Group, Letters
@@ -265,7 +266,7 @@ class CayleyBall:
 def ball(group: Group, n: int, budget: int = DEFAULT_BALL_BUDGET) -> CayleyBall:
     """Breadth-first canonicalization of B_n; deterministic and cached."""
     if n < 0:
-        raise ValueError("radius must be >= 0")
+        raise MalformedInputError("radius must be >= 0")
     with group._ball_lock:
         table = group._ball_table
         if table is None:
@@ -323,37 +324,45 @@ def disjoint_ball_sequences(
     """Greedy lexicographic marking of pairwise disjoint translated balls.
 
     Returns (g_0..g_n, h_0..h_n) such that {1}, g_k B_k, h_k B_k are pairwise
-    disjoint.  Scans words in length-lex order, assigning g_k then h_k to the
-    first words whose translated ball is entirely unmarked.
+    disjoint: g_k, then h_k, is the first candidate whose ball is unmarked.
+    Candidates are the ball table's elements in index order (the order of
+    their first words in length-lex order) up to shell 1 + 2n(n+2) - k, and
+    a candidate's ball is walked only up to its first marked shell.  `budget`
+    caps the table, grown a shell at a time as far as the candidates reach.
     """
     if group.is_finite():
         raise UnsupportedGroupError("disjoint ball sequences need an infinite group")
     if n < 0:
-        raise ValueError("n must be >= 0")
+        raise MalformedInputError("n must be >= 0")
     cap = 1 + 2 * n * (n + 2)
-    marked: set[Element] = {group.identity}
-    gs: list[Optional[Element]] = [None] * (n + 1)
-    hs: list[Optional[Element]] = [None] * (n + 1)
-    k = 0
-    for word in enumerate_words(group, cap):
-        if k > n:
-            break
-        if len(word) > cap - k:
-            break
-        base = group.element(word)
-        cells = [group.multiply(base, e)
-                 for e in ball(group, k, budget=budget).sorted_elements()]
-        if any(c in marked for c in cells):
-            continue
-        marked.update(cells)
-        if gs[k] is None:
-            gs[k] = base
-        else:
-            hs[k] = base
-            k += 1
-    if k <= n:
-        raise BallBudgetError("word scan exhausted before all balls were placed")
-    return [g for g in gs if g is not None], [h for h in hs if h is not None]
+    table = ball(group, 0).table
+    found: list[Element] = []       # g_0, h_0, g_1, h_1, ...
+    with table.lock:
+        marked = {0}
+        i = 1
+        while len(found) < 2 * (n + 1):
+            k = len(found) // 2
+            if i == len(table.elements):
+                if table.full or table.radius >= cap - k:
+                    break
+                table.grow(table.radius + 1, budget)
+                # cells marked outside the table may be inside it now
+                marked = {v if type(v) is int else table.node(v) for v in marked}
+                continue
+            if table.shell(i) > cap - k:
+                break
+            cells = []
+            for shell in table.walk(i, k):
+                if not marked.isdisjoint(shell):
+                    break
+                cells += shell
+            else:
+                marked.update(cells)
+                found.append(table.elements[i])
+            i += 1
+    if len(found) < 2 * (n + 1):
+        raise BallBudgetError("candidate scan exhausted before all balls were placed")
+    return found[0::2], found[1::2]
 
 
 def component_sequence(
@@ -365,38 +374,29 @@ def component_sequence(
 ) -> list[Element]:
     """count+1 distinct elements of the component of B_M \\ B_{n_cut} holding seed.
 
-    Implements the lexicographic suffix scan: candidates are seed*w for words w
-    in length-lex order, kept when they fall in the seed's connected component
-    of the punctured ball.
+    The lexicographic suffix scan: candidates are seed*w for the words w of
+    length <= n_cut + count in length-lex order, i.e. the BFS shells of a
+    table walk from the seed, kept while they lie in the seed's component of
+    the punctured ball.  `budget` caps the table, grown to M = n_cut + count
+    + |seed|.
     """
     seed_word = group.check_word(seed) if not isinstance(seed, Element) else None
     seed_el = group.element(seed_word) if seed_word is not None else seed
     seed_len = len(seed_word) if seed_word is not None else group.length_of(seed_el)
+    if count < 0:
+        raise MalformedInputError("count must be >= 0")
     if distance_from_identity(group, seed_el, budget=budget) <= n_cut:
-        raise ValueError("seed must lie outside the cut ball")
-    if count == 0:
-        return [seed_el]
+        raise MalformedInputError("seed must lie outside the cut ball")
     m = n_cut + count + seed_len
     table = ball(group, m, budget=budget).table
     with table.lock:
+        start = table.index[seed_el]
         outside = set(range(table.size(n_cut), table.size(m)))
-        component = _component_of(table, outside, table.index[seed_el])
-    found = [seed_el]
-    seen = {seed_el}
-    for w in enumerate_words(group, n_cut + count):
-        cand = group.multiply(seed_el, group.element(w))
-        if table.index.get(cand) in component and cand not in seen:
-            seen.add(cand)
-            found.append(cand)
-            if len(found) == count + 1:
-                return found
+        component = set(itertools.chain.from_iterable(table.walk(start, within=outside)))
+        found = []
+        for shell in table.walk(start, n_cut + count):
+            found += (v for v in shell if v in component)
+            if len(found) > count:
+                return [table.elements[v] for v in found[:count + 1]]
     raise ComponentExhaustedError(
         f"component holds fewer than {count + 1} reachable elements")
-
-
-def _component_of(table: BallTable, cells: set, start) -> set:
-    """The nodes of `start`'s connected component in the subgraph on the node
-    set `cells`; the caller holds the table's lock."""
-    if start not in cells:
-        raise ValueError("start not inside the cell set")
-    return set(itertools.chain.from_iterable(table.walk(start, within=cells)))

@@ -15,6 +15,7 @@ from groupshift import (
     bs_group,
     cyclic_group,
     direct_product,
+    enumerate_words,
     finite_group,
     free_abelian_group,
     free_group,
@@ -263,3 +264,49 @@ def oracle_delone_linking(group, x):
             if sum(1 for c in comp if x[c] == 1) >= 2:
                 return True
     return False
+
+
+# -- word-scan oracles for the ball-table candidate scans -------------------
+#
+# The sequence builders as they were written before they walked the table:
+# every word in length-lex order (reduced or not) is turned into an element
+# and its ball translated with `group.multiply`.
+
+
+def oracle_disjoint_ball_sequences(group, n):
+    cap = 1 + 2 * n * (n + 2)
+    marked = {group.identity}
+    gs, hs = [None] * (n + 1), [None] * (n + 1)
+    k = 0
+    for word in enumerate_words(group, cap):
+        if k > n or len(word) > cap - k:
+            break
+        base = group.element(word)
+        cells = [group.multiply(base, e) for e in oracle_ball(group, k)]
+        if any(c in marked for c in cells):
+            continue
+        marked.update(cells)
+        if gs[k] is None:
+            gs[k] = base
+        else:
+            hs[k] = base
+            k += 1
+    assert k > n, "word scan exhausted before all balls were placed"
+    return gs, hs
+
+
+def oracle_component_sequence(group, n_cut, seed_word, count):
+    seed = group.element(seed_word)
+    m = n_cut + count + len(seed_word)
+    dist = oracle_ball(group, m)
+    assert dist[seed] > n_cut
+    component = oracle_component(
+        group, {e for e, r in dist.items() if r > n_cut}, seed)
+    found = [seed]
+    for w in enumerate_words(group, n_cut + count):
+        if len(found) == count + 1:
+            break
+        cand = group.multiply(seed, group.element(w))
+        if cand in component and cand not in found:
+            found.append(cand)
+    return found

@@ -43,7 +43,6 @@ from groupshift import (
     free_product,
     greedy_delone_configuration,
     locally_admissible,
-    oplus_positions,
     pattern_of,
     retarget_generators,
     run_accepts,

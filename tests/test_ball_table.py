@@ -5,6 +5,7 @@ only by that test (an outer shell with open rows, a budget-capped margin)
 instead of whatever earlier tests left behind.
 """
 
+import itertools
 import random
 
 import pytest
@@ -26,7 +27,6 @@ from groupshift import (
 from groupshift.cayley import (
     UNKNOWN,
     BallTable,
-    _component_of,
     distance_from_identity,
     translated_ball_cells,
 )
@@ -119,8 +119,8 @@ def test_edges_translates_and_components_match_oracle(kind):
         table = ball(group, 4).table
         for start in sorted(punctured, key=group.shortlex_key)[::5]:
             with table.lock:
-                got = _component_of(table, {table.index[e] for e in punctured},
-                                    table.index[start])
+                got = set(itertools.chain.from_iterable(table.walk(
+                    table.index[start], within={table.index[e] for e in punctured})))
             assert {table.elements[v] for v in got} == \
                 oracle_component(group, punctured, start)
 

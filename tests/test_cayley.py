@@ -1,12 +1,14 @@
 """Balls, the word metric, enumeration order and the sequence builders."""
 
 import itertools
+import random
 
 import pytest
 
 from groupshift import (
     BallBudgetError,
-    ComponentExhaustedError,
+    MalformedInputError,
+    RewritingGroup,
     UnsupportedGroupError,
     ball,
     component_sequence,
@@ -15,6 +17,13 @@ from groupshift import (
     element_distance,
     enumerate_words,
     word_metric,
+)
+
+from .conftest import (
+    KINDS,
+    oracle_ball,
+    oracle_component_sequence,
+    oracle_disjoint_ball_sequences,
 )
 
 
@@ -152,6 +161,14 @@ def test_disjoint_sequences_rejects_finite():
         disjoint_ball_sequences(cyclic_group(5), 1)
 
 
+def test_disjoint_sequences_exhaust_finite_rewriting_group():
+    """C2 as a rewriting group is not known to be finite: the scan runs out
+    of candidates once the table holds the whole group, and raises."""
+    c2 = RewritingGroup(["a", "a^-1"], [("a a", ""), ("a^-1", "a")])
+    with pytest.raises(BallBudgetError):
+        disjoint_ball_sequences(c2, 1)
+
+
 def test_component_sequence_f2(f2):
     seq = component_sequence(f2, 0, f2.parse_word("a"), 2)
     assert len(seq) == len(set(seq)) == 3
@@ -180,8 +197,63 @@ def test_component_sequence_membership_by_bfs(z2):
 
 
 def test_component_seed_inside_cut_rejected(z):
-    with pytest.raises(ValueError):
+    with pytest.raises(MalformedInputError):
         component_sequence(z, 2, z.parse_word("a"), 1)
+
+
+def test_negative_counts_rejected(z):
+    with pytest.raises(MalformedInputError):
+        disjoint_ball_sequences(z, -1)
+    with pytest.raises(MalformedInputError):
+        component_sequence(z, 1, z.parse_word("a a"), -1)
+    with pytest.raises(MalformedInputError):
+        ball(z, -1)
+
+
+INFINITE_KINDS = ("z", "z2", "f2", "bs12", "z_a_a2", "c2xz", "c2*c3")
+
+
+@pytest.mark.parametrize("kind,n", [(kind, n) for kind in INFINITE_KINDS for n in (0, 1, 2)]
+                         + [(kind, 3) for kind in ("z", "z2", "f2")])
+def test_disjoint_sequences_match_word_scan(kind, n):
+    """The table scan against the word scan, on a cold group (the table
+    grows mid-scan) and on a group whose table already covers the scan."""
+    cold, warm = KINDS[kind](), KINDS[kind]()
+    got = disjoint_ball_sequences(cold, n)
+    assert got == tuple(map(list, oracle_disjoint_ball_sequences(cold, n)))
+    radius = ball(cold, 0).table.radius
+    table = ball(warm, radius + 1).table
+    again = disjoint_ball_sequences(warm, n)
+    assert [list(map(warm.format_element, seq)) for seq in again] == \
+        [list(map(cold.format_element, seq)) for seq in got]
+    assert table.radius == radius + 1
+
+
+@pytest.mark.parametrize("kind", ["z", "z2", "f2", "bs12"])
+def test_component_sequence_matches_word_scan(kind):
+    group, rng = KINDS[kind](), random.Random(kind)
+    for _ in range(6):
+        cut = rng.randrange(3)
+        dist = oracle_ball(group, cut + 2)
+        far = sorted((e for e, r in dist.items() if r > cut), key=group.shortlex_key)
+        seed = group.word_of(rng.choice(far))
+        count = rng.randrange(6)
+        assert component_sequence(group, cut, seed, count) == \
+            oracle_component_sequence(group, cut, seed, count)
+
+
+def test_scans_run_out_of_budget_on_cold_group():
+    """A shell that exceeds the budget raises and is rolled back: the table
+    keeps B_1 of F2 (5 elements), and still grows correctly afterwards."""
+    scans = [lambda g: disjoint_ball_sequences(g, 2, budget=10),
+             lambda g: component_sequence(g, 0, g.parse_word("a"), 2, budget=10)]
+    for scan in scans:
+        f2 = KINDS["f2"]()
+        with pytest.raises(BallBudgetError):
+            scan(f2)
+        table = ball(f2, 0).table
+        assert (table.radius, len(table.elements)) == (1, 5)
+        assert len(ball(f2, 2)) == 17
 
 
 def test_dot_export(z):

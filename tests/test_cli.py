@@ -466,6 +466,8 @@ def test_undetermined_payloads_carry_nodes(runner, tmp_path):
     pytest.param(["ball", "--group", "{z}", "-n", "-1"], id="ball"),
     pytest.param(["sequences", "disjoint", "--group", "{z}", "-n", "-1"],
                  id="sequences-disjoint"),
+    pytest.param(["sequences", "component", "--group", "{z}", "--cut", "2",
+                  "--seed", "a", "-n", "1"], id="sequences-component-seed-in-cut"),
     pytest.param(["words", "--group", "{z}", "--max-len", "-2"], id="words"),
     pytest.param(["machine", "visit", "--group", "{f2}", "-n", "-1"],
                  id="machine-visit"),

@@ -7,7 +7,6 @@ from groupshift import (
     Alphabet,
     GMachineSpec,
     MalformedInputError,
-    Pattern,
     Satisfiable,
     Unsatisfiable,
     UserSftCover,

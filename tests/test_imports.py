@@ -1,13 +1,16 @@
-"""Every name a module imports is used: the lint step of the tier-1 suite."""
+"""Every name a module or test module imports is used: the lint step of the
+tier-1 suite."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "groupshift"
-# __init__.py is left out: its imports are the package's re-exports
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "groupshift"
+# the package's __init__.py is left out: its imports are its re-exports
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py") \
+    + sorted(TESTS.glob("*.py"))
 
 
 def _names(tree: ast.AST) -> set[str]:
@@ -45,7 +48,8 @@ def unused_imports(source: str) -> list[str]:
                   if name not in used)
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name if p.parent == SRC
+                         else f"tests/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

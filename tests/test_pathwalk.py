@@ -6,11 +6,9 @@ from groupshift import (
     Accepted,
     Alphabet,
     Exhausted,
-    GroupExhaustedError,
     Pattern,
     PathMachine,
     PathRun,
-    VisitMachine,
     ball,
     build_m_path,
     build_m_visit,
@@ -20,7 +18,6 @@ from groupshift import (
     classical_query_word,
     cyclic_group,
     direct_product,
-    free_group,
 )
 from groupshift.groups import FreeAbelianGroup
 from groupshift.pathwalk import GatedPathRun, _STATE_BACK

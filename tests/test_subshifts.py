@@ -28,8 +28,6 @@ from groupshift import (
     builtin_one_or_less,
     extendable,
     factor_window_admissible,
-    free_abelian_group,
-    free_group,
     identity_block_code,
     intersect,
     locally_admissible,

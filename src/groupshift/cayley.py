@@ -343,7 +343,11 @@ def disjoint_ball_sequences(
         while len(found) < 2 * (n + 1):
             k = len(found) // 2
             if i == len(table.elements):
-                if table.full or table.radius >= cap - k:
+                if table.full:
+                    raise UnsupportedGroupError(
+                        f"the group has {i} elements, too few for {n + 1} pairs "
+                        "of disjoint balls")
+                if table.radius >= cap - k:
                     break
                 table.grow(table.radius + 1, budget)
                 # cells marked outside the table may be inside it now
@@ -378,14 +382,14 @@ def component_sequence(
     length <= n_cut + count in length-lex order, i.e. the BFS shells of a
     table walk from the seed, kept while they lie in the seed's component of
     the punctured ball.  `budget` caps the table, grown to M = n_cut + count
-    + |seed|.
+    + |seed|, with |seed| the distance from the identity however the seed
+    is spelled.
     """
-    seed_word = group.check_word(seed) if not isinstance(seed, Element) else None
-    seed_el = group.element(seed_word) if seed_word is not None else seed
-    seed_len = len(seed_word) if seed_word is not None else group.length_of(seed_el)
+    seed_el = seed if isinstance(seed, Element) else group.element(seed)
     if count < 0:
         raise MalformedInputError("count must be >= 0")
-    if distance_from_identity(group, seed_el, budget=budget) <= n_cut:
+    seed_len = distance_from_identity(group, seed_el, budget=budget)
+    if seed_len <= n_cut:
         raise MalformedInputError("seed must lie outside the cut ball")
     m = n_cut + count + seed_len
     table = ball(group, m, budget=budget).table

@@ -271,8 +271,7 @@ def free_product_layer(h: FiniteGroup, base: DominoInstance) -> DominoInstance:
     if base.origin_symbol is None:
         raise MalformedInputError("base instance lacks an origin symbol")
     alphabet = ComponentAlphabet(base.alphabet.components + ((MARKER, ("0", "*")),))
-    cons: list[DominoConstraint] = [
-        DominoConstraint(c.support, c.cells, c.tag) for c in base.constraints]
+    cons: list[DominoConstraint] = list(base.constraints)
     m = h.order
     marker_ci = alphabet.index(MARKER)
     for bits in itertools.product((0, 1), repeat=m):

@@ -332,7 +332,6 @@ class FreeGroup(Group):
             raise MalformedInputError("free group rank must be >= 1")
         self.rank = rank
         names = list(names) if names else [_default_name(i) for i in range(rank)]
-        self._inv = [0] + [1 + (i ^ 1) for i in range(2 * rank)]
         super().__init__(_paired_generators(names))
 
     def identity_key(self):

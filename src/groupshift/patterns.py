@@ -64,13 +64,6 @@ class Pattern:
     def sorted_items(self, group):
         return sorted(self.assignment.items(), key=lambda kv: group.shortlex_key(kv[0]))
 
-    def extends(self, other: "Pattern") -> bool:
-        return all(self.get(e) == s for e, s in other.items())
-
-    @staticmethod
-    def empty() -> "Pattern":
-        return Pattern({})
-
 
 @dataclass(frozen=True)
 class PatternCoding:

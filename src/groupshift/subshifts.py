@@ -17,8 +17,10 @@ its own window, with its targets' preimage cells searched first, and adds
 the targets' output constraints to it.  The one search
 (`constraints.solve`) counts one node per (cell, symbol) tried, and
 re-checks a semantic family's completed assignments through `violates`.
-`matches_somewhere` and `ForbiddenFamily.violates` stay as the direct,
-uncompiled check.
+`ForbiddenFamily.violates` compiles the same way onto the cells of the
+pattern it checks, shifting offsets by a lookup among those cells, and
+fixes every cell: one `solve` call with no free cell answers whether some
+placement fires.
 """
 
 from __future__ import annotations
@@ -55,12 +57,26 @@ class ForbiddenFamily:
         raise NotImplementedError
 
     def violates(self, group: Group, x: Pattern) -> bool:
-        """Whether some forbidden pattern embeds into x (translated)."""
-        radius = support_diameter(group, x.support)
-        return any(
-            matches_somewhere(group, q, x)
-            for q in self.patterns_up_to(group, radius)
-        )
+        """Whether some forbidden pattern (generated up to the diameter of x's
+        support) embeds into x, translated.
+
+        The patterns are compiled onto x's own cells: an offset moves a cell
+        a to the cell b with a^-1 * b equal to it, and a translate leaving the
+        support is dropped.  Every cell is fixed, so the one `solve` call
+        counts no node, and None means some placement fired.
+        """
+        cells = list(x.assignment)
+        inside = {}
+        for a in cells:
+            inv = group.inverse_element(a)
+            for b in cells:
+                inside[a, group.multiply(inv, b)] = b
+        diameter = max((distance_from_identity(group, off) for off in
+                        {off for _, off in inside}), default=0)
+        window = _compile(self, group, diameter, cells,
+                          lambda c, off: inside.get((c, off)))
+        fixed = dict(enumerate(x.assignment.values()))
+        return solve(window, fixed, n_symbols=0, budget=0) is None
 
     @cached_property
     def _windows(self) -> dict[tuple[Group, int], CompiledWindow]:
@@ -88,18 +104,16 @@ class GeneratedFamily(ForbiddenFamily):
     """Deterministic radius-indexed generator; must be monotone in radius."""
 
     def __init__(self, generator: Callable[[Group, int], Iterable[Pattern]],
-                 radius_cap: int = DEFAULT_RADIUS_CAP,
                  name: str = "generated"):
         self._generator = generator
         self._cache: dict[tuple[Group, int], list[Pattern]] = {}
         self._lock = threading.Lock()
-        self.radius_cap = radius_cap
         self.name = name
 
     def patterns_up_to(self, group: Group, radius: int) -> list[Pattern]:
-        if radius > self.radius_cap:
+        if radius > DEFAULT_RADIUS_CAP:
             raise GeneratorBudgetError(
-                f"family {self.name!r}: radius {radius} exceeds cap {self.radius_cap}")
+                f"family {self.name!r}: radius {radius} exceeds cap {DEFAULT_RADIUS_CAP}")
         key = (group, radius)
         with self._lock:
             if key not in self._cache:
@@ -127,36 +141,6 @@ class SubshiftSpec:
     alphabet: Alphabet
     group: Group
     forbidden: ForbiddenFamily
-
-
-def support_diameter(group: Group, support: Iterable[Element]) -> int:
-    cells = list(support)
-    if len(cells) <= 1:
-        return 0
-    best = 0
-    for i, a in enumerate(cells):
-        inv = group.inverse_element(a)
-        for b in cells[i + 1:]:
-            best = max(best, distance_from_identity(group, group.multiply(inv, b)))
-    return best
-
-
-def matches_somewhere(group: Group, q: Pattern, x: Pattern) -> bool:
-    """True if some translate g*support(q) lies in support(x) and agrees."""
-    if len(q) == 0:
-        return True
-    cells = q.sorted_items(group)
-    anchor, _ = cells[0]
-    anchor_inv = group.inverse_element(anchor)
-    for c in x.support:
-        g = group.multiply(c, anchor_inv)
-        for h, v in cells:
-            got = x.get(group.multiply(g, h))
-            if got is None or got != v:
-                break
-        else:
-            return True
-    return False
 
 
 def _check_symbols(x: Pattern, size: int) -> None:
@@ -217,17 +201,28 @@ def _compile_ball(family: ForbiddenFamily, group: Group, radius: int,
                   first: Sequence[Element]) -> CompiledWindow:
     """Compile the family's patterns of diameter <= 2*radius onto B_radius,
     whose cells are numbered `first` (cells of B_radius) then the rest in
-    shortlex order.
+    shortlex order."""
+    cells = list(dict.fromkeys(first))
+    taken = set(cells)
+    cells += [c for c in ball(group, radius).sorted_elements() if c not in taken]
+    return _compile(family, group, max(2 * radius, 1), cells, group.multiply)
+
+
+def _compile(family: ForbiddenFamily, group: Group, diameter: int,
+             cells: Sequence[Element],
+             shift: Callable[[Element, Element], Optional[Element]]) -> CompiledWindow:
+    """Compile the family's patterns up to `diameter` onto `cells`, any two
+    of which lie at most `diameter` apart.
 
     A pattern becomes the offsets anchor^-1 * h of its cells from its first
     cell, each with a singleton allowed set (one shared set per symbol).
-    Under a geodesic normal form an offset longer than 2*radius cannot fit
-    in B_radius, so its pattern is dropped before grounding.
+    Under a geodesic normal form an offset longer than `diameter` cannot fit
+    in the cells, so its pattern is dropped before grounding.
     """
-    reach = 2 * radius if group.geodesic_normal_form() else None
+    reach = diameter if group.geodesic_normal_form() else None
     singletons: dict[int, frozenset[int]] = {}
     constraints = []
-    for q in family.patterns_up_to(group, max(2 * radius, 1)):
+    for q in family.patterns_up_to(group, diameter):
         con = []
         inv = None
         for h, v in q.items():
@@ -241,10 +236,7 @@ def _compile_ball(family: ForbiddenFamily, group: Group, radius: int,
             con.append((off, singletons[v]))
         else:
             constraints.append(con)
-    cells = list(dict.fromkeys(first))
-    taken = set(cells)
-    cells += [c for c in ball(group, radius).sorted_elements() if c not in taken]
-    return compile_window(cells, constraints, group.multiply)
+    return compile_window(cells, constraints, shift)
 
 
 # -- closure operations --------------------------------------------------------

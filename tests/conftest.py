@@ -5,6 +5,7 @@ from hypothesis import settings, strategies as st
 
 from groupshift import (
     Alphabet,
+    CompositeFamily,
     FiniteFamily,
     FreeAbelianGroup,
     Pattern,
@@ -20,8 +21,8 @@ from groupshift import (
     free_abelian_group,
     free_group,
     free_product,
-    locally_admissible,
 )
+from groupshift.cayley import distance_from_identity
 
 
 # the groups of the small-window properties, and the largest radius per
@@ -70,6 +71,44 @@ def finite_specs(draw, group, max_patterns):
                         FiniteFamily(tuple(patterns)))
 
 
+def oracle_violates(family, group, x):
+    """Oracle: the uncompiled pattern scan.  Every forbidden pattern up to the
+    support's diameter is tried at every translate that puts its first cell
+    (in shortlex order) on a cell of x, with group arithmetic per cell.  A
+    composite family is scanned part by part; a semantic part keeps its own
+    `violates`."""
+    if isinstance(family, CompositeFamily):
+        return any(oracle_violates(p, group, x) for p in family.parts)
+    if family.semantic:
+        return family.violates(group, x)
+    return any(oracle_matches_somewhere(group, q, x)
+               for q in family.patterns_up_to(group, oracle_support_diameter(group, x.support)))
+
+
+def oracle_support_diameter(group, support):
+    cells = list(support)
+    best = 0
+    for i, a in enumerate(cells):
+        inv = group.inverse_element(a)
+        for b in cells[i + 1:]:
+            best = max(best, distance_from_identity(group, group.multiply(inv, b)))
+    return best
+
+
+def oracle_matches_somewhere(group, q, x):
+    """True if some translate g*support(q) lies in support(x) and agrees."""
+    if len(q) == 0:
+        return True
+    cells = q.sorted_items(group)
+    anchor, _ = cells[0]
+    anchor_inv = group.inverse_element(anchor)
+    for c in x.support:
+        g = group.multiply(c, anchor_inv)
+        if all(x.get(group.multiply(g, h)) == v for h, v in cells):
+            return True
+    return False
+
+
 def brute_force_extendable(pattern, spec, radius):
     """Oracle: enumerate every total assignment on the ball."""
     group = spec.group
@@ -79,7 +118,7 @@ def brute_force_extendable(pattern, spec, radius):
     for values in itertools.product(range(len(spec.alphabet)), repeat=len(free)):
         total = dict(fixed)
         total.update(zip(free, values))
-        if locally_admissible(Pattern(total), spec):
+        if not oracle_violates(spec.forbidden, group, Pattern(total)):
             return True
     return False
 
@@ -92,7 +131,7 @@ def brute_force_factor(y, spec, code, radius):
         total = Pattern(dict(zip(window, values)))
         image = apply_block_code(total, code)
         if (all(image.get(g) == v for g, v in y.items())
-                and locally_admissible(total, spec)):
+                and not oracle_violates(spec.forbidden, spec.group, total)):
             return True
     return False
 
@@ -297,7 +336,7 @@ def oracle_disjoint_ball_sequences(group, n):
 
 def oracle_component_sequence(group, n_cut, seed_word, count):
     seed = group.element(seed_word)
-    m = n_cut + count + len(seed_word)
+    m = n_cut + count + oracle_ball(group, len(seed_word))[seed]
     dist = oracle_ball(group, m)
     assert dist[seed] > n_cut
     component = oracle_component(

@@ -165,7 +165,7 @@ def test_disjoint_sequences_exhaust_finite_rewriting_group():
     """C2 as a rewriting group is not known to be finite: the scan runs out
     of candidates once the table holds the whole group, and raises."""
     c2 = RewritingGroup(["a", "a^-1"], [("a a", ""), ("a^-1", "a")])
-    with pytest.raises(BallBudgetError):
+    with pytest.raises(UnsupportedGroupError):
         disjoint_ball_sequences(c2, 1)
 
 
@@ -194,6 +194,17 @@ def test_component_sequence_membership_by_bfs(z2):
     # every element stays outside the cut ball
     for e in seq:
         assert element_distance(z2, z2.identity, e) > 1
+
+
+def test_component_sequence_ignores_seed_spelling():
+    """The ball is sized by the seed's distance from the identity, not by the
+    length of the word that names it."""
+    f2 = KINDS["f2"]()
+    geodesic = component_sequence(f2, 1, f2.parse_word("a a"), 2)
+    padded = component_sequence(f2, 1, f2.parse_word("a a b b^-1 b b^-1 b b^-1"), 2)
+    assert padded == geodesic
+    assert [f2.format_element(e) for e in geodesic] == ["a^2", "a^3", "a^2 b"]
+    assert ball(f2, 0).table.radius == 5
 
 
 def test_component_seed_inside_cut_rejected(z):

@@ -1,15 +1,18 @@
 """Windowed admissibility, extendability and the closure operations."""
 
 import itertools
+import random
 
 import pytest
 from .conftest import (
     CHECKS,
     GROUPS,
+    KINDS,
     MAX_RADIUS,
     brute_force_extendable,
     brute_force_factor,
     finite_specs,
+    oracle_violates,
 )
 from hypothesis import given, strategies as st
 
@@ -25,6 +28,7 @@ from groupshift import (
     apply_block_code,
     ball,
     builtin_delone,
+    builtin_mirror,
     builtin_one_or_less,
     extendable,
     factor_window_admissible,
@@ -117,6 +121,44 @@ def test_admissibility_translation_invariant(z2):
     for w in ("x", "y^-1", "x x"):
         q = translate_pattern(z2, p, z2.element(z2.parse_word(w)))
         assert locally_admissible(p, spec) == locally_admissible(q, spec)
+
+
+def _families(group, rng):
+    """(family, alphabet size, inputs): one-or-less for k = 1, 2, two random
+    finite families of 2-3-cell patterns on B_2 over {0, 1}, and the mirror
+    on Z^2.  The generated families ask for thousands of patterns at the
+    diameter of B_3, so they get fewer inputs."""
+    near = ball(group, 2).sorted_elements()
+    out = [(builtin_one_or_less(group, 1).forbidden, 2, 3),
+           (builtin_one_or_less(group, 2).forbidden, 3, 3)]
+    for _ in range(2):
+        out.append((FiniteFamily(tuple(
+            Pattern({e: rng.randrange(2) for e in rng.sample(near, rng.randint(2, 3))})
+            for _ in range(rng.randint(1, 3)))), 2, 40))
+    if isinstance(group, FreeAbelianGroup) and group.rank == 2:
+        out.append((builtin_mirror(group).forbidden, 3, 2))
+    return out
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_violates_matches_oracle(kind):
+    """The compiled pattern check against the uncompiled scan, on patterns of
+    0-12 cells of B_3 left-translated by a random element."""
+    group, rng = KINDS[kind](), random.Random(kind)
+    near = ball(group, 3).sorted_elements()
+    verdicts = set()
+    for family, size, inputs in _families(group, rng):
+        for _ in range(inputs):
+            density = rng.choice((0.1, 0.3, 0.6))
+            x = Pattern({c: rng.randrange(1, size) if rng.random() < density else 0
+                         for c in rng.sample(near, rng.randint(0, min(12, len(near))))})
+            g = group.element(tuple(rng.choice(group.nonidentity_ids)
+                                    for _ in range(rng.randint(0, 6))))
+            x = translate_pattern(group, x, g)
+            got = family.violates(group, x)
+            assert got == oracle_violates(family, group, x), (x.assignment, g)
+            verdicts.add(got)
+    assert verdicts == {False, True}
 
 
 def test_intersect_is_conjunction(zline):

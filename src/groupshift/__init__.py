@@ -9,13 +9,11 @@ machine-to-constraint compilers.
 
 from .errors import (
     BallBudgetError,
-    CompletionBudgetError,
     ComponentExhaustedError,
     GroupExhaustedError,
     GroupShiftError,
     MalformedInputError,
     RetargetSoundnessError,
-    SolverBudgetError,
     UndeterminedError,
     UnsupportedGroupError,
 )

@@ -289,15 +289,13 @@ def distance_from_identity(group: Group, e: Element, budget: int = DEFAULT_BALL_
     return table.shell(table.index[e])
 
 
-def word_metric(group: Group, word, budget: int = DEFAULT_BALL_BUDGET) -> int:
+def word_metric(group: Group, word) -> int:
     """|g| for the element named by the word."""
-    return distance_from_identity(group, group.element(word), budget=budget)
+    return distance_from_identity(group, group.element(word))
 
 
-def element_distance(group: Group, a: Element, b: Element,
-                     budget: int = DEFAULT_BALL_BUDGET) -> int:
-    return distance_from_identity(
-        group, group.multiply(group.inverse_element(a), b), budget=budget)
+def element_distance(group: Group, a: Element, b: Element) -> int:
+    return distance_from_identity(group, group.multiply(group.inverse_element(a), b))
 
 
 def translated_ball_cells(group: Group, center: Element, radius: int

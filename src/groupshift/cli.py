@@ -2,13 +2,16 @@
 
 Exit codes: 0 success / positive verdict, 1 negative verdict, 2 usage
 error or malformed input (invalid JSON, a JSON value of the wrong type or
-shape, a negative count), 3 budget exhausted / undetermined.  Every leaf
-command is declared through `command`, which gives it a machine-readable
-mode (--format json, whose payload embeds the run manifest) and
---manifest PATH (which also writes the manifest to a file), records every
-JSON file it reads as a manifest input, and maps its result to output and
-an exit code.  An undetermined outcome's JSON payload is
-{"verdict": "undetermined", "nodes": N}, with N null where the search
+shape, a negative count, a request past a fixed cap: a generated family's
+radius, the clock prefix length, a materialized word's length), 3 budget
+exhausted / undetermined (search nodes, ball elements, rewrites,
+completion steps, visit ticks, machine steps: every UndeterminedError).
+Every leaf command is declared through `command`, which gives it a
+machine-readable mode (--format json, whose payload embeds the run
+manifest) and --manifest PATH (which also writes the manifest to a file),
+records every JSON file it reads as a manifest input, and maps its result
+to output and an exit code.  An undetermined outcome's JSON payload is
+{"verdict": "undetermined", "nodes": N}, with N null where the budget
 counts no nodes; `machine run` exits 3 this way when its step budget runs
 out before the machine accepts, and adds its steps and trace.  The
 environment variable GROUPSHIFT_BUDGET overrides default budgets; a
@@ -28,12 +31,7 @@ from typing import Any, Optional
 import click
 
 from . import jsonio
-from .errors import (
-    CompletionBudgetError,
-    GroupShiftError,
-    MalformedInputError,
-    UndeterminedError,
-)
+from .errors import GroupShiftError, MalformedInputError, UndeterminedError
 from .cayley import (
     ball,
     component_sequence,
@@ -148,16 +146,17 @@ group_option = click.option("--group", required=True, type=click.Path(exists=Tru
 def command(parent: click.Group, name: Optional[str] = None):
     """Declare a leaf command of `parent` whose body returns a `Result`
     (see `verdict`, `ok` and `undetermined`).  Adds --format and --manifest,
-    reports an undetermined search with exit code 3, prints the result with
-    its run manifest and exits with the result's code."""
+    reports an UndeterminedError (a budget that ran out) with exit code 3,
+    prints the result with its run manifest and exits with the result's
+    code."""
     def decorate(body):
         @functools.wraps(body)
         def run(fmt: str, manifest_path: Optional[str], **params):
             try:
                 human, payload, outcome, code = body(**params)
-            except (UndeterminedError, CompletionBudgetError) as e:
+            except UndeterminedError as e:
                 human, payload, outcome, code = undetermined(
-                    f"undetermined: {e}", getattr(e, "nodes", None))
+                    f"undetermined: {e}", e.nodes)
             manifest = _manifest().finish(outcome)
             click.echo(jsonio.dump({**payload, "manifest": manifest})
                        if fmt == "json" else human)

@@ -1,4 +1,13 @@
-"""Exception hierarchy shared across the library."""
+"""Exception hierarchy shared across the library.
+
+Every exception class of the library lives here, and this module holds the
+one budget policy.  A budget that runs out while the library works (search
+nodes, ball elements, rewrites, completion steps, visit ticks, machine
+steps) raises `UndeterminedError`: the answer is neither yes nor no, and
+the CLI exits 3.  A fixed cap checked against the request before any work
+(a generated family's radius, a clock prefix, a materialized word's length)
+raises `MalformedInputError`, and the CLI exits 2.
+"""
 
 from typing import Optional
 
@@ -8,15 +17,8 @@ class GroupShiftError(Exception):
 
 
 class MalformedInputError(GroupShiftError):
-    """A word, pattern or spec refers to symbols that do not exist."""
-
-
-class SolverBudgetError(GroupShiftError):
-    """A rewriting system failed to reach a normal form within budget."""
-
-
-class BallBudgetError(GroupShiftError):
-    """Ball construction exceeded the configured element cap."""
+    """A word, pattern or spec refers to symbols that do not exist, or a
+    request exceeds a fixed cap."""
 
 
 class UnsupportedGroupError(GroupShiftError):
@@ -27,12 +29,9 @@ class ComponentExhaustedError(GroupShiftError):
     """A component ran out of elements before the requested count."""
 
 
-class CompletionBudgetError(GroupShiftError):
-    """Completion membership undecided within budget (degenerate enumeration)."""
-
-
 class UndeterminedError(GroupShiftError):
-    """A bounded search ran out of budget; the verdict is neither Yes nor No.
+    """A budget ran out while the library worked; the verdict is neither
+    Yes nor No.
 
     `nodes` is the search-node count at which the budget ran out, when the
     search counts nodes (None otherwise).
@@ -41,6 +40,13 @@ class UndeterminedError(GroupShiftError):
     def __init__(self, message: str, nodes: Optional[int] = None):
         super().__init__(message)
         self.nodes = nodes
+
+
+class BallBudgetError(UndeterminedError):
+    """Ball construction exceeded the configured element cap.
+
+    Its own class so that a caller can fall back on a ball overrun without
+    swallowing a search's budget error."""
 
 
 class RetargetSoundnessError(GroupShiftError):

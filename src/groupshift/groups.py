@@ -21,7 +21,7 @@ import threading
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .errors import MalformedInputError, SolverBudgetError
+from .errors import MalformedInputError, UndeterminedError
 
 DEFAULT_REWRITE_BUDGET = 100_000
 MAX_WORD_LETTERS = 1_000_000
@@ -276,9 +276,6 @@ class Group:
 
     def inverse_element(self, a: Element) -> Element:
         return Element(self.key_inverse(a.key))
-
-    def is_identity_word(self, word: Iterable[int]) -> bool:
-        return self.key_of_letters(self.check_word(word)) == self.identity_key()
 
     def is_finite(self) -> bool:
         return False
@@ -727,14 +724,6 @@ class DirectProductGroup(_ProductBase):
     def geodesics_extend(self) -> bool:
         return any(f.geodesics_extend() for f in self.factors)
 
-    def format_element(self, e: Element) -> str:
-        parts = []
-        for fi, sub in enumerate(e.key):
-            w = self.factors[fi].key_letters(sub)
-            if w:
-                parts.append(self.format_word(self.embed_word(fi, w)))
-        return " ".join(parts) if parts else "e"
-
 
 class FreeProductGroup(_ProductBase):
     """Free product; canonical keys alternate non-identity factor syllables."""
@@ -901,7 +890,7 @@ class RewritingGroup(Group):
         word kept so far stays irreducible, so only its suffixes up to the
         longest left-hand side can match; a match pops the left-hand side and
         pushes the right-hand side back onto the input.  More than
-        DEFAULT_REWRITE_BUDGET rewrites raise SolverBudgetError.
+        DEFAULT_REWRITE_BUDGET rewrites raise UndeterminedError.
         """
         out = list(prefix)
         todo = list(letters)
@@ -924,7 +913,7 @@ class RewritingGroup(Group):
                     todo.extend(reversed(rhs))
                     budget -= 1
                     if budget < 0:
-                        raise SolverBudgetError(
+                        raise UndeterminedError(
                             "rewriting did not reach a normal form within budget")
                     break
         return tuple(out)
@@ -976,7 +965,7 @@ def _critical_pairs(rules: Sequence[tuple[Letters, Letters]]):
 
 def solve_word_problem(group: Group, word: Iterable[int]) -> bool:
     """Decide whether the word represents the identity element."""
-    return group.is_identity_word(word)
+    return group.key_of_letters(group.check_word(word)) == group.identity_key()
 
 
 def canonical_form(group: Group, word: Iterable[int]) -> Element:

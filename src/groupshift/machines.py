@@ -152,10 +152,13 @@ def fixed_moving_equivalent(spec: GMachineSpec, p: Pattern, steps: int) -> bool:
     groups a rewrite of the reversed normal form that can reach its whole
     length.  Each literal entry carries its symbol and the moving-tape cell
     it tracks, the cell labelled when the symbol was written under the
-    head.  At every step t it checks that the states
-    agree, that the literal tape read through those labels equals the moving
-    tape cell for cell, and that the literal origin holds the moving head's
-    cell.
+    head.  At every step t it checks that the states and the tape sizes
+    agree, that the literal origin holds the moving head's cell and the
+    symbol the moving head reads; when the run ends, that the literal tape
+    read through its labels equals the moving tape cell for cell.  That is
+    as strong as comparing whole tapes at every step: a cell is written only
+    under the head, right after it is read, so a wrong symbol is caught when
+    it is read again or, failing that, at the end.
     """
     if steps < 0:
         raise MalformedInputError(f"steps must be >= 0, got {steps}")
@@ -172,10 +175,10 @@ def fixed_moving_equivalent(spec: GMachineSpec, p: Pattern, steps: int) -> bool:
         sym, cell = literal.get(frame_origin, (spec.blank, None))
         if (literal_state != cfg.state or len(literal) != len(cfg.tape)
                 or cell != (cfg.head if cfg.head in cfg.tape else None)
-                or {c: v for v, c in literal.values()} != cfg.tape):
+                or sym != cfg.tape.get(cfg.head, spec.blank)):
             return False
         if cfg.steps >= steps:
-            return True
+            return {c: v for v, c in literal.values()} == cfg.tape
 
         # advance the independent literal semantics
         write, literal_state, move = spec.delta[(sym, literal_state)]

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
-from .errors import CompletionBudgetError, MalformedInputError
+from .errors import MalformedInputError, UndeterminedError
 from .cayley import enumerate_words
 from .groups import Element, Group, Letters
 
@@ -166,7 +166,7 @@ def decidable_completion_contains(
     L_n > |c|; accept if c's word set is exactly every word of length <= L_n
     (each once) and c extends c_n.  A finite enumeration that is exhausted
     without acceptance decides False; an unbounded provider that stalls below
-    |c| for `budget` steps raises CompletionBudgetError.
+    |c| for `budget` steps raises UndeterminedError.
     """
     target_len = coding_length(c)
     is_seq = not callable(enumeration)
@@ -179,7 +179,7 @@ def decidable_completion_contains(
             c_n = enumeration[n]
         else:
             if n >= budget:
-                raise CompletionBudgetError(
+                raise UndeterminedError(
                     f"completion undecided after {budget} enumeration steps")
             c_n = enumeration(n)
             if c_n is None:

@@ -11,8 +11,7 @@ materialized beyond explicitly requested prefixes).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional
 
 from .errors import MalformedInputError
@@ -286,29 +285,23 @@ class WrappedMachineSpec:
     states: tuple[str, ...]
     delta: Mapping[tuple[int, int, int], tuple[int, int, int]]
     n_max: int
+    _machine: GMachineSpec = field(init=False, repr=False, compare=False)
 
     @property
     def accepting(self) -> int:
         return len(self.states) - 1
 
-    @cached_property
-    def _machine(self) -> GMachineSpec:
-        """The walker over one tape of (read, work) cells, for `run_wrapped`."""
+    def __post_init__(self):
+        """Builds the walker over one tape of (read, work) cells, for
+        `run_wrapped`; GMachineSpec checks that delta is total and in range."""
         n_work = len(self.work_alphabet)
         delta = {(x * n_work + a, q): (x * n_work + b, r, s)
                  for (x, a, q), (b, r, s) in self.delta.items()}
         labels = tuple(str((x, a)) for x in self.read_alphabet.symbols
                        for a in self.work_alphabet.symbols)
-        return GMachineSpec(self.group, self.states, frozenset({self.accepting}),
-                            Alphabet(labels), _work_blank(self), delta)
-
-    def validate_total(self) -> None:
-        for x in range(len(self.read_alphabet)):
-            for a in range(len(self.work_alphabet)):
-                for q in range(len(self.states)):
-                    if (x, a, q) not in self.delta:
-                        raise MalformedInputError(
-                            f"wrapped delta misses ({x},{a},{q})")
+        object.__setattr__(self, "_machine", GMachineSpec(
+            self.group, self.states, frozenset({self.accepting}),
+            Alphabet(labels), _work_blank(self), delta))
 
 
 def build_wrapped_machine(group: Group, m_x: GMachineSpec,
@@ -432,10 +425,8 @@ def build_wrapped_machine(group: Group, m_x: GMachineSpec,
     new_states = tuple(states[old] for old in order_ids)
     new_delta = {(x, a, remap[q]): (b, remap[r], s)
                  for (x, a, q), (b, r, s) in delta.items()}
-    spec = WrappedMachineSpec(group, pattern_alphabet, work, new_states,
+    return WrappedMachineSpec(group, pattern_alphabet, work, new_states,
                               new_delta, n_max)
-    spec.validate_total()
-    return spec
 
 
 def run_wrapped(spec: WrappedMachineSpec, read: Pattern, budget: int

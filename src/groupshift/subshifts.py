@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from .errors import GroupShiftError, MalformedInputError, UndeterminedError
+from .errors import MalformedInputError, UndeterminedError
 from .cayley import ball, distance_from_identity
 from .constraints import CompiledWindow, Rest, compile_window, solve
 from .groups import Element, Group
@@ -39,10 +39,6 @@ from .patterns import Alphabet, Pattern
 
 DEFAULT_SEARCH_BUDGET = 500_000
 DEFAULT_RADIUS_CAP = 64
-
-
-class GeneratorBudgetError(GroupShiftError):
-    """A generated forbidden family was asked for an excessive radius."""
 
 
 class ForbiddenFamily:
@@ -112,7 +108,7 @@ class GeneratedFamily(ForbiddenFamily):
 
     def patterns_up_to(self, group: Group, radius: int) -> list[Pattern]:
         if radius > DEFAULT_RADIUS_CAP:
-            raise GeneratorBudgetError(
+            raise MalformedInputError(
                 f"family {self.name!r}: radius {radius} exceeds cap {DEFAULT_RADIUS_CAP}")
         key = (group, radius)
         with self._lock:
@@ -260,7 +256,9 @@ def union_window_admissible(
     radius: int,
     budget: int = DEFAULT_SEARCH_BUDGET,
 ) -> bool:
-    """Windowed proxy for union membership: extendable in either subshift."""
+    """Windowed proxy for union membership: extendable in either subshift.
+    A budget overrun on the first is raised only when the second is not
+    extendable either."""
     if x_spec.alphabet != y_spec.alphabet:
         raise MalformedInputError("union requires a common alphabet")
     first_undetermined: Optional[UndeterminedError] = None

@@ -1,5 +1,6 @@
 """End-to-end CLI coverage over the JSON interfaces."""
 
+import functools
 import json
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ import click
 import pytest
 from click.testing import CliRunner
 
+from groupshift import cayley, cli, groups, jsonio
 from groupshift.cli import main, run_main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -446,6 +448,45 @@ def test_undetermined_payloads_carry_nodes(runner, tmp_path):
     assert payload["manifest"]["outcome"] == "undetermined"
 
 
+def _assert_undetermined(res):
+    payload = json.loads(res.output)
+    assert res.exit_code == 3
+    assert payload["verdict"] == "undetermined" and payload["nodes"] is None
+    assert payload["manifest"]["outcome"] == "undetermined"
+
+
+def test_rewriting_budget_exits_3(runner, tmp_path, monkeypatch):
+    g = write(tmp_path, "z.json",
+              {"kind": "rewriting", "generators": ["a", "a^-1"], "rules": []})
+    monkeypatch.setattr(groups, "DEFAULT_REWRITE_BUDGET", 2)
+    res = runner.invoke(main, ["wp", "--group", g, "--word", "a a^-1 " * 10,
+                               "--format", "json"], standalone_mode=False)
+    _assert_undetermined(res)
+
+
+def test_ball_budget_exits_3(runner, tmp_path, monkeypatch):
+    # B_5 of F2 holds 485 elements: past a 100-element budget
+    monkeypatch.setattr(cli, "ball", functools.partial(cayley.ball, budget=100))
+    g = write(tmp_path, "f2.json", F2_GROUP)
+    res = runner.invoke(main, ["ball", "--group", g, "-n", "5", "--format", "json"],
+                        standalone_mode=False)
+    _assert_undetermined(res)
+
+
+def test_completion_budget_exits_3(runner, tmp_path, monkeypatch):
+    # a provider that stalls at |c_n| = |c| and never completes c
+    monkeypatch.setattr(jsonio, "enumeration_from_json",
+                        lambda group, obj: lambda n: jsonio.coding_from_json(group, obj[0]))
+    g = write(tmp_path, "g.json", Z_GROUP)
+    enum = write(tmp_path, "enum.json",
+                 [{"alphabet": ["0", "1"], "entries": [["a", "1"]]}])
+    query = write(tmp_path, "q.json", {"alphabet": ["0", "1"], "entries": [["a", "0"]]})
+    res = runner.invoke(main, ["completion", "--group", g, "--coding", query,
+                               "--enumeration", enum, "--budget", "5",
+                               "--format", "json"], standalone_mode=False)
+    _assert_undetermined(res)
+
+
 @pytest.mark.parametrize("argv", [
     pytest.param(["wp", "--group", "{bad}", "--word", "a"], id="invalid-json"),
     pytest.param(["wp", "--group", "{tmp}", "--word", "a"], id="unreadable-file"),
@@ -475,6 +516,8 @@ def test_undetermined_payloads_carry_nodes(runner, tmp_path):
                  id="machine-path"),
     pytest.param(["xtime", "prefix", "--group", "{z}", "-n", "-1"],
                  id="xtime-prefix"),
+    pytest.param(["subshift", "extend", "--spec", "{oneless}", "--pattern", "{p}",
+                  "--radius", "40"], id="generated-family-radius-cap"),
 ])
 def test_malformed_input_exits_2(tmp_path, monkeypatch, capsys, argv):
     (tmp_path / "bad.json").write_text('{"kind": ')
@@ -492,6 +535,9 @@ def test_malformed_input_exits_2(tmp_path, monkeypatch, capsys, argv):
         "c": write(tmp_path, "c.json", {"alphabet": ["0"], "entries": [["", "0"]]}),
         "n": write(tmp_path, "n.json", 5),
         "gamma": write(tmp_path, "gamma.json", {"a a": "a"}),
+        "oneless": write(tmp_path, "oneless.json", {
+            "alphabet": ["0", "1"], "group": Z_GROUP,
+            "forbidden": {"kind": "builtin", "name": "one_or_less", "k": 1}}),
     }
     monkeypatch.setattr(sys, "argv", ["groupshift"] + [a.format(**files) for a in argv])
     with pytest.raises(SystemExit) as exited:

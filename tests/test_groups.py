@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from groupshift import (
     MalformedInputError,
-    SolverBudgetError,
+    UndeterminedError,
     canonical_form,
     cyclic_group,
     free_group,
@@ -155,7 +155,7 @@ def test_rewriting_keys_match_oracle(name, data):
 def test_rewriting_budget(monkeypatch):
     g = RewritingGroup(["a", "a^-1"], [])
     monkeypatch.setattr(groups, "DEFAULT_REWRITE_BUDGET", 2)
-    with pytest.raises(SolverBudgetError):
+    with pytest.raises(UndeterminedError, match="rewriting did not reach a normal form"):
         g.canonical(g.parse_word("a a^-1 " * 10))
 
 
@@ -221,6 +221,22 @@ def test_canonical_words_round_trip(name, data):
     if name == "z_a_a2":   # Z through A -> 2, a -> 1
         assert Z_SUM(w) == Z_SUM(u)
         assert (e == g.element(v)) == (Z_SUM(u) == Z_SUM(v))
+
+
+@pytest.mark.parametrize("name", LAWS)
+@CHECKS
+@given(data=st.data())
+def test_format_element_round_trip(name, data):
+    """The display form (runs compressed to powers) parses back to the
+    element."""
+    g = LAWS[name]
+    e = g.element(data.draw(words(g)))
+    assert g.element(g.parse_word(g.format_element(e))) == e
+
+
+def test_direct_product_compresses_runs():
+    g = LAWS["c2xz"]
+    assert g.format_element(g.element(g.parse_word("a t1 a a"))) == "t1 a^3"
 
 
 @pytest.mark.parametrize("name", LAWS)

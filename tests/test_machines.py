@@ -175,6 +175,48 @@ def test_fixed_moving_equivalent_catches_frame_fault(kind):
     assert not fixed_moving_equivalent(blind, Pattern({}), 5)
 
 
+# a fault in one moving-run write: the symbol written, from (honest write,
+# symbol read)
+WRITE_FAULTS = {
+    "wrong-symbol": lambda write, read: (write + 1) % len(SIGMA),
+    "skipped-write": lambda write, read: read,
+}
+
+
+@pytest.mark.parametrize("fault", WRITE_FAULTS)
+@pytest.mark.parametrize("kind", KINDS)
+def test_fixed_moving_equivalent_catches_moving_fault(kind, fault, monkeypatch):
+    """One faulty write of the moving run is caught whenever it leaves the
+    tape other than the honest step would, whether or not the run reads the
+    cell again."""
+    from groupshift import machines
+    group = KINDS[kind]()
+    rng = random.Random(17)
+    p = Pattern({group.identity: 1})
+    honest = machines.step_moving
+    verdicts = set()
+    for _ in range(40):
+        m, at, changed = random_machine(group, rng), rng.randrange(30), []
+
+        def faulty(spec, cfg):
+            head, read, t = cfg.head, cfg.read(spec), cfg.steps
+            honest(spec, cfg)
+            if t == at:
+                write = cfg.tape.get(head, spec.blank)
+                bad = WRITE_FAULTS[fault](write, read)
+                cfg.tape.pop(head, None)
+                if bad != spec.blank:
+                    cfg.tape[head] = bad
+                changed.append(bad != write)
+            return cfg
+
+        monkeypatch.setattr(machines, "step_moving", faulty)
+        equivalent = fixed_moving_equivalent(m, p, 30)
+        assert changed and equivalent == (not changed[0])
+        verdicts.add(equivalent)
+    assert False in verdicts
+
+
 def test_retarget_identity_map(z):
     rng = random.Random(7)
     m = random_machine(z, rng)

@@ -7,11 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from groupshift import (
     Alphabet,
-    CompletionBudgetError,
     Consistent,
     Inconsistent,
     MalformedInputError,
     Pattern,
+    UndeterminedError,
     bs_group,
     check_consistency,
     coding,
@@ -181,5 +181,5 @@ def test_completion_budget_on_stalled_provider(z_enumeration):
 
     # same length as every c_n but never a completion: undecided, not rejected
     query = coding(BITS, [(group.parse_word("a"), 0)])
-    with pytest.raises(CompletionBudgetError):
+    with pytest.raises(UndeterminedError, match="completion undecided after 25"):
         decidable_completion_contains(group, provider, query, budget=25)

@@ -1,6 +1,7 @@
 """The clock stream, its product rules and the simulation bundle."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -184,7 +185,11 @@ def test_wrapped_machine_structure(z, inner):
     wm = build_wrapped_machine(z, inner, Alphabet(("0", "1")), n_max=1)
     assert wm.states[0].startswith("pair")
     assert wm.states[-1] == "ACCEPT"
-    wm.validate_total()
+    # the one-tape walker is built, and delta checked total, at construction
+    delta = dict(wm.delta)
+    del delta[next(iter(delta))]
+    with pytest.raises(MalformedInputError, match="delta not total"):
+        replace(wm, delta=delta)
 
 
 def test_wrapped_machine_accepts_and_rejects(z, inner):

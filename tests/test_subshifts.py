@@ -385,9 +385,8 @@ def test_generated_family_monotone(z2):
 
 
 def test_generator_radius_budget(z2):
-    from groupshift.subshifts import GeneratorBudgetError
     spec = builtin_one_or_less(z2, 1)
-    with pytest.raises(GeneratorBudgetError):
+    with pytest.raises(MalformedInputError, match="radius 1000 exceeds cap 64"):
         spec.forbidden.patterns_up_to(z2, 1000)
 
 

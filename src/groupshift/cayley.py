@@ -75,10 +75,12 @@ class BallTable:
     def element(self, v) -> Element:
         return self.elements[v] if type(v) is int else v
 
-    def grow(self, n: int, budget: int) -> None:
-        """Extend the table shell by shell to radius n.  A shell is committed
-        only once complete: BallBudgetError leaves the table as it was."""
+    def grow(self, n: int) -> None:
+        """Extend the table shell by shell to radius n, holding at most
+        DEFAULT_BALL_BUDGET elements.  A shell is committed only once
+        complete: BallBudgetError leaves the table as it was."""
         group, elements, index, nbr = self.group, self.elements, self.index, self.nbr
+        budget = DEFAULT_BALL_BUDGET
         inverse_col, k = self.inverse_col, len(self.inverse_col)
         while not self.full and self.radius < n:
             lo, hi = self.starts[-2], self.starts[-1]
@@ -263,29 +265,30 @@ class CayleyBall:
         return "\n".join(lines)
 
 
-def ball(group: Group, n: int, budget: int = DEFAULT_BALL_BUDGET) -> CayleyBall:
-    """Breadth-first canonicalization of B_n; deterministic and cached."""
+def ball(group: Group, n: int) -> CayleyBall:
+    """Breadth-first canonicalization of B_n; deterministic and cached.  The
+    group's table holds at most DEFAULT_BALL_BUDGET elements."""
     if n < 0:
         raise MalformedInputError("radius must be >= 0")
     with group._ball_lock:
         table = group._ball_table
         if table is None:
             table = group._ball_table = BallTable(group)
-        table.grow(n, budget)
+        table.grow(n)
         view = table.views.get(n)
         if view is None:
             view = table.views[n] = CayleyBall(group, n, table)
         return view
 
 
-def distance_from_identity(group: Group, e: Element, budget: int = DEFAULT_BALL_BUDGET) -> int:
+def distance_from_identity(group: Group, e: Element) -> int:
     """|g| via the geodesic normal form, or the shell of g in the ball table
     (grown until it holds g) for non-geodesic kinds."""
     if group.geodesic_normal_form():
         return group.length_of(e)
     table = ball(group, 0).table
     while e not in table.index:
-        ball(group, table.radius + 1, budget=budget)
+        ball(group, table.radius + 1)
     return table.shell(table.index[e])
 
 
@@ -316,17 +319,15 @@ def enumerate_words(group: Group, max_len: int) -> Iterator[Letters]:
             yield tup
 
 
-def disjoint_ball_sequences(
-    group: Group, n: int, budget: int = DEFAULT_BALL_BUDGET
-) -> tuple[list[Element], list[Element]]:
+def disjoint_ball_sequences(group: Group, n: int) -> tuple[list[Element], list[Element]]:
     """Greedy lexicographic marking of pairwise disjoint translated balls.
 
     Returns (g_0..g_n, h_0..h_n) such that {1}, g_k B_k, h_k B_k are pairwise
     disjoint: g_k, then h_k, is the first candidate whose ball is unmarked.
     Candidates are the ball table's elements in index order (the order of
     their first words in length-lex order) up to shell 1 + 2n(n+2) - k, and
-    a candidate's ball is walked only up to its first marked shell.  `budget`
-    caps the table, grown a shell at a time as far as the candidates reach.
+    a candidate's ball is walked only up to its first marked shell.  The
+    table is grown a shell at a time as far as the candidates reach.
     """
     if group.is_finite():
         raise UnsupportedGroupError("disjoint ball sequences need an infinite group")
@@ -347,7 +348,7 @@ def disjoint_ball_sequences(
                         "of disjoint balls")
                 if table.radius >= cap - k:
                     break
-                table.grow(table.radius + 1, budget)
+                table.grow(table.radius + 1)
                 # cells marked outside the table may be inside it now
                 marked = {v if type(v) is int else table.node(v) for v in marked}
                 continue
@@ -367,30 +368,23 @@ def disjoint_ball_sequences(
     return found[0::2], found[1::2]
 
 
-def component_sequence(
-    group: Group,
-    n_cut: int,
-    seed,
-    count: int,
-    budget: int = DEFAULT_BALL_BUDGET,
-) -> list[Element]:
+def component_sequence(group: Group, n_cut: int, seed, count: int) -> list[Element]:
     """count+1 distinct elements of the component of B_M \\ B_{n_cut} holding seed.
 
     The lexicographic suffix scan: candidates are seed*w for the words w of
     length <= n_cut + count in length-lex order, i.e. the BFS shells of a
     table walk from the seed, kept while they lie in the seed's component of
-    the punctured ball.  `budget` caps the table, grown to M = n_cut + count
-    + |seed|, with |seed| the distance from the identity however the seed
-    is spelled.
+    the punctured ball.  The table is grown to M = n_cut + count + |seed|,
+    with |seed| the distance from the identity however the seed is spelled.
     """
     seed_el = seed if isinstance(seed, Element) else group.element(seed)
     if count < 0:
         raise MalformedInputError("count must be >= 0")
-    seed_len = distance_from_identity(group, seed_el, budget=budget)
+    seed_len = distance_from_identity(group, seed_el)
     if seed_len <= n_cut:
         raise MalformedInputError("seed must lie outside the cut ball")
     m = n_cut + count + seed_len
-    table = ball(group, m, budget=budget).table
+    table = ball(group, m).table
     with table.lock:
         start = table.index[seed_el]
         outside = set(range(table.size(n_cut), table.size(m)))

@@ -2,11 +2,12 @@
 from classical oracle machines to group-walking machines.
 
 The path machine's six transition rules are transcribed literally into a
-total table, plus a second table for depth-gated runs; both run through
-`step_moving`.  The visit machine and the oracle simulator are layered
-interpreters whose supervision rules (collision resets, restarts) live
-outside the per-layer tables, since they depend on head positions and global
-tape state that no finite (Sigma^n, Q^n) table can see.
+total table, plus a second table for depth-gated runs.  One `PathRun`, with
+an optional depth gate, steps through either table only by `step_moving`.
+The visit machine and the oracle simulator are layered interpreters whose
+supervision rules (collision resets, restarts) live outside the per-layer
+tables, since they depend on head positions and global tape state that no
+finite (Sigma^n, Q^n) table can see.
 """
 
 from __future__ import annotations
@@ -148,70 +149,77 @@ def build_m_path(group: Group) -> GMachineSpec:
 class PathRun(MachineConfig):
     """Instrumented path-machine run with per-step simple-path invariants.
 
-    Each step tracks the marked path incrementally, then advances the run's
-    `MachineConfig` by `step_moving`: every mark must extend the tip by one
-    Cayley edge into an unmarked cell, every erase must remove exactly the
-    tip.  `check_full` re-walks the arrival links from the tip to the root
-    as the deep (non-incremental) verification.
+    Each step advances the run's `MachineConfig` by `step_moving` and reads
+    its mark or erase off the cell the head left: every mark must extend the
+    tip by one Cayley edge into an unmarked cell, every erase must remove
+    exactly the tip.  `check_full` re-walks the arrival links from the tip to
+    the root as the deep (non-incremental) verification.
+
+    With a `depth_limit`, paths are restricted to at most that many edges:
+    past it the run steps by the machine's `gated_spec`, whose rule 2
+    bounces off a fresh cell as rule 4 does off an occupied one, and entering
+    the dead state sets `completed` instead of raising GroupExhaustedError.
     """
 
-    def __init__(self, machine: PathMachine, check: bool = True):
+    def __init__(self, machine: PathMachine, check: bool = True,
+                 depth_limit: Optional[int] = None):
         super().__init__({}, machine.group.identity, _STATE_INIT)
         self.m = machine
         self.group = machine.group
         self.check = check
+        self.depth_limit = depth_limit
+        self.completed = False
         self.path: list[Element] = []
         self.path_set: set[Element] = set()
         self.arrival: list[int] = []  # letter used to reach path[i] from path[i-1]
         self.max_path_len = 0
 
-    def _table(self) -> GMachineSpec:
-        return self.m.spec
-
     def step(self) -> Optional[tuple[str, Element]]:
         """Advance one step; returns a ('mark'|'erase', cell) event or None."""
-        m = self.m
-        spec = self._table()
-        sym = self.tape.get(self.head, m.blank)
-        write, state, _ = spec.delta[(sym, self.state)]
-        if state == m.dead_state:
-            raise GroupExhaustedError(
-                "every direction from the root is exhausted")
-        event: Optional[tuple[str, Element]] = None
-        was_marked, now_marked = m.c2_of[sym], m.c2_of[write]
-        cell = self.head
+        m, cell, state = self.m, self.head, self.state
+        was_marked = m.c2_of[self.tape.get(cell, m.blank)]
+        gated = self.depth_limit is not None and len(self.path) > self.depth_limit
+        step_moving(m.gated_spec if gated else m.spec, self)
+        if self.state == m.dead_state:
+            if self.depth_limit is None:
+                raise GroupExhaustedError(
+                    "every direction from the root is exhausted")
+            self.completed = True
+            return None
+        now_marked = m.c2_of[self.tape.get(cell, m.blank)]
         if self.check:
-            self._check_transition(sym, was_marked, now_marked)
-        if was_marked == _C2_BLANK and now_marked == _C2_MARK:
+            self._check_transition(cell, state, was_marked, now_marked)
+        if was_marked == now_marked:
+            return None
+        if now_marked == _C2_MARK:
             self.path.append(cell)
             self.path_set.add(cell)
-            self.arrival.append(0 if self.state == _STATE_INIT
-                                else m.dirs[(self.state - 2) // 2])
+            self.arrival.append(0 if state == _STATE_INIT
+                                else m.dirs[(state - 2) // 2])
             self.max_path_len = max(self.max_path_len, len(self.path))
-            event = ("mark", cell)
-        elif was_marked == _C2_MARK and now_marked == _C2_BLANK:
-            self.path.pop()
-            self.path_set.discard(cell)
-            self.arrival.pop()
-            event = ("erase", cell)
-        step_moving(spec, self)
-        return event
+            return ("mark", cell)
+        self.path.pop()
+        self.path_set.discard(cell)
+        self.arrival.pop()
+        return ("erase", cell)
 
-    def _check_transition(self, sym: int, was_marked: int, now_marked: int) -> None:
+    def _check_transition(self, cell: Element, state: int, was_marked: int,
+                          now_marked: int) -> None:
+        """The step from `state` at `cell` against the path before it."""
         m, group = self.m, self.group
         if was_marked == _C2_BLANK and now_marked == _C2_MARK:
-            if self.head in self.path_set:
+            if cell in self.path_set:
                 raise AssertionError("marking an already-marked cell")
-            if self.state == _STATE_INIT:
-                if self.path or self.head != group.identity:
+            if state == _STATE_INIT:
+                if self.path or cell != group.identity:
                     raise AssertionError("init mark away from the root")
             else:
-                i = (self.state - 2) // 2
+                i = (state - 2) // 2
                 expected = group.multiply_letter(self.path[-1], m.dirs[i])
-                if expected != self.head:
+                if expected != cell:
                     raise AssertionError("mark does not extend the tip by one edge")
         elif was_marked == _C2_MARK and now_marked == _C2_BLANK:
-            if not self.path or self.path[-1] != self.head:
+            if not self.path or self.path[-1] != cell:
                 raise AssertionError("erase not at the tip")
             if len(self.path) == 1:
                 raise AssertionError("erasing the root")
@@ -251,31 +259,6 @@ class PathRun(MachineConfig):
         return tuple(self.arrival[1:])
 
 
-class GatedPathRun(PathRun):
-    """A path run restricted to paths of length <= depth_limit.
-
-    Once the path has depth_limit edges it steps by the machine's
-    `gated_spec`, whose rule 2 bounces off a fresh cell as rule 4 does off an
-    occupied one.  Reaching the exhausted-root transition reports completion
-    instead of raising.
-    """
-
-    def __init__(self, machine: PathMachine, depth_limit: int, check: bool = True):
-        super().__init__(machine, check=check)
-        self.depth_limit = depth_limit
-        self.completed = False
-
-    def _table(self) -> GMachineSpec:
-        return self.m.gated_spec if len(self.path) > self.depth_limit else self.m.spec
-
-    def step(self) -> Optional[tuple[str, Element]]:
-        try:
-            return super().step()
-        except GroupExhaustedError:
-            self.completed = True
-            return None
-
-
 @dataclass
 class VisitEvent:
     kind: str                    # "visit" | "increment" | "reset"
@@ -300,7 +283,7 @@ class VisitMachine:
         self.counter_tape: dict[Element, int] = {}
         self.n = 1
         self._counter_pending = True
-        self.layer3 = GatedPathRun(self.machine, self.n, check=check)
+        self.layer3 = PathRun(self.machine, check, self.n)
         self.events: list[VisitEvent] = []
         self.check = check
         self.ticks = 0
@@ -329,7 +312,7 @@ class VisitMachine:
         self.n = 1
         self.counter_tape = {}
         self._counter_pending = True
-        self.layer3 = GatedPathRun(self.machine, self.n, check=self.check)
+        self.layer3 = PathRun(self.machine, self.check, self.n)
 
     # -- stepping ------------------------------------------------------------
 
@@ -352,7 +335,7 @@ class VisitMachine:
         if self.layer3.completed:
             self.n += 1
             self._counter_pending = not self._write_counter()
-            self.layer3 = GatedPathRun(self.machine, self.n, check=self.check)
+            self.layer3 = PathRun(self.machine, self.check, self.n)
             self.events.append(VisitEvent("increment", self.n))
         self.ticks += 1
 

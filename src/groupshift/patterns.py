@@ -106,7 +106,9 @@ class Inconsistent:
 def check_consistency(group: Group, c: PatternCoding) -> Union[Consistent, Inconsistent]:
     """Group words by canonical form; a symbol clash yields the first witness.
 
-    The witness is the shortlex-least conflicting pair (u, v), u before v.
+    Within an element's entries, u is the shortlex-least word and v the
+    shortlex-least word whose symbol differs from u's (ties in insertion
+    order); the witness is the shortlex-least such pair over all elements.
     """
     by_element: dict[Element, list[tuple[Letters, int]]] = {}
     for word, sym in c.entries:
@@ -116,21 +118,18 @@ def check_consistency(group: Group, c: PatternCoding) -> Union[Consistent, Incon
     for entries in by_element.values():
         if len({s for _, s in entries}) <= 1:
             continue
-        seq = sorted(entries, key=lambda ws: (len(ws[0]), ws[0]))
-        pair = None
-        for i in range(len(seq)):
-            for j in range(i + 1, len(seq)):
-                if seq[i][1] != seq[j][1]:
-                    pair = (seq[i][0], seq[j][0])
-                    break
-            if pair:
-                break
-        if pair and (best is None or _pair_key(pair) < _pair_key(best)):
-            best = pair
+        u, sym = min(entries, key=_entry_key)
+        v, _ = min((ws for ws in entries if ws[1] != sym), key=_entry_key)
+        if best is None or _pair_key((u, v)) < _pair_key(best):
+            best = (u, v)
     if best is not None:
         return Inconsistent(best)
     assignment = {e: entries[0][1] for e, entries in by_element.items()}
     return Consistent(Pattern(assignment))
+
+
+def _entry_key(entry: tuple[Letters, int]):
+    return (len(entry[0]), entry[0])
 
 
 def _pair_key(pair: tuple[Letters, Letters]):
@@ -164,32 +163,26 @@ def decidable_completion_contains(
 
     For n = 0, 1, ... with L_n = max_{k<=n} |c_k|: reject as soon as
     L_n > |c|; accept if c's word set is exactly every word of length <= L_n
-    (each once) and c extends c_n.  A finite enumeration that is exhausted
-    without acceptance decides False; an unbounded provider that stalls below
-    |c| for `budget` steps raises UndeterminedError.
+    (each once) and c extends c_n.  A sequence is read as the provider
+    n -> enumeration[n], None past its end; a provider that returns None
+    without acceptance decides False, and one that stalls below |c| for
+    `budget` steps raises UndeterminedError.
     """
+    if not callable(enumeration):
+        seq = enumeration
+        enumeration = lambda n: seq[n] if n < len(seq) else None
     target_len = coding_length(c)
-    is_seq = not callable(enumeration)
     l_n = 0
-    n = 0
-    while True:
-        if is_seq:
-            if n >= len(enumeration):
-                return False
-            c_n = enumeration[n]
-        else:
-            if n >= budget:
-                raise UndeterminedError(
-                    f"completion undecided after {budget} enumeration steps")
-            c_n = enumeration(n)
-            if c_n is None:
-                return False
+    for n in range(budget):
+        c_n = enumeration(n)
+        if c_n is None:
+            return False
         l_n = max(l_n, coding_length(c_n))
         if l_n > target_len:
             return False
         if _in_completion_set(group, c, c_n, l_n):
             return True
-        n += 1
+    raise UndeterminedError(f"completion undecided after {budget} enumeration steps")
 
 
 def _in_completion_set(group: Group, c: PatternCoding, c_n: PatternCoding, l_n: int) -> bool:

@@ -17,6 +17,7 @@ from groupshift import (
     RewritingGroup,
     ball,
     bs_group,
+    cayley,
     cyclic_group,
     direct_product,
     free_abelian_group,
@@ -174,12 +175,10 @@ def test_budget_capped_margin_matches_oracle(monkeypatch):
     budget-capped table the walk continues beyond it by key arithmetic."""
     group = free_group(2)
     ball(group, 4)
+    monkeypatch.setattr(cayley, "DEFAULT_BALL_BUDGET", 300)
     with pytest.raises(BallBudgetError):
-        ball(group, 5, budget=300)
+        ball(group, 5)
     table = ball(group, 4).table
-    real_grow = BallTable.grow
-    monkeypatch.setattr(BallTable, "grow",
-                        lambda self, n, budget: real_grow(self, n, min(budget, 300)))
     got = greedy_delone_configuration(group, 1, 4)
     assert table.radius == 4
     assert got.assignment == oracle_greedy_delone(group, 1, 4).assignment
@@ -201,13 +200,14 @@ def test_geodesic_leaving_the_window_needs_the_margin(monkeypatch):
     assert greedy_delone_configuration(bs_group(2), 1, 4).assignment != want
 
 
-def test_budget_error_leaves_the_cache_whole():
+def test_budget_error_leaves_the_cache_whole(monkeypatch):
     """A BallBudgetError used to leave its partial shell in the cache, and a
     later call took the empty frontier for a finite group."""
     f2 = free_group(2)
     ball(f2, 3)
-    with pytest.raises(BallBudgetError):
-        ball(f2, 6, budget=500)
+    with monkeypatch.context() as m, pytest.raises(BallBudgetError):
+        m.setattr(cayley, "DEFAULT_BALL_BUDGET", 500)
+        ball(f2, 6)
     assert len(ball(f2, 6)) == 1457
     check_table(ball(f2, 6).table)
 

@@ -11,6 +11,7 @@ from groupshift import (
     RewritingGroup,
     UnsupportedGroupError,
     ball,
+    cayley,
     component_sequence,
     cyclic_group,
     disjoint_ball_sequences,
@@ -81,9 +82,10 @@ def test_ball_zero_and_closure(f2):
                 assert f2.multiply_letter(e, s) in b2
 
 
-def test_ball_budget(f2):
+def test_ball_budget(f2, monkeypatch):
+    monkeypatch.setattr(cayley, "DEFAULT_BALL_BUDGET", 100)
     with pytest.raises(BallBudgetError):
-        ball(f2, 9, budget=100)
+        ball(f2, 9)
 
 
 def test_ball_edges_consistent(z2):
@@ -253,14 +255,15 @@ def test_component_sequence_matches_word_scan(kind):
             oracle_component_sequence(group, cut, seed, count)
 
 
-def test_scans_run_out_of_budget_on_cold_group():
+def test_scans_run_out_of_budget_on_cold_group(monkeypatch):
     """A shell that exceeds the budget raises and is rolled back: the table
     keeps B_1 of F2 (5 elements), and still grows correctly afterwards."""
-    scans = [lambda g: disjoint_ball_sequences(g, 2, budget=10),
-             lambda g: component_sequence(g, 0, g.parse_word("a"), 2, budget=10)]
+    scans = [lambda g: disjoint_ball_sequences(g, 2),
+             lambda g: component_sequence(g, 0, g.parse_word("a"), 2)]
     for scan in scans:
         f2 = KINDS["f2"]()
-        with pytest.raises(BallBudgetError):
+        with monkeypatch.context() as m, pytest.raises(BallBudgetError):
+            m.setattr(cayley, "DEFAULT_BALL_BUDGET", 10)
             scan(f2)
         table = ball(f2, 0).table
         assert (table.radius, len(table.elements)) == (1, 5)

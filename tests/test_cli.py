@@ -1,6 +1,5 @@
 """End-to-end CLI coverage over the JSON interfaces."""
 
-import functools
 import json
 import sys
 from pathlib import Path
@@ -9,7 +8,7 @@ import click
 import pytest
 from click.testing import CliRunner
 
-from groupshift import cayley, cli, groups, jsonio
+from groupshift import cayley, groups, jsonio
 from groupshift.cli import main, run_main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -466,7 +465,7 @@ def test_rewriting_budget_exits_3(runner, tmp_path, monkeypatch):
 
 def test_ball_budget_exits_3(runner, tmp_path, monkeypatch):
     # B_5 of F2 holds 485 elements: past a 100-element budget
-    monkeypatch.setattr(cli, "ball", functools.partial(cayley.ball, budget=100))
+    monkeypatch.setattr(cayley, "DEFAULT_BALL_BUDGET", 100)
     g = write(tmp_path, "f2.json", F2_GROUP)
     res = runner.invoke(main, ["ball", "--group", g, "-n", "5", "--format", "json"],
                         standalone_mode=False)
@@ -483,6 +482,20 @@ def test_completion_budget_exits_3(runner, tmp_path, monkeypatch):
     query = write(tmp_path, "q.json", {"alphabet": ["0", "1"], "entries": [["a", "0"]]})
     res = runner.invoke(main, ["completion", "--group", g, "--coding", query,
                                "--enumeration", enum, "--budget", "5",
+                               "--format", "json"], standalone_mode=False)
+    _assert_undetermined(res)
+
+
+def test_completion_list_budget_exits_3(runner, tmp_path):
+    # the test_completion inputs decide true after one enumeration step
+    g = write(tmp_path, "g.json", Z_GROUP)
+    enum = write(tmp_path, "enum.json",
+                 [{"alphabet": ["0", "1"], "entries": [["a", "1"]]}])
+    query = write(tmp_path, "q.json",
+                  {"alphabet": ["0", "1"],
+                   "entries": [["", "0"], ["a", "1"], ["a^-1", "0"]]})
+    res = runner.invoke(main, ["completion", "--group", g, "--coding", query,
+                               "--enumeration", enum, "--budget", "0",
                                "--format", "json"], standalone_mode=False)
     _assert_undetermined(res)
 

@@ -20,7 +20,9 @@ from groupshift import (
     direct_product,
 )
 from groupshift.groups import FreeAbelianGroup
-from groupshift.pathwalk import GatedPathRun, _STATE_BACK
+from groupshift.pathwalk import _STATE_BACK
+
+from .conftest import KINDS
 
 BITS = Alphabet(("0", "1"))
 
@@ -75,10 +77,39 @@ def test_path_bounces_on_torsion():
     assert len(run.path) == len(set(run.path))
 
 
+@pytest.mark.parametrize("kind", ["z", "z2", "f2", "bs12", "z_a_a2", "c2xz", "c2*c3"])
+def test_depth_limit_above_the_steps_changes_nothing(kind):
+    """A depth gate the path cannot reach in k steps leaves the run as the
+    ungated one: the same events, tape, head, state and step count."""
+    k = 400
+    machine = PathMachine(KINDS[kind]())
+    free, gated = PathRun(machine), PathRun(machine, depth_limit=k + 1)
+    for _ in range(k):
+        assert free.step() == gated.step()
+        assert (free.tape, free.head, free.state, free.steps) == \
+            (gated.tape, gated.head, gated.state, gated.steps)
+    assert not gated.completed
+    free.check_full()
+
+
+def test_step_checks_the_transition(z):
+    """The per-step invariants run on the step `step_moving` took: a cell
+    already recorded on the path cannot be marked again."""
+    for check in (True, False):
+        run = PathRun(PathMachine(z), check=check)
+        run.step()                    # marks the root, heads out to a
+        run.path_set.add(run.head)
+        if check:
+            with pytest.raises(AssertionError, match="already-marked"):
+                run.step()
+        else:
+            assert run.step() == ("mark", run.head)
+
+
 def test_gated_run_erases_dead_ends(f2):
     """Depth gating forces every branch into a dead end, firing the
     erase-and-step-back rule."""
-    run = GatedPathRun(PathMachine(f2), 1)
+    run = PathRun(PathMachine(f2), depth_limit=1)
     erased = 0
     for _ in range(10_000):
         ev = run.step()
@@ -100,7 +131,7 @@ def test_path_group_exhausted_error():
                          [("f2", 1), ("f2", 2), ("z2", 3), ("bs12", 2)])
 def test_gated_run_completes_ball(group_name, depth, request):
     group = request.getfixturevalue(group_name)
-    run = GatedPathRun(PathMachine(group), depth)
+    run = PathRun(PathMachine(group), depth_limit=depth)
     marks = set()
     for _ in range(10_000):
         ev = run.step()

@@ -15,22 +15,25 @@ placement is therefore watched by that cell alone (Chaff's watched
 literals, Moskewicz et al., DAC 2001, with the watch fixed by the search
 order): it is filed there under its allowed set at that cell and stored
 as the (cell, allowed) pairs of its other cells, and it is checked only
-when the search puts an allowed symbol on its watch.  Placements whose
-last cell is fixed are re-filed under their last free cell when a search
-starts.  A constraint with no cells fires in every window.
+when the search puts an allowed symbol on its watch.  Identical
+placements are filed once.  When a search starts, the placements whose
+last cell is fixed, and any the caller adds, are filed under their last
+free cell.  A constraint with no cells fires in every window.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence
 
 from .errors import UndeterminedError
 
-# the (cell index, allowed symbol indices) pairs of a placement, minus its watch
-Rest = tuple[tuple[int, frozenset[int]], ...]
-# the placements sharing a watch cell and their allowed set there
-Bucket = tuple[frozenset[int], tuple[Rest, ...]]
+# the (cell index, allowed symbol indices) pairs of a placement; its rest is
+# the same minus its watch
+Placement = tuple[tuple[int, frozenset[int]], ...]
+# the rests of the placements sharing a watch cell and their allowed set there
+Bucket = tuple[frozenset[int], tuple[Placement, ...]]
 Constraint = Sequence[tuple[Hashable, frozenset[int]]]
 
 
@@ -50,11 +53,11 @@ def compile_window(cells: Sequence[Hashable], constraints: Iterable[Constraint],
     """
     index = {c: j for j, c in enumerate(cells)}
     moved: dict[Hashable, list[int]] = {}
-    # one shared object per distinct (cell, allowed) pair and per distinct rest
+    # one shared object per distinct (cell, allowed) pair
     pairs: dict[tuple[int, frozenset[int]], tuple[int, frozenset[int]]] = {}
-    rests: dict[Rest, Rest] = {}
-    # per cell: the rests of the placements it is last in, by its allowed set
-    filed: list[dict[frozenset[int], list[Rest]]] = [{} for _ in cells]
+    # per cell: the distinct rests of the placements it is last in, by its
+    # allowed set, in filing order (a repeated rest keeps its first object)
+    filed: list[dict[frozenset[int], dict[Placement, None]]] = [{} for _ in cells]
     always = False
     for con in constraints:
         if not con:
@@ -73,14 +76,13 @@ def compile_window(cells: Sequence[Hashable], constraints: Iterable[Constraint],
             last = js.index(max(js))
             rest = tuple(pairs.setdefault(p, p)
                          for k, p in enumerate(zip(js, allowed)) if k != last)
-            filed[js[last]].setdefault(allowed[last], []).append(
-                rests.setdefault(rest, rest))
+            filed[js[last]].setdefault(allowed[last], {})[rest] = None
     watch = tuple(tuple((a, tuple(bucket)) for a, bucket in row.items())
                   for row in filed)
     return CompiledWindow(tuple(cells), index, watch, always)
 
 
-def _fires(val: list[int], rests: tuple[Rest, ...]) -> bool:
+def _fires(val: list[int], rests: tuple[Placement, ...]) -> bool:
     for rest in rests:
         for j, a in rest:
             if val[j] not in a:
@@ -92,11 +94,13 @@ def _fires(val: list[int], rests: tuple[Rest, ...]) -> bool:
 
 def solve(window: CompiledWindow, fixed: Mapping[int, int], n_symbols: int,
           budget: int,
-          accept: Optional[Callable[[list[int]], bool]] = None) -> Optional[list[int]]:
+          accept: Optional[Callable[[list[int]], bool]] = None,
+          placements: Iterable[Placement] = ()) -> Optional[list[int]]:
     """Backtrack over the free cells in window order, symbols 0..n_symbols-1.
 
     Returns the first total assignment (one symbol index per cell) that no
-    placement fires on and `accept`, if given, takes; None if there is none.
+    placement, of the window's or of `placements`, fires on and `accept`, if
+    given, takes; None if there is none.
     One node is counted per (cell, symbol) tried; once the count exceeds
     `budget` an UndeterminedError carrying the count is raised.
     """
@@ -105,19 +109,20 @@ def solve(window: CompiledWindow, fixed: Mapping[int, int], n_symbols: int,
     val = [-1] * len(window.cells)
     for j, s in fixed.items():
         val[j] = s
-    # placements whose last cell is fixed: check the fully fixed ones now and
-    # watch the rest from their last free cell
-    late: dict[int, dict[frozenset[int], list[Rest]]] = {}
-    for f, s in fixed.items():
-        for rest in (r for a, bucket in window.watch[f] if s in a for r in bucket):
-            free = [k for k, (j, _) in enumerate(rest) if j not in fixed]
-            if not free:
-                if _fires(val, (rest,)):
-                    return None
-                continue
-            k = max(free, key=lambda k: rest[k][0])
-            j, a = rest[k]
-            late.setdefault(j, {}).setdefault(a, []).append(rest[:k] + rest[k + 1:])
+    # the caller's placements and those whose last cell is fixed: check the
+    # fully fixed ones now and watch the rest from their last free cell
+    late: dict[int, dict[frozenset[int], list[Placement]]] = {}
+    for rest in itertools.chain(
+            (r for f, s in fixed.items() for a, bucket in window.watch[f]
+             if s in a for r in bucket), placements):
+        free = [k for k, (j, _) in enumerate(rest) if j not in fixed]
+        if not free:
+            if _fires(val, (rest,)):
+                return None
+            continue
+        k = max(free, key=lambda k: rest[k][0])
+        j, a = rest[k]
+        late.setdefault(j, {}).setdefault(a, []).append(rest[:k] + rest[k + 1:])
     watch = list(window.watch)
     for j, row in late.items():
         watch[j] += tuple((a, tuple(bucket)) for a, bucket in row.items())

@@ -113,6 +113,14 @@ class DominoConstraint:
         return all(symbol[ci] in allowed for ci, allowed in self.cells[i])
 
 
+def cell_requirement(alphabet: ComponentAlphabet,
+                     labels: Mapping[str, Iterable[str]]) -> CellReq:
+    """A {component name: [value labels]} requirement as value indices."""
+    return tuple((alphabet.index(name),
+                  frozenset(alphabet.value_index(name, label) for label in vals))
+                 for name, vals in labels.items())
+
+
 def _req(alphabet: ComponentAlphabet, **by_name: object) -> CellReq:
     out = []
     for name, allowed in by_name.items():
@@ -234,11 +242,7 @@ def compile_domino(group: Group, machine: GMachineSpec,
         for support_spec, reqs in a1_mode.constraints:
             support = tuple(GOffset(group.element(group.parse_word(w)), dz)
                             for w, dz in support_spec)
-            cells = tuple(
-                _req(alphabet, **{name: frozenset(
-                    alphabet.value_index(name, label) for label in labels)
-                    for name, labels in req.items()})
-                for req in reqs)
+            cells = tuple(cell_requirement(alphabet, req) for req in reqs)
             cons.append(DominoConstraint(support, cells, "A1"))
     # X_aux: a star propagates along every generator within its level
     for s in group.nonidentity_ids:

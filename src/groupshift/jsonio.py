@@ -2,7 +2,9 @@
 emitted constraint systems, plus the reproducible run manifest.
 
 Every `*_from_json` decoder raises MalformedInputError when its input lacks
-a key or holds a value of the wrong type or shape.
+a key, holds a value of the wrong type or shape, or names one thing twice:
+a pattern giving one element two symbols, or a machine with two rules for
+one (read, state).
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .domino import (
     GOffset,
     HOffset,
     UserSftCover,
+    cell_requirement,
 )
 from .families import (
     builtin_amenable_witness,
@@ -40,7 +43,7 @@ from .groups import (
     RewritingGroup,
 )
 from .machines import GMachineSpec
-from .patterns import Alphabet, Pattern, PatternCoding, coding
+from .patterns import Alphabet, Pattern, PatternCoding, coding, pattern_of
 from .subshifts import FiniteFamily, SubshiftSpec
 
 VERSION = "0.1.0"
@@ -114,11 +117,12 @@ def group_to_json(group: Group) -> dict:
 
 @_decoder
 def coding_from_json(group: Group, obj: Mapping[str, Any]) -> PatternCoding:
-    alphabet = Alphabet(tuple(obj["alphabet"]))
-    entries = []
-    for w, label in obj["entries"]:
-        entries.append((group.parse_word(w), alphabet.index(str(label))))
-    return coding(alphabet, entries)
+    return _coding(group, obj["entries"], Alphabet(tuple(obj["alphabet"])))
+
+
+def _coding(group: Group, entries, alphabet: Alphabet) -> PatternCoding:
+    return coding(alphabet, [(group.parse_word(w), alphabet.index(str(label)))
+                             for w, label in entries])
 
 
 @_decoder
@@ -139,10 +143,8 @@ def pattern_to_json(group: Group, p: Pattern, alphabet: Optional[Alphabet] = Non
 @_decoder
 def pattern_from_json(group: Group, obj: Mapping[str, Any],
                       alphabet: Alphabet) -> Pattern:
-    assignment = {}
-    for w, label in obj["support"]:
-        assignment[group.element(group.parse_word(w))] = alphabet.index(str(label))
-    return Pattern(assignment)
+    """A pattern coding that must be consistent (`patterns.pattern_of`)."""
+    return pattern_of(group, _coding(group, obj["support"], alphabet))
 
 
 # -- subshifts ------------------------------------------------------------
@@ -185,6 +187,9 @@ def machine_from_json(group: Group, obj: Mapping[str, Any]) -> GMachineSpec:
     delta = {}
     for rule in obj["delta"]:
         key = (alphabet.index(rule["read"]), state_index[rule["state"]])
+        if key in delta:
+            raise MalformedInputError(
+                f"two rules for read {rule['read']!r} in state {rule['state']!r}")
         move_word = group.parse_word(rule["move"]) if rule.get("move") else ()
         if len(move_word) > 1:
             raise MalformedInputError("machine moves must be single generators")
@@ -264,10 +269,13 @@ def instance_to_json(instance: DominoInstance) -> dict:
 def cover_from_json(obj: Mapping[str, Any]) -> UserSftCover:
     """{"values": [...], "constraints": [{"support": [{"g": word, "dz": int},
     ...], "cells": [{component: [labels]}, ...]}, ...]}"""
-    return UserSftCover(
-        tuple(obj["values"]),
-        tuple((tuple((s["g"], s["dz"]) for s in c["support"]), tuple(c["cells"]))
-              for c in obj["constraints"]))
+    cons = []
+    for c in obj["constraints"]:
+        cells = tuple(c["cells"])
+        if not all(isinstance(cell, Mapping) for cell in cells):
+            raise MalformedInputError("cover cells must be {component: [labels]}")
+        cons.append((tuple((s["g"], int(s["dz"])) for s in c["support"]), cells))
+    return UserSftCover(tuple(obj["values"]), tuple(cons))
 
 
 @_decoder
@@ -284,15 +292,8 @@ def instance_from_json(obj: Mapping[str, Any]) -> DominoInstance:
             else:
                 support.append(GOffset(group.element(group.parse_word(off["g"])),
                                        int(off["dz"])))
-        cells = []
-        for cell in c["cells"]:
-            req = []
-            for name, labels in cell.items():
-                ci = alphabet.index(name)
-                req.append((ci, frozenset(alphabet.value_index(name, l)
-                                          for l in labels)))
-            cells.append(tuple(req))
-        cons.append(DominoConstraint(tuple(support), tuple(cells), c["tag"]))
+        cells = tuple(cell_requirement(alphabet, cell) for cell in c["cells"])
+        cons.append(DominoConstraint(tuple(support), cells, c["tag"]))
     origin = obj.get("origin_symbol")
     origin_symbol = None
     if origin is not None:

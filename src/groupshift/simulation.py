@@ -18,7 +18,7 @@ from .errors import MalformedInputError
 from .cayley import enumerate_words
 from .families import DeloneFamily
 from .groups import Element, Group, Letters
-from .machines import Accepted, GMachineSpec, run_accepts
+from .machines import GMachineSpec, RunOutcome, run_accepts
 from .patterns import Alphabet, Pattern
 from .domino import (
     ComponentAlphabet,
@@ -277,14 +277,15 @@ def build_u_rules(group: Group, params: XTimeParams,
 class WrappedMachineSpec:
     """A two-track walker: a read-only pattern track and a private work
     track.  delta: (read symbol, work symbol, state) -> (work write, state,
-    move letter); initial state first, the single accepting state last."""
+    move letter); initial state first, the single accepting state last.
+    `blank` is the work track's blank, the inner machine's."""
 
     group: Group
     read_alphabet: Alphabet
     work_alphabet: Alphabet
     states: tuple[str, ...]
     delta: Mapping[tuple[int, int, int], tuple[int, int, int]]
-    n_max: int
+    blank: int
     _machine: GMachineSpec = field(init=False, repr=False, compare=False)
 
     @property
@@ -301,7 +302,7 @@ class WrappedMachineSpec:
                        for a in self.work_alphabet.symbols)
         object.__setattr__(self, "_machine", GMachineSpec(
             self.group, self.states, frozenset({self.accepting}),
-            Alphabet(labels), _work_blank(self), delta))
+            Alphabet(labels), self.blank, delta))
 
 
 def build_wrapped_machine(group: Group, m_x: GMachineSpec,
@@ -426,22 +427,16 @@ def build_wrapped_machine(group: Group, m_x: GMachineSpec,
     new_delta = {(x, a, remap[q]): (b, remap[r], s)
                  for (x, a, q), (b, r, s) in delta.items()}
     return WrappedMachineSpec(group, pattern_alphabet, work, new_states,
-                              new_delta, n_max)
+                              new_delta, blank)
 
 
-def run_wrapped(spec: WrappedMachineSpec, read: Pattern, budget: int
-                ) -> tuple[bool, int]:
+def run_wrapped(spec: WrappedMachineSpec, read: Pattern, budget: int) -> RunOutcome:
     """Drive the two-track walker as one machine (`run_accepts`) whose cell
     symbol x * |work| + a holds read symbol x and work symbol a, with blank
-    (0, work blank); returns (accepted, steps)."""
-    n_work, blank = len(spec.work_alphabet), _work_blank(spec)
-    tape = Pattern({cell: x * n_work + blank for cell, x in read.items()})
-    out = run_accepts(spec._machine, tape, budget)
-    return isinstance(out, Accepted), out.steps
-
-
-def _work_blank(spec: WrappedMachineSpec) -> int:
-    return spec.work_alphabet.symbols.index("_") if "_" in spec.work_alphabet.symbols else 0
+    (0, work blank)."""
+    n_work = len(spec.work_alphabet)
+    tape = Pattern({cell: x * n_work + spec.blank for cell, x in read.items()})
+    return run_accepts(spec._machine, tape, budget)
 
 
 # -- the bundle ---------------------------------------------------------------
@@ -517,10 +512,9 @@ def build_simulation(group: Group, m_x: GMachineSpec, abar_label: str,
                          "configuration")
         for x in range(n_read) for y in range(n_read) if x != y)
 
-    work_blank = _work_blank(wrapped)
     starting: list[DominoConstraint] = []
     for a in range(n_work):
-        if a != work_blank:
+        if a != wrapped.blank:
             starting.append(DominoConstraint(
                 (here,), (_req(alphabet, tape=tri, work=a),), "starting"))
     for t in range(k + 1):

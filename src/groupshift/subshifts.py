@@ -13,10 +13,10 @@ dropped, and every translate lying inside it is grounded to window-cell
 indices.  The compiled window is cached on the forbidden family per
 (group, radius), alongside the family's own pattern cache, so repeated
 searches on one window pay for grounding once.  A factor query compiles
-its own window, with its targets' preimage cells searched first, and adds
-the targets' output constraints to it.  The one search
-(`constraints.solve`) counts one node per (cell, symbol) tried, and
-re-checks a semantic family's completed assignments through `violates`.
+its own window, with its targets' preimage cells searched first, and hands
+the targets' output constraints to the search as further placements.  The
+one search (`constraints.solve`) counts one node per (cell, symbol) tried,
+and re-checks a semantic family's completed assignments through `violates`.
 `ForbiddenFamily.violates` compiles the same way onto the cells of the
 pattern it checks, shifting offsets by a lookup among those cells, and
 fixes every cell: one `solve` call with no free cell answers whether some
@@ -27,13 +27,13 @@ from __future__ import annotations
 
 import itertools
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import MalformedInputError, UndeterminedError
 from .cayley import ball, distance_from_identity
-from .constraints import CompiledWindow, Rest, compile_window, solve
+from .constraints import CompiledWindow, compile_window, solve
 from .groups import Element, Group
 from .patterns import Alphabet, Pattern
 
@@ -328,9 +328,9 @@ def factor_window_admissible(
     One search (`constraints.solve`) over the family's patterns compiled
     onto B_{radius+reach}, with the targets' preimage cells g*w first (targets
     in shortlex order), so that each target's output is checked as soon as
-    its preimage is placed.  Each target adds its output constraint: every
-    source tuple v over the cells g*w with local(v) != y[g], filed under its
-    last cell in that order; a target no source tuple maps to y[g] decides
+    its preimage is placed.  Each target adds its output constraint, handed
+    to the search as placements: every source tuple v over the cells g*w
+    with local(v) != y[g]; a target no source tuple maps to y[g] decides
     False at once.  The targets must lie inside B_radius, and the code must
     read the subshift's alphabet.  One node is counted per (cell, symbol)
     tried over the whole search; budget exhaustion raises UndeterminedError
@@ -347,26 +347,17 @@ def factor_window_admissible(
     targets = y.sorted_items(group)
     window = _compile_ball(x_spec.forbidden, group, radius + code.reach(),
                            [group.multiply(g, w) for g, _ in targets for w in code.window])
-    watch = list(window.watch)
     singletons = [frozenset((s,)) for s in range(code.source_size)]
+    placements = []
     for g, want in targets:
         js = [window.index[group.multiply(g, w)] for w in code.window]
         bad = [v for v in itertools.product(range(code.source_size), repeat=len(js))
                if code.local(v) != want]
         if len(bad) == code.source_size ** len(js):
             return False
-        if not bad:
-            continue
-        last = max(range(len(js)), key=js.__getitem__)
-        filed: dict[int, list[Rest]] = {}
-        for v in bad:
-            filed.setdefault(v[last], []).append(tuple(
-                (j, singletons[s]) for k, (j, s) in enumerate(zip(js, v)) if k != last))
-        watch[js[last]] += tuple((singletons[s], tuple(rests))
-                                 for s, rests in filed.items())
-    window = replace(window, watch=tuple(watch))
+        placements += (tuple(zip(js, map(singletons.__getitem__, v))) for v in bad)
     return solve(window, {}, code.source_size, budget,
-                 _semantic_check(x_spec, window)) is not None
+                 _semantic_check(x_spec, window), placements) is not None
 
 
 def projective_window_admissible(

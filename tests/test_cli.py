@@ -131,6 +131,12 @@ def test_subshift_check_and_extend(runner, tmp_path):
     res = runner.invoke(main, ["subshift", "check", "--spec", spec,
                                "--pattern", two], standalone_mode=False)
     assert res.exit_code == 1 and "inadmissible" in res.output
+    # two words for one element with one symbol are accepted
+    same = write(tmp_path, "same.json",
+                 {"support": [["x", "1"], ["x y y^-1", "1"], ["", "0"]]})
+    res = runner.invoke(main, ["subshift", "check", "--spec", spec,
+                               "--pattern", same], standalone_mode=False)
+    assert res.exit_code == 0 and "admissible" in res.output
     res = runner.invoke(main, ["subshift", "extend", "--spec", spec,
                                "--pattern", one, "--radius", "2"],
                         standalone_mode=False)
@@ -531,6 +537,14 @@ def test_completion_list_budget_exits_3(runner, tmp_path):
                  id="xtime-prefix"),
     pytest.param(["subshift", "extend", "--spec", "{oneless}", "--pattern", "{p}",
                   "--radius", "40"], id="generated-family-radius-cap"),
+    pytest.param(["subshift", "check", "--spec", "{oneless}", "--pattern", "{twice}"],
+                 id="pattern-element-twice"),
+    pytest.param(["subshift", "check", "--spec", "{oneless}", "--pattern", "{swapped}"],
+                 id="pattern-element-twice-swapped"),
+    pytest.param(["machine", "run", "--group", "{z}", "--machine", "{rule_twice}",
+                  "--pattern", "{p}"], id="machine-rule-twice"),
+    pytest.param(["compile", "domino", "--group", "{z}", "--machine", "{m}",
+                  "--a1", "cover:{cover}"], id="a1-cover-cell-not-a-mapping"),
 ])
 def test_malformed_input_exits_2(tmp_path, monkeypatch, capsys, argv):
     (tmp_path / "bad.json").write_text('{"kind": ')
@@ -551,6 +565,17 @@ def test_malformed_input_exits_2(tmp_path, monkeypatch, capsys, argv):
         "oneless": write(tmp_path, "oneless.json", {
             "alphabet": ["0", "1"], "group": Z_GROUP,
             "forbidden": {"kind": "builtin", "name": "one_or_less", "k": 1}}),
+        # "a" and "a a^-1 a" name one element with two symbols
+        "twice": write(tmp_path, "twice.json",
+                       {"support": [["a", "1"], ["a a^-1 a", "0"], ["", "1"]]}),
+        "swapped": write(tmp_path, "swapped.json",
+                         {"support": [["a a^-1 a", "0"], ["a", "1"], ["", "1"]]}),
+        "rule_twice": write(tmp_path, "rule_twice.json", dict(
+            MOVE_RIGHT, delta=MOVE_RIGHT["delta"] + [
+                {"read": "_", "state": "walk", "write": "_", "next": "walk",
+                 "move": ""}])),
+        "cover": write(tmp_path, "cover.json", {"values": ["h"], "constraints": [
+            {"support": [{"g": "", "dz": 0}], "cells": [["state"]]}]}),
     }
     monkeypatch.setattr(sys, "argv", ["groupshift"] + [a.format(**files) for a in argv])
     with pytest.raises(SystemExit) as exited:
@@ -558,6 +583,22 @@ def test_malformed_input_exits_2(tmp_path, monkeypatch, capsys, argv):
     out = capsys.readouterr()
     assert exited.value.code == 2
     assert "Traceback" not in out.out + out.err
+
+
+def test_cover_offsets_decode_to_integers(runner, tmp_path):
+    g = write(tmp_path, "g.json", Z_GROUP)
+    m = write(tmp_path, "m.json", MOVE_RIGHT)
+    cover = write(tmp_path, "cover.json", {"values": ["l", "h"], "constraints": [
+        {"support": [{"g": "", "dz": "0"}, {"g": "a", "dz": "0"}],
+         "cells": [{"cover": ["h"]}, {"cover": ["l"]}]}]})
+    res = runner.invoke(main, ["compile", "domino", "--group", g, "--machine", m,
+                               "--a1", f"cover:{cover}", "--format", "json"],
+                        standalone_mode=False)
+    assert res.exit_code == 0
+    forbidden = json.loads(res.output)["instance"]["forbidden"]
+    a1 = [c for c in forbidden if c["tag"] == "A1"]
+    assert [off["dz"] for off in a1[0]["support"]] == [0, 0]
+    assert a1[0]["cells"] == [{"cover": ["h"]}, {"cover": ["l"]}]
 
 
 def _leaf_commands(group, path=()):

@@ -1,11 +1,15 @@
 """The compiled constraint engine against independent slow oracles.
 
-`extendable` is compared with brute-force enumeration, and
+`extendable` is compared with brute-force enumeration, `solve` with extra
+placements with enumeration of every assignment, and
 `verify_reduction_window` with the same search run on uncompiled
 constraints (`grounded_violations`), whose witness must match exactly and
 pass the full scan `check_window_assignment`.  Windows stay at five to nine
 cells so the oracles finish quickly; Hypothesis runs derandomized.
 """
+
+import itertools
+from math import comb
 
 import pytest
 from .conftest import (
@@ -29,12 +33,15 @@ from groupshift import (
     WindowedA1,
     ball,
     builtin_delone,
+    builtin_mirror,
+    builtin_one_or_less,
     compile_domino,
     extendable,
     factor_window_admissible,
     identity_block_code,
     verify_reduction_window,
 )
+from groupshift import domino
 from groupshift.constraints import compile_window, solve
 from groupshift.domino import (
     check_window_assignment,
@@ -206,3 +213,72 @@ def test_semantic_family_rechecks_total_assignment(ones):
     assert extendable(x, spec, 3) == expected
     code = identity_block_code(ZLINE, 3)
     assert factor_window_admissible(x, spec, code, 3) == expected
+
+
+def _buckets(window):
+    return [bucket for row in window.watch for _, bucket in row]
+
+
+@pytest.mark.parametrize("kind,k,radius", [("f2", 1, 2), ("z2", 2, 3)])
+def test_one_or_less_files_each_placement_once(kind, k, radius):
+    # two cells with nonzero symbols: one placement per unordered pair of
+    # cells and per pair of symbols, although the family lists both orders
+    group = GROUPS[kind]
+    window = builtin_one_or_less(group, k).forbidden.compiled_window(group, radius)
+    placements = sum(len(bucket) for bucket in _buckets(window))
+    assert placements == comb(len(ball(group, radius)), 2) * k * k
+
+
+def test_no_watch_bucket_repeats_a_rest(monkeypatch):
+    z2 = GROUPS["z2"]
+    windows = [builtin_one_or_less(z2, 2).forbidden.compiled_window(z2, 2),
+               builtin_mirror(z2).forbidden.compiled_window(z2, 2),
+               builtin_delone(ZLINE, 1).forbidden.compiled_window(ZLINE, 3)]
+    # the domino window, whose A1 exclusions list each pair of cells twice
+    monkeypatch.setattr(domino, "compile_window",
+                        lambda *args: windows.append(compile_window(*args)) or windows[-1])
+    rules = {(0, 0): (0, 0, 1), (1, 0): (1, 0, 1)}
+    verify_reduction_window(compile_domino(ZLINE, machine(("walk", "acc"), rules),
+                                           WindowedA1(8)), 4, 6)
+    assert len(windows) == 4
+    for window in windows:
+        for bucket in _buckets(window):
+            assert len(set(bucket)) == len(bucket)
+
+
+@st.composite
+def small_windows(draw):
+    """Cells 0..n-1 (n <= 6) shifted by integer offsets, random constraints,
+    extra placements and fixed cells over two or three symbols."""
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(2, 3))
+    allowed = st.frozensets(st.integers(0, k - 1), min_size=1)
+    constraints = draw(st.lists(st.lists(st.tuples(st.integers(-2, 2), allowed),
+                                         min_size=1, max_size=3), max_size=4))
+    placements = draw(st.lists(st.lists(st.tuples(st.integers(0, n - 1), allowed),
+                                        min_size=1, max_size=3).map(tuple),
+                               max_size=4))
+    fixed = draw(st.dictionaries(st.integers(0, n - 1), st.integers(0, k - 1),
+                                 max_size=3))
+    return n, k, constraints, placements, fixed
+
+
+@CHECKS
+@given(small_windows())
+def test_solve_with_placements_matches_enumeration(instance):
+    n, k, constraints, placements, fixed = instance
+    window = compile_window(range(n), constraints, lambda c, off: c + off)
+    grounded = [tuple((c + off, a) for off, a in con)
+                for con in constraints for c in range(n)
+                if all(0 <= c + off < n for off, _ in con)]
+
+    def fires(val, placement):
+        return all(val[j] in a for j, a in placement)
+
+    # the search fills cells in window order, symbols in order: the first
+    # admissible assignment is the least in lexicographic order
+    expected = next((list(val) for val in itertools.product(range(k), repeat=n)
+                     if all(val[j] == s for j, s in fixed.items())
+                     and not any(fires(val, p) for p in grounded + placements)),
+                    None)
+    assert solve(window, fixed, k, budget=10**6, placements=placements) == expected

@@ -6,7 +6,9 @@ from dataclasses import replace
 import pytest
 
 from groupshift import (
+    Accepted,
     Alphabet,
+    Exhausted,
     GMachineSpec,
     MalformedInputError,
     PAPER_EXAMPLE_PARAMS,
@@ -194,42 +196,38 @@ def test_wrapped_machine_structure(z, inner):
 
 def test_wrapped_machine_accepts_and_rejects(z, inner):
     wm = build_wrapped_machine(z, inner, Alphabet(("0", "1")), n_max=1)
-    acc, steps = run_wrapped(wm, Pattern({z.identity: 1}), 400)
-    assert acc and steps > 0
-    rej, _ = run_wrapped(wm, Pattern({}), 400)
-    assert not rej
+    acc = run_wrapped(wm, Pattern({z.identity: 1}), 400)
+    assert isinstance(acc, Accepted) and acc.steps > 0
+    assert run_wrapped(wm, Pattern({}), 400) == Exhausted(400)
 
 
 def test_wrapped_machine_sees_neighbour_cells(z, inner):
     # a 1 at distance 1 is copied during the k=1 phase and found by the scan
     wm = build_wrapped_machine(z, _scan_machine(z), Alphabet(("0", "1")), n_max=2)
-    acc, _ = run_wrapped(wm, Pattern({z.element((1,)): 1}), 4000)
-    assert acc
+    assert isinstance(run_wrapped(wm, Pattern({z.element((1,)): 1}), 4000), Accepted)
 
 
 def _literal_run_wrapped(spec, read, budget):
     """Independent oracle: the walker on two separate track dicts."""
     group = spec.group
-    blank_work = (spec.work_alphabet.symbols.index("_")
-                  if "_" in spec.work_alphabet.symbols else 0)
     work_tape = {}
     head = group.identity
     q = 0
     for step in range(budget):
         if q == spec.accepting:
-            return True, step
-        b, r, s = spec.delta[(read.get(head, 0), work_tape.get(head, blank_work), q)]
-        if b == blank_work:
+            return Accepted(step)
+        b, r, s = spec.delta[(read.get(head, 0), work_tape.get(head, spec.blank), q)]
+        if b == spec.blank:
             work_tape.pop(head, None)
         else:
             work_tape[head] = b
         if s:
             head = group.multiply_letter(head, s)
         q = r
-    return q == spec.accepting, budget
+    return Accepted(budget) if q == spec.accepting else Exhausted(budget)
 
 
-def _random_inner(group, rng):
+def _random_inner(group, rng, blank=0):
     """A random total machine over {_, 0, 1} whose last state accepts."""
     n_states = rng.randrange(2, 5)
     sigma = Alphabet(("_", "0", "1"))
@@ -237,7 +235,7 @@ def _random_inner(group, rng):
                         rng.randrange(len(group.generators)))
              for sym in range(3) for q in range(n_states)}
     return GMachineSpec(group, tuple(f"q{i}" for i in range(n_states)),
-                        frozenset({n_states - 1}), sigma, 0, delta)
+                        frozenset({n_states - 1}), sigma, blank, delta)
 
 
 @pytest.mark.parametrize("group_name", ["z", "f2"])
@@ -254,15 +252,29 @@ def test_run_wrapped_matches_literal_two_track_run(group_name, request):
         budget = rng.randrange(0, 2001)
         got = run_wrapped(wm, read, budget)
         assert got == _literal_run_wrapped(wm, read, budget)
-        accepted += got[0]
+        accepted += isinstance(got, Accepted)
     assert 0 < accepted < 36
+
+
+@pytest.mark.parametrize("blank", [1, 2])
+def test_wrapped_walker_uses_the_inner_blank(z, blank):
+    """The work track's blank, on the walker's tape and under the start
+    marker, is the inner machine's, wherever it sits in the alphabet."""
+    inner = _random_inner(z, random.Random(blank), blank)
+    bundle = build_simulation(z, inner, "0", Alphabet(("0", "1")), n_max=1)
+    walker = bundle.wrapped._machine
+    assert walker.tape_alphabet[walker.blank] == str(("0", inner.tape_alphabet[blank]))
+    tri = bundle.final_alphabet.value_index("tape", ">")
+    start = [(tri, 1, 0, work, 1) for work in range(3)]
+    assert [any(c.cell_matches(0, sym) for c in bundle.starting)
+            for sym in start] == [work != blank for work in range(3)]
 
 
 def test_run_wrapped_negative_budget_rejected(z, inner):
     wm = build_wrapped_machine(z, inner, Alphabet(("0", "1")), n_max=1)
     with pytest.raises(MalformedInputError):
         run_wrapped(wm, Pattern({}), -1)
-    assert run_wrapped(wm, Pattern({}), 0) == (False, 0)
+    assert run_wrapped(wm, Pattern({}), 0) == Exhausted(0)
 
 
 def _scan_machine(z):

@@ -115,10 +115,17 @@ class DominoConstraint:
 
 def cell_requirement(alphabet: ComponentAlphabet,
                      labels: Mapping[str, Iterable[str]]) -> CellReq:
-    """A {component name: [value labels]} requirement as value indices."""
-    return tuple((alphabet.index(name),
-                  frozenset(alphabet.value_index(name, label) for label in vals))
-                 for name, vals in labels.items())
+    """A {component name: [value labels]} requirement as value indices; a
+    component given anything but a list of labels is malformed (a string
+    would otherwise be read one character per label)."""
+    out = []
+    for name, vals in labels.items():
+        if not isinstance(vals, (list, tuple)):
+            raise MalformedInputError(
+                f"{name!r} needs a list of value labels, got {vals!r}")
+        out.append((alphabet.index(name),
+                    frozenset(alphabet.value_index(name, label) for label in vals)))
+    return tuple(out)
 
 
 def _req(alphabet: ComponentAlphabet, **by_name: object) -> CellReq:

@@ -12,6 +12,14 @@ words: words equal in the group map to the same key, and the canonical word
 is derived from the key on demand.  This matters for machine runs, where
 e.g. a 500-step walk in BS(1,2) reaches elements whose normal-form words
 have exponentially many letters.
+
+Free groups, free products and rewriting groups key their elements by a
+`ConsWord` (a hash-consed persistent word), so a machine walking a path of
+unbounded depth extends or shortens a key in time independent of its
+depth.  Free groups share the process-wide `ConsWord.EMPTY` root; each free
+product and rewriting group has a root of its own, so its nodes are freed
+with it.  Only this module knows the representation: `key_letters` and
+`Group.word_of` are the way to read a key.
 """
 
 from __future__ import annotations
@@ -63,17 +71,20 @@ class Element:
 class ConsWord:
     """A persistent word (linked list) with O(1) append and cached hash.
 
-    Used as the canonical key for free-group elements so that long machine
-    runs extend tape keys in constant time instead of copying tuples.
-    Pushes are hash-consed: equal words built by pushes from the same root
-    are the same object, making equality checks effectively constant.
+    The canonical key of free-group elements (letters), free-product
+    elements ((factor, factor key) syllables) and rewriting-group elements
+    (normal-form letters), so that long machine runs extend tape keys in
+    constant time instead of copying tuples.  Pushes are hash-consed: equal
+    words built by pushes from the same root are the same object, making
+    equality checks effectively constant.  A root is `ConsWord()`; the
+    nodes pushed from it live as long as it or any of them is referenced.
     """
 
     __slots__ = ("parent", "letter", "length", "_hash", "_kids")
 
     EMPTY: "ConsWord"
 
-    def __init__(self, parent: Optional["ConsWord"], letter: int):
+    def __init__(self, parent: Optional["ConsWord"] = None, letter=-1):
         self.parent = parent
         self.letter = letter
         self._kids: Optional[dict] = None
@@ -84,16 +95,18 @@ class ConsWord:
             self.length = parent.length + 1
             self._hash = hash((parent._hash, letter))
 
-    def push(self, letter: int) -> "ConsWord":
-        if self._kids is None:
-            self._kids = {}
-        node = self._kids.get(letter)
-        if node is None:
-            node = ConsWord(self, letter)
-            self._kids[letter] = node
+    def push(self, letter) -> "ConsWord":
+        kids = self._kids
+        if kids is None:
+            kids = self._kids = {}
+        else:
+            node = kids.get(letter)
+            if node is not None:
+                return node
+        node = kids[letter] = ConsWord(self, letter)
         return node
 
-    def letters(self) -> Letters:
+    def letters(self) -> tuple:
         out = []
         node = self
         while node.parent is not None:
@@ -125,7 +138,7 @@ class ConsWord:
         return f"ConsWord{self.letters()!r}"
 
 
-ConsWord.EMPTY = ConsWord(None, -1)
+ConsWord.EMPTY = ConsWord()
 
 
 def _paired_generators(names: Sequence[str]) -> list[GeneratorSymbol]:
@@ -726,76 +739,76 @@ class DirectProductGroup(_ProductBase):
 
 
 class FreeProductGroup(_ProductBase):
-    """Free product; canonical keys alternate non-identity factor syllables."""
+    """Free product; a key is a `ConsWord` of (factor, factor key) syllables,
+    first syllable at the root, with adjacent syllables in different factors
+    and no syllable the factor's identity.  Frame keys hold (factor, factor
+    frame key) syllables last-first, so both an append and a prepend work
+    on the top syllable.  The group has its own trie root."""
 
     kind = "free_product"
 
     def __init__(self, factors: Sequence[Group]):
         if len(factors) < 2:
             raise MalformedInputError("free product needs at least two factors")
+        self._root = ConsWord()
         super().__init__(factors)
+        self._ones = tuple(f.identity_key() for f in self.factors)
+        # each letter's one-letter syllable, or None for a trivial one
+        self._syllable: list[Optional[tuple]] = [None] * len(self.generators)
+        for letter, (fi, local) in self._letter_factor.items():
+            sub = self.factors[fi].key_of_letters((local,))
+            if sub != self._ones[fi]:
+                self._syllable[letter] = (fi, sub)
 
     def identity_key(self):
-        return ()
+        return self._root
 
-    def key_append(self, key, letter: int):
-        if letter == 0:
-            return key
-        fi, local = self._letter_factor[letter]
-        f = self.factors[fi]
-        if key and key[-1][0] == fi:
-            merged = f.key_append(key[-1][1], local)
-            if merged == f.identity_key():
-                return key[:-1]
-            return key[:-1] + ((fi, merged),)
-        sub = f.key_append(f.identity_key(), local)
-        if sub == f.identity_key():
-            return key
-        return key + ((fi, sub),)
+    def _times(self, key: ConsWord, syllable: tuple) -> ConsWord:
+        """key * one syllable: merged into a top syllable of its factor (and
+        popped if the merge is trivial), else pushed."""
+        fi, sub = syllable
+        if key.parent is not None and key.letter[0] == fi:
+            merged = self.factors[fi].key_multiply(key.letter[1], sub)
+            return key.parent if merged == self._ones[fi] else key.parent.push((fi, merged))
+        return key.push(syllable)
 
-    def key_multiply(self, a, b):
-        key = a
-        for fi, sub in b:
-            f = self.factors[fi]
-            if key and key[-1][0] == fi:
-                merged = f.key_multiply(key[-1][1], sub)
-                if merged == f.identity_key():
-                    key = key[:-1]
-                else:
-                    key = key[:-1] + ((fi, merged),)
-            else:
-                key = key + ((fi, sub),)
+    def key_append(self, key: ConsWord, letter: int) -> ConsWord:
+        syllable = self._syllable[letter]
+        return key if syllable is None else self._times(key, syllable)
+
+    def key_multiply(self, a: ConsWord, b: ConsWord) -> ConsWord:
+        for syllable in b.letters():
+            a = self._times(a, syllable)
+        return a
+
+    def key_inverse(self, a: ConsWord) -> ConsWord:
+        key, node = self._root, a
+        while node.parent is not None:
+            fi, sub = node.letter
+            key = key.push((fi, self.factors[fi].key_inverse(sub)))
+            node = node.parent
         return key
 
-    def key_inverse(self, a):
-        return tuple((fi, self.factors[fi].key_inverse(sub)) for fi, sub in reversed(a))
-
-    def key_letters(self, key) -> Letters:
+    def key_letters(self, key: ConsWord) -> Letters:
         out: list[int] = []
-        for fi, sub in key:
+        for fi, sub in key.letters():
             out.extend(self.embed_word(fi, self.factors[fi].key_letters(sub)))
         return tuple(out)
 
-    def key_length(self, key) -> int:
-        return sum(self.factors[fi].key_length(sub) for fi, sub in key)
+    def key_length(self, key: ConsWord) -> int:
+        return sum(self.factors[fi].key_length(sub) for fi, sub in key.letters())
 
-    def frame_prepend(self, letter: int, lkey):
-        # frame keys hold (factor, factor frame key) syllables last-first,
-        # so a prepend works on the tail
+    def frame_prepend(self, letter: int, lkey: ConsWord) -> ConsWord:
         if letter == 0:
             return lkey
         fi, local = self._letter_factor[letter]
         f = self.factors[fi]
         one = f.frame_identity()
-        if lkey and lkey[-1][0] == fi:
-            merged = f.frame_prepend(local, lkey[-1][1])
-            if merged == one:
-                return lkey[:-1]
-            return lkey[:-1] + ((fi, merged),)
+        if lkey.parent is not None and lkey.letter[0] == fi:
+            merged = f.frame_prepend(local, lkey.letter[1])
+            return lkey.parent if merged == one else lkey.parent.push((fi, merged))
         sub = f.frame_prepend(local, one)
-        if sub == one:
-            return lkey
-        return lkey + ((fi, sub),)
+        return lkey if sub == one else lkey.push((fi, sub))
 
     def is_finite(self) -> bool:
         nontrivial = [f for f in self.factors if f.nonidentity_ids]
@@ -821,12 +834,16 @@ class RewritingGroup(Group):
     confluent exactly when every critical pair (two rules whose left-hand
     sides overlap, one inside the other, or coincide) reduces to one normal
     form; the constructor checks every pair and raises MalformedInputError
-    on the first that does not.  Canonical keys are normal-form words.
+    on the first that does not.  A key is the normal-form word as a
+    `ConsWord` (last letter on top), and a frame key is the reversed normal
+    form, the normal form under the mirrored rules, as a `ConsWord` too;
+    both grow from the group's own trie root.
     """
 
     kind = "rewriting"
 
     def __init__(self, names: Sequence[str], rules: Sequence[tuple[str, str]]):
+        self._root = ConsWord()
         super().__init__(self._build_generators(names))
         self.user_rules = tuple((lhs, rhs) for lhs, rhs in rules)
         parsed: list[tuple[Letters, Letters]] = []
@@ -851,12 +868,15 @@ class RewritingGroup(Group):
         # because each of its rewrites mirrors one of the rules above
         self._mirrored = {l[::-1]: r[::-1] for l, r in self._rules.items()}
         for word, u, v in _critical_pairs(parsed):
-            u, v = self._rewrite((), u), self._rewrite((), v)
-            if u != v:
+            if u == v:
+                continue
+            u, v = self._rewrite(self._root, u), self._rewrite(self._root, v)
+            if u is not v:
                 raise MalformedInputError(
                     f"rewriting system is not confluent: "
                     f"{self.format_word(word)!r} reduces to the normal forms "
-                    f"{self.format_word(u) or 'e'!r} and {self.format_word(v) or 'e'!r}")
+                    f"{self.format_word(u.letters()) or 'e'!r} and "
+                    f"{self.format_word(v.letters()) or 'e'!r}")
 
     @staticmethod
     def _build_generators(names: Sequence[str]) -> list[GeneratorSymbol]:
@@ -880,19 +900,24 @@ class RewritingGroup(Group):
             raise MalformedInputError("generator list is inconsistent")
         return gens
 
-    def _rewrite(self, prefix: Letters, letters: Iterable[int],
-                 _rules: Optional[dict] = None) -> Letters:
-        """The normal form of prefix * letters, for an irreducible prefix,
-        under the group's rules or, given `_rules`, under that rule dict
-        (the mirrored rules of the frame keys).
+    def _rewrite(self, base: ConsWord, letters: Iterable[int],
+                 _rules: Optional[dict] = None) -> ConsWord:
+        """The normal form of base * letters, for an irreducible base, under
+        the group's rules or, given `_rules`, under that rule dict (the
+        mirrored rules of the frame keys).
 
-        Letters are pushed one at a time, identity letters skipped.  The
-        word kept so far stays irreducible, so only its suffixes up to the
-        longest left-hand side can match; a match pops the left-hand side and
-        pushes the right-hand side back onto the input.  More than
-        DEFAULT_REWRITE_BUDGET rewrites raise UndeterminedError.
+        Letters are pushed one at a time onto a working list over the base,
+        identity letters skipped.  The word kept so far stays irreducible,
+        so only its suffixes up to the longest left-hand side can match; a
+        match pops the left-hand side and pushes the right-hand side back
+        onto the input.  A suffix longer than the list reads the base's top
+        letters, which come off the base only when that suffix matches, and
+        only the surviving letters are pushed onto the base at the end: the
+        cost per letter does not depend on the base's length, and letters
+        rewritten away are never interned.  More than DEFAULT_REWRITE_BUDGET
+        rewrites raise UndeterminedError.
         """
-        out = list(prefix)
+        out: list[int] = []
         todo = list(letters)
         todo.reverse()
         rules = self._rules if _rules is None else _rules
@@ -905,38 +930,55 @@ class RewritingGroup(Group):
             out.append(letter)
             n = len(out)
             for k in lengths:
-                if k > n:
+                if k <= n:
+                    lhs = tuple(out[n - k:])
+                elif k > n + base.length:
                     break
-                rhs = rules.get(tuple(out[n - k:]))
+                else:
+                    node, head = base, ()
+                    while len(head) + n < k:
+                        head = (node.letter,) + head
+                        node = node.parent
+                    lhs = head + tuple(out)
+                rhs = rules.get(lhs)
                 if rhs is not None:
-                    del out[n - k:]
+                    if k <= n:
+                        del out[n - k:]
+                    else:
+                        base = node
+                        out.clear()
                     todo.extend(reversed(rhs))
                     budget -= 1
                     if budget < 0:
                         raise UndeterminedError(
                             "rewriting did not reach a normal form within budget")
                     break
-        return tuple(out)
+        for letter in out:
+            base = base.push(letter)
+        return base
 
     def identity_key(self):
-        return ()
+        return self._root
 
     def key_of_letters(self, letters: Iterable[int]):
-        return self._rewrite((), letters)
+        return self._rewrite(self._root, letters)
 
-    def key_append(self, key: Letters, letter: int):
+    def key_append(self, key: ConsWord, letter: int):
         return self._rewrite(key, (letter,))
 
-    def key_multiply(self, a: Letters, b: Letters):
-        return self._rewrite(a, b)
+    def key_multiply(self, a: ConsWord, b: ConsWord):
+        return self._rewrite(a, b.letters())
 
-    def key_inverse(self, a: Letters):
-        return self._rewrite((), self.inverse_word(a))
+    def key_inverse(self, a: ConsWord):
+        return self._rewrite(self._root, self.inverse_word(a.letters()))
 
-    def key_letters(self, key: Letters) -> Letters:
-        return key
+    def key_letters(self, key: ConsWord) -> Letters:
+        return key.letters()
 
-    def frame_prepend(self, letter: int, lkey: Letters):
+    def key_length(self, key: ConsWord) -> int:
+        return key.length
+
+    def frame_prepend(self, letter: int, lkey: ConsWord):
         # frame keys are reversed normal forms, so a prepend is an append
         # under the mirrored rules
         return self._rewrite(lkey, (letter,), self._mirrored)
@@ -951,13 +993,14 @@ def _critical_pairs(rules: Sequence[tuple[Letters, Letters]]):
     among them.
     """
     for (i, (l1, r1)), (j, (l2, r2)) in itertools.product(enumerate(rules), repeat=2):
-        for k in range(1, min(len(l1), len(l2))):
+        n1, n2 = len(l1), len(l2)
+        for k in range(1, min(n1, n2)):
             if l1[-k:] == l2[:k]:
                 yield l1 + l2[k:], r1 + l2[k:], l1[:-k] + r2
         if i != j:
-            for p in range(len(l1) - len(l2) + 1):
-                if l1[p:p + len(l2)] == l2:
-                    yield l1, r1, l1[:p] + r2 + l1[p + len(l2):]
+            for p in range(n1 - n2 + 1):
+                if l1[p:p + n2] == l2:
+                    yield l1, r1, l1[:p] + r2 + l1[p + n2:]
 
 
 # -- spec-level operations ----------------------------------------------------

@@ -545,6 +545,8 @@ def test_completion_list_budget_exits_3(runner, tmp_path):
                   "--pattern", "{p}"], id="machine-rule-twice"),
     pytest.param(["compile", "domino", "--group", "{z}", "--machine", "{m}",
                   "--a1", "cover:{cover}"], id="a1-cover-cell-not-a-mapping"),
+    pytest.param(["compile", "domino", "--group", "{z}", "--machine", "{m}",
+                  "--a1", "cover:{labels}"], id="a1-cover-labels-not-a-list"),
 ])
 def test_malformed_input_exits_2(tmp_path, monkeypatch, capsys, argv):
     (tmp_path / "bad.json").write_text('{"kind": ')
@@ -576,6 +578,9 @@ def test_malformed_input_exits_2(tmp_path, monkeypatch, capsys, argv):
                  "move": ""}])),
         "cover": write(tmp_path, "cover.json", {"values": ["h"], "constraints": [
             {"support": [{"g": "", "dz": 0}], "cells": [["state"]]}]}),
+        # "12" is one string, not the labels "1" and "2"
+        "labels": write(tmp_path, "labels.json", {"values": ["h"], "constraints": [
+            {"support": [{"g": "", "dz": 0}], "cells": [{"state": "12"}]}]}),
     }
     monkeypatch.setattr(sys, "argv", ["groupshift"] + [a.format(**files) for a in argv])
     with pytest.raises(SystemExit) as exited:

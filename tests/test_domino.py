@@ -17,8 +17,10 @@ from groupshift import (
     verify_reduction_window,
 )
 from groupshift.domino import (
+    ComponentAlphabet,
     GOffset,
     HOffset,
+    cell_requirement,
     check_window_assignment,
     window_cells,
 )
@@ -60,6 +62,13 @@ def test_family_counts(z, suite):
     assert tags["B2"] == sigma * q * k
     assert tags["A4"] == sigma
     assert tags["X_aux"] == len(z.nonidentity_ids)
+
+
+def test_cell_requirement_needs_a_label_list():
+    alphabet = ComponentAlphabet((("state", ("0", "1", "2")),))
+    assert cell_requirement(alphabet, {"state": ["1", "2"]}) == ((0, frozenset({1, 2})),)
+    with pytest.raises(MalformedInputError, match="list of value labels"):
+        cell_requirement(alphabet, {"state": "12"})
 
 
 def test_requires_last_state_accepting(z):

@@ -1,6 +1,5 @@
 """Canonical forms and word-problem solvers across the group kinds."""
 
-import functools
 import itertools
 
 import pytest
@@ -16,7 +15,7 @@ from groupshift import (
     solve_word_problem,
 )
 from groupshift import groups
-from groupshift.groups import ConsWord, RewritingGroup
+from groupshift.groups import RewritingGroup
 
 from .conftest import CHECKS, KINDS, oracle_ball, oracle_normal_form
 from .test_ball_table import GROUPS as TABLE_GROUPS
@@ -139,17 +138,20 @@ def test_rewriting_keys_match_oracle(name, data):
     word = st.lists(st.integers(0, len(g.generators) - 1), max_size=16).map(tuple)
     u, v = data.draw(word), data.draw(word)
     ku, kv = g.element(u).key, g.element(v).key
-    assert ku == oracle_normal_form(rules, u)
+    nf = g.key_letters(ku)
+    assert nf == oracle_normal_form(rules, u)
     key = ku
     for letter in v:
         key = g.key_append(key, letter)
     assert key == g.key_multiply(ku, kv)
     assert g.key_inverse(g.key_inverse(ku)) == ku
     assert g.key_multiply(ku, g.key_inverse(ku)) == g.identity_key()
-    assert CLOSED_FORM[name](ku) == CLOSED_FORM[name](u)
+    assert CLOSED_FORM[name](nf) == CLOSED_FORM[name](u)
     # the mirrored rules on the reversed normal form: a left multiplication
     s = data.draw(st.integers(0, len(g.generators) - 1))
-    assert g.frame_prepend(s, ku[::-1]) == oracle_normal_form(rules, (s,) + u)[::-1]
+    lkey = g.frame_of_element(g.element(u))
+    assert lkey.letters() == nf[::-1]
+    assert g.frame_prepend(s, lkey).letters() == oracle_normal_form(rules, (s,) + u)[::-1]
 
 
 def test_rewriting_budget(monkeypatch):
@@ -255,11 +257,9 @@ def test_length_against_ball_distance(name):
             assert d == (abs(Z_SUM(g.word_of(e))) + 1) // 2
 
 
-# each kind's frame key of an element, from its key: the key itself, or the
-# normal form read backwards
-FRAME_OF_KEY = {"f2": lambda k: functools.reduce(ConsWord.push, reversed(k.letters()),
-                                                 ConsWord.EMPTY),
-                "z_a_a2": lambda k: k[::-1], "c2*c3": lambda k: k[::-1]}
+# the kinds whose frame key of an element is its key's word (letters, or
+# free-product syllables) read backwards; the others' is the key itself
+REVERSED_FRAME = {"f2", "z_a_a2", "c2*c3"}
 
 
 @pytest.mark.parametrize("name", LAWS)
@@ -273,9 +273,32 @@ def test_frame_prepend_is_left_multiplication(name, data):
     u = data.draw(words(g))
     s = data.draw(st.integers(0, len(g.generators) - 1))
     e = g.element(u)
-    assert g.frame_of_element(e) == FRAME_OF_KEY.get(name, lambda k: k)(e.key)
+    frame = g.frame_of_element(e)
+    if name in REVERSED_FRAME:
+        assert frame.letters() == e.key.letters()[::-1]
+    else:
+        assert frame == e.key
     assert (g.frame_prepend(s, g.frame_of_element(e))
             == g.frame_of_element(g.element((s,) + u)))
+
+
+# a word whose key is deep, and a letter that extends it without cancelling
+DEEP = {"f2": ("a b", 600, "a"), "z_a_a2": ("A", 1000, "A"),
+        "c2*c3": ("t1.0 t1.1", 600, "t1.0")}
+
+
+@pytest.mark.parametrize("name", DEEP)
+def test_deep_keys_share_structure(name):
+    """Appending to a deep key pushes one node onto it, and cancelling pops
+    back to the same node: a key is never copied."""
+    g = KINDS[name]()
+    word, power, more = DEEP[name]
+    key = g.key_of_letters(g.parse_word(word) * power)
+    assert key.length >= 1_000
+    letter, = g.parse_word(more)
+    longer = g.key_append(key, letter)
+    assert longer.parent is key
+    assert g.key_append(longer, g.inverse_letter(letter)) is key
 
 
 @pytest.mark.parametrize("name", KINDS)

@@ -1,5 +1,7 @@
 """The path builder, the ball visitor and the oracle-machine bridge."""
 
+import gc
+
 import pytest
 
 from groupshift import (
@@ -19,7 +21,7 @@ from groupshift import (
     cyclic_group,
     direct_product,
 )
-from groupshift.groups import FreeAbelianGroup
+from groupshift.groups import ConsWord, FreeAbelianGroup
 from groupshift.pathwalk import _STATE_BACK
 
 from .conftest import KINDS
@@ -229,3 +231,40 @@ def test_oracle_sim_query_protocol(f2):
     sim2 = build_oracle_simulator(f2, no, BITS)
     assert isinstance(sim2.run(Pattern({}), 300), Exhausted)
     assert sim2.oracle_calls[0][1] is False
+
+
+@pytest.mark.parametrize("name", ["c2*c3", "z_a_a2"])
+def test_path_run_pushes_per_step_are_bounded(name, monkeypatch):
+    """A checked path run grows its keys by pushes onto the previous ones, a
+    bounded number per step however deep the path gets."""
+    pushes = 0
+    push = ConsWord.push
+
+    def counting(node, letter):
+        nonlocal pushes
+        pushes += 1
+        return push(node, letter)
+
+    monkeypatch.setattr(ConsWord, "push", counting)
+    run = PathRun(PathMachine(KINDS[name]()))
+    run.run(4000)
+    assert run.max_path_len >= 1000
+    assert 0 < pushes <= 3 * 4000
+
+
+def test_dropped_groups_free_their_key_nodes():
+    """Free products and rewriting groups grow their keys from a trie root
+    of their own, so a dropped group takes its nodes with it."""
+    def live_nodes():
+        return sum(isinstance(o, ConsWord) for o in gc.get_objects())
+
+    gc.collect()
+    baseline = live_nodes()
+    for _ in range(3):
+        for name in ("c2*c3", "z_a_a2"):
+            run = PathRun(PathMachine(KINDS[name]()))
+            run.run(500)
+    assert live_nodes() > baseline + 100
+    del run
+    gc.collect()
+    assert live_nodes() == baseline

@@ -56,6 +56,10 @@ class BallTable:
         self.nbr: list[list[int]] = [[UNKNOWN] * len(self.inverse_col)]
         self.full = False          # the whole (finite) group is in the table
         self.views: dict[int, CayleyBall] = {}
+        # (radius, budget) of the last growth that overran its budget: B_radius
+        # holds more than `budget` elements, so growing that far under a
+        # budget no larger fails without trying
+        self.overrun: Optional[tuple[int, int]] = None
 
     @property
     def radius(self) -> int:
@@ -78,9 +82,15 @@ class BallTable:
     def grow(self, n: int) -> None:
         """Extend the table shell by shell to radius n, holding at most
         DEFAULT_BALL_BUDGET elements.  A shell is committed only once
-        complete: BallBudgetError leaves the table as it was."""
+        complete: BallBudgetError leaves the table as it was, and a later
+        call that would overrun again raises at once (`overrun`)."""
         group, elements, index, nbr = self.group, self.elements, self.index, self.nbr
         budget = DEFAULT_BALL_BUDGET
+        overrun = self.overrun
+        if (overrun is not None and not self.full and self.radius < n
+                and n >= overrun[0] and budget <= overrun[1]):
+            raise BallBudgetError(f"ball budget of {budget} elements exceeded "
+                                  f"at radius {overrun[0]}")
         inverse_col, k = self.inverse_col, len(self.inverse_col)
         while not self.full and self.radius < n:
             lo, hi = self.starts[-2], self.starts[-1]
@@ -104,6 +114,7 @@ class BallTable:
                         row[c] = j
                         nbr[j][inverse_col[c]] = i
             except BallBudgetError:
+                self.overrun = (self.radius + 1, budget)
                 for f in elements[hi:]:
                     del index[f]
                 del elements[hi:], nbr[hi:]

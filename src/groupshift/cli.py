@@ -17,6 +17,12 @@ out before the machine accepts, and adds its steps and trace.  The
 environment variable GROUPSHIFT_BUDGET overrides default budgets; a
 --budget option overrides both.  A budget that is not a finite,
 non-negative number is a usage error.
+
+Start-up imports only what every command needs: click, `errors` and
+`jsonio` (which loads `groups` to decode --group).  Every command body, and
+every option callback, imports the library names it runs itself, so that a
+word problem never loads the compilers; `tests/test_imports.py` checks what
+each command loads.
 """
 
 from __future__ import annotations
@@ -32,53 +38,6 @@ import click
 
 from . import jsonio
 from .errors import GroupShiftError, MalformedInputError, UndeterminedError
-from .cayley import (
-    ball,
-    component_sequence,
-    disjoint_ball_sequences,
-    enumerate_words,
-)
-from .domino import (
-    Unsatisfiable,
-    WindowedA1,
-    compile_domino,
-    free_product_layer,
-    verify_reduction_window,
-)
-from .families import greedy_delone_configuration, builtin_delone
-from .groups import solve_word_problem
-from .machines import (
-    Accepted,
-    fixed_moving_equivalent,
-    retarget_generators,
-    simulate_with_balls,
-    trace_run,
-)
-from .pathwalk import (
-    PathMachine,
-    PathRun,
-    VisitMachine,
-    build_oracle_simulator,
-    classical_accept_all,
-    classical_contains_entry,
-    classical_query_word,
-)
-from .patterns import (
-    Alphabet,
-    Pattern,
-    check_consistency,
-    Consistent,
-    decidable_completion_contains,
-)
-from .simulation import (
-    PAPER_EXAMPLE_PARAMS,
-    XTimeParams,
-    build_simulation,
-    oplus_positions,
-    xtime_prefix,
-    xtime_symbol,
-)
-from .subshifts import extendable, locally_admissible
 
 EXIT_OK, EXIT_NEGATIVE, EXIT_USAGE, EXIT_UNDETERMINED = 0, 1, 2, 3
 
@@ -201,6 +160,7 @@ def main():
 @click.option("--word", required=True)
 def wp(group, word):
     """Decide whether a word represents the identity."""
+    from .groups import solve_word_problem
     identity = solve_word_problem(group, group.parse_word(word))
     return verdict(identity, {"identity": identity})
 
@@ -221,6 +181,7 @@ def canon(group, word):
 @click.option("--dot", "dot", is_flag=True, help="emit DOT instead of a summary")
 def ball_cmd(group, radius, dot):
     """Build a metric ball of the Cayley graph."""
+    from .cayley import ball
     b = ball(group, radius)
     if dot:
         text = b.to_dot()
@@ -234,6 +195,7 @@ def ball_cmd(group, radius, dot):
 @click.option("--max-len", required=True, type=COUNT)
 def words(group, max_len):
     """Enumerate words in length-then-lex order."""
+    from .cayley import enumerate_words
     out = [group.format_word(w) for w in enumerate_words(group, max_len)]
     return ok("\n".join(w if w else "(eps)" for w in out), {"words": out})
 
@@ -248,6 +210,7 @@ def sequences():
 @click.option("-n", "--n", "n", required=True, type=COUNT)
 def sequences_disjoint(group, n):
     """Elements g_k, h_k whose translated balls are pairwise disjoint."""
+    from .cayley import disjoint_ball_sequences
     gs, hs = disjoint_ball_sequences(group, n)
     g_names = [group.format_element(e) for e in gs]
     h_names = [group.format_element(e) for e in hs]
@@ -262,6 +225,7 @@ def sequences_disjoint(group, n):
 @click.option("-n", "--n", "n", required=True, type=COUNT)
 def sequences_component(group, cut, seed, n):
     """The punctured-ball component sequence from a seed word."""
+    from .cayley import component_sequence
     seq = component_sequence(group, cut, group.parse_word(seed), n)
     names = [group.format_element(e) for e in seq]
     return ok(", ".join(names), {"elements": names})
@@ -277,6 +241,7 @@ def coding_group():
 @click.option("--coding", "coding_path", required=True, type=click.Path(exists=True))
 def coding_check(group, coding_path):
     """CONSISTENT with the induced pattern, or INCONSISTENT with a witness."""
+    from .patterns import Consistent, check_consistency
     c = jsonio.coding_from_json(group, _load_json(coding_path))
     res = check_consistency(group, c)
     if isinstance(res, Consistent):
@@ -298,6 +263,7 @@ def coding_check(group, coding_path):
 @budget_option(10_000)
 def completion(group, coding_path, enum_path, budget):
     """Membership in the decidable completion of an enumerated family."""
+    from .patterns import decidable_completion_contains
     c = jsonio.coding_from_json(group, _load_json(coding_path))
     enum = jsonio.enumeration_from_json(group, _load_json(enum_path))
     member = decidable_completion_contains(group, enum, c, budget)
@@ -320,6 +286,7 @@ def _load_subshift_and_pattern(spec_path, pattern_path):
 @click.option("--pattern", "pattern_path", required=True, type=click.Path(exists=True))
 def subshift_check(spec_path, pattern_path):
     """Local admissibility of a pattern."""
+    from .subshifts import locally_admissible
     spec, pat = _load_subshift_and_pattern(spec_path, pattern_path)
     admissible = locally_admissible(pat, spec)
     return verdict(admissible, {"admissible": admissible},
@@ -333,6 +300,7 @@ def subshift_check(spec_path, pattern_path):
 @budget_option(500_000)
 def subshift_extend(spec_path, pattern_path, radius, budget):
     """Extendability of a pattern on the ball of the given radius."""
+    from .subshifts import extendable
     spec, pat = _load_subshift_and_pattern(spec_path, pattern_path)
     holds = extendable(pat, spec, radius, budget)
     return verdict(holds, {"extendable": holds}, "yes" if holds else "no")
@@ -350,6 +318,8 @@ def delone_group():
 @click.option("--dot", "dot", is_flag=True, help="emit a DOT graph colored by symbol")
 def delone_gen(group, n, radius, dot):
     """Greedy separated configuration on a ball."""
+    from .cayley import ball
+    from .families import builtin_delone, greedy_delone_configuration
     pat = greedy_delone_configuration(group, n, radius)
     spec = builtin_delone(group, n)
     if dot:
@@ -387,6 +357,7 @@ def machine_group():
 @click.option("--trace", is_flag=True)
 def machine_run(group, machine_path, pattern_path, budget, trace):
     """Run the moving-head semantics until acceptance or budget."""
+    from .machines import trace_run
     machine = jsonio.machine_from_json(group, _load_json(machine_path))
     pat = jsonio.pattern_from_json(group, _load_json(pattern_path),
                                    machine.tape_alphabet)
@@ -419,6 +390,7 @@ def machine_run(group, machine_path, pattern_path, budget, trace):
 @click.option("--dot", "dot", is_flag=True, help="emit the path as DOT")
 def machine_path(group, steps, dot):
     """Run the path builder and report (or draw) the marked path."""
+    from .pathwalk import PathMachine, PathRun
     run = PathRun(PathMachine(group))
     run.run(steps)
     run.check_full()
@@ -440,6 +412,7 @@ def machine_path(group, steps, dot):
 @budget_option(2_000_000)
 def machine_visit(group, target, budget):
     """Run the ball visitor until it finishes the target radius."""
+    from .pathwalk import VisitMachine
     vm = VisitMachine(group)
     events = vm.run_until_n(target, budget)
     visited = sorted({group.format_element(e.cell) for e in events
@@ -456,6 +429,7 @@ def machine_visit(group, target, budget):
 @click.option("--steps", type=COUNT, default=100, show_default=True)
 def machine_equiv(group, machine_path, pattern_path, steps):
     """Check fixed-head/moving-head agreement step by step."""
+    from .machines import fixed_moving_equivalent
     machine = jsonio.machine_from_json(group, _load_json(machine_path))
     pat = jsonio.pattern_from_json(group, _load_json(pattern_path),
                                    machine.tape_alphabet)
@@ -470,6 +444,7 @@ def machine_equiv(group, machine_path, pattern_path, steps):
               help='JSON object {"generator display": "word", ...}')
 def machine_retarget(group, machine_path, gamma_path):
     """Replace each move generator by an equal word."""
+    from .machines import retarget_generators
     machine = jsonio.machine_from_json(group, _load_json(machine_path))
     gamma = jsonio.retarget_map_from_json(group, _load_json(gamma_path))
     payload = jsonio.machine_to_json(retarget_generators(machine, gamma))
@@ -483,6 +458,7 @@ def machine_retarget(group, machine_path, gamma_path):
 @budget_option(10_000)
 def machine_simulate_balls(group, machine_path, coding_path, budget):
     """Oracle-side simulation: consistency first, then growing-ball runs."""
+    from .machines import simulate_with_balls
     machine = jsonio.machine_from_json(group, _load_json(machine_path))
     c = jsonio.coding_from_json(group, _load_json(coding_path))
     out = simulate_with_balls(machine, c, budget)
@@ -503,6 +479,14 @@ def machine_simulate_balls(group, machine_path, coding_path, budget):
 @budget_option(20_000)
 def machine_oracle_sim(group, classical, alphabet, pattern_path, budget):
     """Run the six-layer simulator of a classical oracle machine."""
+    from .machines import Accepted
+    from .pathwalk import (
+        build_oracle_simulator,
+        classical_accept_all,
+        classical_contains_entry,
+        classical_query_word,
+    )
+    from .patterns import Alphabet, Pattern
     alpha = Alphabet(tuple(alphabet.split(",")))
     kind, _, arg = classical.partition(":")
     word, has_symbol, symbol = arg.partition(":")
@@ -530,6 +514,7 @@ def compile_group():
 
 
 def _a1_mode(ctx, param, a1: str):
+    from .domino import WindowedA1
     kind, _, arg = a1.partition(":")
     if kind == "windowed" and arg.isdecimal():
         return WindowedA1(int(arg))
@@ -550,6 +535,7 @@ def _a1_mode(ctx, param, a1: str):
 @click.option("-o", "out_path", type=click.Path(), default=None)
 def compile_domino_cmd(group, machine_path, a1, free_product, out_path):
     """Emit the origin-constrained instance for a machine."""
+    from .domino import compile_domino, free_product_layer
     machine = jsonio.machine_from_json(group, _load_json(machine_path))
     instance = compile_domino(group, machine, a1)
     if free_product is not None:
@@ -574,6 +560,8 @@ def compile_domino_cmd(group, machine_path, a1, free_product, out_path):
 def compile_simulate_cmd(group, machine_path, abar, alphabet, n_max, u_radius,
                          out_path):
     """Emit the simulation bundle for a pattern-rejection machine."""
+    from .patterns import Alphabet
+    from .simulation import build_simulation
     machine = jsonio.machine_from_json(group, _load_json(machine_path))
     alpha = Alphabet(tuple(alphabet.split(",")))
     bundle = build_simulation(group, machine, abar, alpha, n_max=n_max,
@@ -604,10 +592,14 @@ def xtime_group():
     """The clock stream."""
 
 
-SCHEDULES = {"default": XTimeParams(), "paper-example": PAPER_EXAMPLE_PARAMS}
+def _schedule(ctx, param, name: str):
+    from .simulation import PAPER_EXAMPLE_PARAMS, XTimeParams
+    return PAPER_EXAMPLE_PARAMS if name == "paper-example" else XTimeParams()
+
+
 schedule_option = click.option(
-    "--schedule", type=click.Choice(list(SCHEDULES)), default="default",
-    show_default=True, callback=lambda ctx, param, name: SCHEDULES[name])
+    "--schedule", type=click.Choice(["default", "paper-example"]), default="default",
+    show_default=True, callback=_schedule)
 
 
 @command(xtime_group, "prefix")
@@ -616,6 +608,7 @@ schedule_option = click.option(
 @schedule_option
 def xtime_prefix_cmd(group, length, schedule):
     """The first n symbols of the clock stream."""
+    from .simulation import xtime_prefix
     toks = xtime_prefix(group, schedule, length)
     return ok(" ".join(toks), {"prefix": toks})
 
@@ -626,6 +619,7 @@ def xtime_prefix_cmd(group, length, schedule):
 @schedule_option
 def xtime_kpos_cmd(group, n, schedule):
     """Position of the n-th block marker."""
+    from .simulation import oplus_positions, xtime_symbol
     pos = oplus_positions(group, schedule, n)
     sym = xtime_symbol(group, schedule, pos)
     return ok(f"k_{n} = {pos} ({sym})", {"position": pos, "symbol": sym})
@@ -643,6 +637,8 @@ def verify_group():
 @budget_option(10_000_000)
 def verify_window_cmd(instance_path, radius, height, budget):
     """Search a window for an admissible origin-anchored assignment."""
+    from .domino import Unsatisfiable, verify_reduction_window
+    from .patterns import Pattern
     instance = jsonio.instance_from_json(_load_json(instance_path))
     out = verify_reduction_window(instance, radius, height, budget)
     if isinstance(out, Unsatisfiable):

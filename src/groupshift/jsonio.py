@@ -5,6 +5,10 @@ Every `*_from_json` decoder raises MalformedInputError when its input lacks
 a key, holds a value of the wrong type or shape, or names one thing twice:
 a pattern giving one element two symbols, or a machine with two rules for
 one (read, state).
+
+Only `groups` is imported at module level; every other decoder or encoder
+imports the module of the kind it builds, so decoding a group (every
+command's --group) loads nothing more.
 """
 
 from __future__ import annotations
@@ -14,24 +18,9 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Mapping, Optional
 
 from .errors import MalformedInputError
-from .domino import (
-    ComponentAlphabet,
-    DominoConstraint,
-    DominoInstance,
-    GOffset,
-    HOffset,
-    UserSftCover,
-    cell_requirement,
-)
-from .families import (
-    builtin_amenable_witness,
-    builtin_delone,
-    builtin_mirror,
-    builtin_one_or_less,
-)
 from .groups import (
     BaumslagSolitarGroup,
     DirectProductGroup,
@@ -42,9 +31,12 @@ from .groups import (
     Group,
     RewritingGroup,
 )
-from .machines import GMachineSpec
-from .patterns import Alphabet, Pattern, PatternCoding, coding, pattern_of
-from .subshifts import FiniteFamily, SubshiftSpec
+
+if TYPE_CHECKING:
+    from .domino import ComponentAlphabet, DominoConstraint, DominoInstance, UserSftCover
+    from .machines import GMachineSpec
+    from .patterns import Alphabet, Pattern, PatternCoding
+    from .subshifts import SubshiftSpec
 
 VERSION = "0.1.0"
 
@@ -117,10 +109,12 @@ def group_to_json(group: Group) -> dict:
 
 @_decoder
 def coding_from_json(group: Group, obj: Mapping[str, Any]) -> PatternCoding:
+    from .patterns import Alphabet
     return _coding(group, obj["entries"], Alphabet(tuple(obj["alphabet"])))
 
 
 def _coding(group: Group, entries, alphabet: Alphabet) -> PatternCoding:
+    from .patterns import coding
     return coding(alphabet, [(group.parse_word(w), alphabet.index(str(label)))
                              for w, label in entries])
 
@@ -144,6 +138,7 @@ def pattern_to_json(group: Group, p: Pattern, alphabet: Optional[Alphabet] = Non
 def pattern_from_json(group: Group, obj: Mapping[str, Any],
                       alphabet: Alphabet) -> Pattern:
     """A pattern coding that must be consistent (`patterns.pattern_of`)."""
+    from .patterns import pattern_of
     return pattern_of(group, _coding(group, obj["support"], alphabet))
 
 
@@ -152,6 +147,14 @@ def pattern_from_json(group: Group, obj: Mapping[str, Any],
 
 @_decoder
 def subshift_from_json(obj: Mapping[str, Any]) -> SubshiftSpec:
+    from .families import (
+        builtin_amenable_witness,
+        builtin_delone,
+        builtin_mirror,
+        builtin_one_or_less,
+    )
+    from .patterns import Alphabet
+    from .subshifts import FiniteFamily, SubshiftSpec
     group = group_from_json(obj["group"])
     forb = obj["forbidden"]
     kind = forb.get("kind")
@@ -179,6 +182,8 @@ def subshift_from_json(obj: Mapping[str, Any]) -> SubshiftSpec:
 
 @_decoder
 def machine_from_json(group: Group, obj: Mapping[str, Any]) -> GMachineSpec:
+    from .machines import GMachineSpec
+    from .patterns import Alphabet
     states = tuple(obj["states"])
     state_index = {s: i for i, s in enumerate(states)}
     alphabet = Alphabet(tuple(obj["alphabet"]))
@@ -233,6 +238,7 @@ def component_alphabet_to_json(alphabet: ComponentAlphabet) -> list:
 
 def constraint_to_json(group: Group, alphabet: ComponentAlphabet,
                        con: DominoConstraint) -> dict:
+    from .domino import GOffset
     support = []
     for off in con.support:
         if isinstance(off, GOffset):
@@ -269,6 +275,7 @@ def instance_to_json(instance: DominoInstance) -> dict:
 def cover_from_json(obj: Mapping[str, Any]) -> UserSftCover:
     """{"values": [...], "constraints": [{"support": [{"g": word, "dz": int},
     ...], "cells": [{component: [labels]}, ...]}, ...]}"""
+    from .domino import UserSftCover
     cons = []
     for c in obj["constraints"]:
         cells = tuple(c["cells"])
@@ -280,6 +287,14 @@ def cover_from_json(obj: Mapping[str, Any]) -> UserSftCover:
 
 @_decoder
 def instance_from_json(obj: Mapping[str, Any]) -> DominoInstance:
+    from .domino import (
+        ComponentAlphabet,
+        DominoConstraint,
+        DominoInstance,
+        GOffset,
+        HOffset,
+        cell_requirement,
+    )
     group = group_from_json(obj["group"])
     alphabet = ComponentAlphabet(tuple(
         (name, tuple(vals)) for name, vals in obj["alphabet"]))

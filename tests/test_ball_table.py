@@ -212,6 +212,43 @@ def test_budget_error_leaves_the_cache_whole(monkeypatch):
     check_table(ball(f2, 6).table)
 
 
+def test_overrun_is_not_retried(monkeypatch):
+    """A growth that overran its budget is remembered with that budget: the
+    same or a smaller budget fails again without a group product, and a
+    raised budget grows again.  F2 has |B_4| = 161, |B_5| = 485 and
+    |B_6| = 1457."""
+    f2 = free_group(2)
+    calls = []
+    real = f2.multiply_letter
+    monkeypatch.setattr(f2, "multiply_letter",
+                        lambda e, s: calls.append(s) or real(e, s))
+    monkeypatch.setattr(cayley, "DEFAULT_BALL_BUDGET", 300)
+    with pytest.raises(BallBudgetError):
+        ball(f2, 6)
+    table = ball(f2, 0).table
+    assert table.radius == 4 and calls      # shells below the overrun grew
+    calls.clear()
+    for n in (5, 6, 9):
+        with pytest.raises(BallBudgetError, match="at radius 5"):
+            ball(f2, n)
+    monkeypatch.setattr(cayley, "DEFAULT_BALL_BUDGET", 200)
+    with pytest.raises(BallBudgetError):
+        ball(f2, 5)
+    assert calls == [] and len(ball(f2, 4)) == 161 and calls == []
+
+    monkeypatch.setattr(cayley, "DEFAULT_BALL_BUDGET", 500)
+    assert len(ball(f2, 5)) == 485 and calls
+    with pytest.raises(BallBudgetError):
+        ball(f2, 6)
+    calls.clear()
+    monkeypatch.setattr(cayley, "DEFAULT_BALL_BUDGET", 300)
+    assert len(ball(f2, 5)) == 485       # held in the table: no growth needed
+    with pytest.raises(BallBudgetError):
+        ball(f2, 6)
+    assert calls == []
+    check_table(ball(f2, 5).table)
+
+
 # distances pinned from the key-arithmetic BFS the table replaced
 BS_DISTANCES = {"a b a^-1 a^-1 b^-1": 0, "a a a a": 4, "b a b^-1": 3,
                 "b^-1 a b": 2, "a^5": 5, "b b a b^-1 b^-1": 5, "a^-7": 6,

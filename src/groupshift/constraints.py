@@ -3,11 +3,14 @@ solver, shared by `extendable`, `factor_window_admissible` and
 `verify_reduction_window`.
 
 A constraint is a sequence of (offset, allowed) pairs: placed at an anchor
-cell c it covers the cells shift(c, offset), and it fires when each of
-them holds a symbol index in its `allowed` set.  `compile_window` numbers
-the window cells 0..n-1, grounds every constraint at every anchor once and
+cell c it covers c moved by each offset, and it fires when each of them
+holds a symbol index in its `allowed` set.  `compile_window` numbers the
+window cells 0..n-1, grounds every constraint at every anchor once and
 keeps only the placements that lie wholly inside the window, so the search
-does no group arithmetic.
+does no group arithmetic.  Constraints with the same offsets whose allowed
+sets differ at one position only are first merged into one taking the
+union there: it fires exactly when one of them would, on the same cells,
+so the search tree is unchanged.
 
 The solver assigns the free cells in window order, so a placement becomes
 fully assigned exactly when its last cell in that order does.  Each
@@ -23,6 +26,7 @@ free cell.  A constraint with no cells fires in every window.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence
@@ -46,40 +50,52 @@ class CompiledWindow:
 
 
 def compile_window(cells: Sequence[Hashable], constraints: Iterable[Constraint],
-                   shift: Callable[[Hashable, Hashable], Hashable]) -> CompiledWindow:
+                   column: Callable[[Hashable], Sequence[int]]) -> CompiledWindow:
     """Ground every constraint at every anchor inside the window.
 
-    `shift(cell, offset)` is called once per window cell and distinct offset.
+    `column(offset)` gives the index each window cell moves to, -1 outside
+    the window; it is called once per distinct offset.
     """
-    index = {c: j for j, c in enumerate(cells)}
-    moved: dict[Hashable, list[int]] = {}
+    by_offsets: dict[tuple, list[tuple[frozenset[int], ...]]] = {}
+    always = False
+    for con in constraints:
+        if con:
+            by_offsets.setdefault(tuple(off for off, _ in con), []).append(
+                tuple(a for _, a in con))
+        else:
+            always = True
+    column = functools.cache(column)
     # one shared object per distinct (cell, allowed) pair
     pairs: dict[tuple[int, frozenset[int]], tuple[int, frozenset[int]]] = {}
     # per cell: the distinct rests of the placements it is last in, by its
     # allowed set, in filing order (a repeated rest keeps its first object)
     filed: list[dict[frozenset[int], dict[Placement, None]]] = [{} for _ in cells]
-    always = False
-    for con in constraints:
-        if not con:
-            always = True
-            continue
-        columns = []
-        for off, _ in con:
-            col = moved.get(off)
-            if col is None:
-                col = moved[off] = [index.get(shift(c, off), -1) for c in cells]
-            columns.append(col)
-        allowed = [a for _, a in con]
-        for js in zip(*columns):
+    for offsets, rows in by_offsets.items():
+        rows = _merged(rows)
+        for js in zip(*map(column, offsets)):
             if -1 in js:
                 continue
             last = js.index(max(js))
-            rest = tuple(pairs.setdefault(p, p)
-                         for k, p in enumerate(zip(js, allowed)) if k != last)
-            filed[js[last]].setdefault(allowed[last], {})[rest] = None
+            for allowed in rows:
+                rest = tuple(pairs.setdefault(p, p)
+                             for k, p in enumerate(zip(js, allowed)) if k != last)
+                filed[js[last]].setdefault(allowed[last], {})[rest] = None
     watch = tuple(tuple((a, tuple(bucket)) for a, bucket in row.items())
                   for row in filed)
-    return CompiledWindow(tuple(cells), index, watch, always)
+    return CompiledWindow(tuple(cells), {c: j for j, c in enumerate(cells)},
+                          watch, always)
+
+
+def _merged(rows: list[tuple[frozenset[int], ...]]) -> list[tuple[frozenset[int], ...]]:
+    """The allowed sets of constraints sharing their offsets, position by
+    position merging the rows equal but there into one taking the union."""
+    for p in range(len(rows[0])):
+        union: dict[tuple[frozenset[int], ...], frozenset[int]] = {}
+        for row in rows:
+            rest = row[:p] + row[p + 1:]
+            union[rest] = union.get(rest, frozenset()) | row[p]
+        rows = [rest[:p] + (a,) + rest[p:] for rest, a in union.items()]
+    return rows
 
 
 def _fires(val: list[int], rests: tuple[Placement, ...]) -> bool:

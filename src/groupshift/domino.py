@@ -12,11 +12,12 @@ wildcard dimension.
 window once per call (`constraints.compile_window`): each constraint becomes
 offsets (anchor.g^-1 * o.g, o.dz - anchor.dz) from its first support cell,
 and each cell requirement becomes the set of indices into
-`list(alphabet.symbols())` it allows.  The search (`constraints.solve`)
-counts one node per (cell, symbol) tried.  `grounded_violations` is the one
-direct, uncompiled scan, kept as the check of explicit assignments: behind
-`check_window_assignment`, `simulation.URuleSet.check_window` and the
-tests' search oracle.
+`list(alphabet.symbols())` it allows.  Each distinct G part of an offset is
+multiplied through the base ball once, and placed on every level by
+arithmetic.  The search (`constraints.solve`) counts one node per (cell,
+symbol) tried.  `grounded_violations` is the one direct, uncompiled scan,
+kept as the check of explicit assignments: behind `check_window_assignment`,
+`simulation.URuleSet.check_window` and the tests' search oracle.
 """
 
 from __future__ import annotations
@@ -384,18 +385,23 @@ def verify_reduction_window(
     Raises UndeterminedError (carrying the node count) when the search
     exceeds `budget` nodes.
     """
+    if height_z < 0:
+        raise MalformedInputError("height must be >= 0")
     group = instance.g_group
     symbols = list(instance.alphabet.symbols())
-    moved: dict[tuple[Element, Element], Element] = {}  # shared by every level
+    cells = window_cells(instance, radius_g, height_z)
+    width = len(cells) // (height_z + 1)
+    at = {g: j for j, (g, _) in enumerate(cells[:width])}
+    g_columns: dict[Element, list[int]] = {}  # shared by every level
 
-    def shift(cell: Cell, off: tuple[Element, int]) -> Cell:
-        key = (cell[0], off[0])
-        if key not in moved:
-            moved[key] = group.multiply(*key)
-        return (moved[key], cell[1] + off[1])
+    def column(off: tuple[Element, int]) -> list[int]:
+        g, dz = off
+        if g not in g_columns:
+            g_columns[g] = [at.get(group.multiply(c, g), -1) for c in at]
+        return [z * width + j if j >= 0 and 0 <= z <= height_z else -1
+                for z in range(dz, height_z + 1 + dz) for j in g_columns[g]]
 
-    window = compile_window(window_cells(instance, radius_g, height_z),
-                            _indexed_constraints(instance, symbols), shift)
+    window = compile_window(cells, _indexed_constraints(instance), column)
     fixed = {}
     if instance.origin_symbol is not None:
         origin = tuple(instance.origin_symbol)
@@ -412,10 +418,12 @@ def verify_reduction_window(
     return Satisfiable(Pattern(witness))
 
 
-def _indexed_constraints(instance: DominoInstance, symbols: list[tuple[int, ...]]):
-    """Each constraint as (offset from its first cell, allowed symbol indices)."""
+def _indexed_constraints(instance: DominoInstance):
+    """Each constraint as (offset from its first cell, allowed symbol indices
+    in mixed radix), each distinct offset and requirement computed once."""
     group = instance.g_group
     allowed: dict[CellReq, frozenset[int]] = {}
+    moved: dict[tuple[Element, Element], Element] = {}
     out = []
     for con in instance.constraints:
         _require_g_offsets(con)
@@ -423,12 +431,16 @@ def _indexed_constraints(instance: DominoInstance, symbols: list[tuple[int, ...]
         anchor = con.support[0]
         for o, req in zip(con.support, con.cells):
             if req not in allowed:
-                allowed[req] = frozenset(
-                    i for i, sym in enumerate(symbols)
-                    if all(sym[ci] in vals for ci, vals in req))
-            off = (group.multiply(group.inverse_element(anchor.g), o.g),
-                   o.dz - anchor.dz)
-            pairs.append((off, allowed[req]))
+                indices = [0]
+                for ci, (_, vals) in enumerate(instance.alphabet.components):
+                    keep = [v for v in range(len(vals))
+                            if all(v in a for c, a in req if c == ci)]
+                    indices = [i * len(vals) + v for i in indices for v in keep]
+                allowed[req] = frozenset(indices)
+            if (anchor.g, o.g) not in moved:
+                moved[anchor.g, o.g] = group.multiply(
+                    group.inverse_element(anchor.g), o.g)
+            pairs.append(((moved[anchor.g, o.g], o.dz - anchor.dz), allowed[req]))
         out.append(pairs)
     return out
 

@@ -232,7 +232,9 @@ def _compile(family: ForbiddenFamily, group: Group, diameter: int,
             con.append((off, singletons[v]))
         else:
             constraints.append(con)
-    return compile_window(cells, constraints, shift)
+    index = {c: j for j, c in enumerate(cells)}
+    return compile_window(cells, constraints,
+                          lambda off: [index.get(shift(c, off), -1) for c in cells])
 
 
 # -- closure operations --------------------------------------------------------

@@ -19,7 +19,8 @@ from .conftest import (
     brute_force_extendable,
     finite_specs,
 )
-from hypothesis import given, strategies as st
+from .test_machines import machine as criterion_machine
+from hypothesis import assume, given, strategies as st
 
 from groupshift import (
     Alphabet,
@@ -48,6 +49,7 @@ from groupshift.domino import (
     grounded_violations,
     window_cells,
 )
+from groupshift.groups import FreeAbelianGroup
 
 ZLINE = GROUPS["z"]
 SIGMA = Alphabet(("_", "1"))
@@ -180,7 +182,7 @@ def test_empty_forbidden_pattern_always_fires():
     for radius in (0, 2):
         assert not extendable(Pattern({}), spec, radius)
         assert not brute_force_extendable(Pattern({}), spec, radius)
-    window = compile_window(["c"], [[]], lambda c, off: c)
+    window = compile_window(["c"], [[]], lambda off: [0])
     assert solve(window, {}, 2, budget=10) is None
 
 
@@ -222,11 +224,12 @@ def _buckets(window):
 @pytest.mark.parametrize("kind,k,radius", [("f2", 1, 2), ("z2", 2, 3)])
 def test_one_or_less_files_each_placement_once(kind, k, radius):
     # two cells with nonzero symbols: one placement per unordered pair of
-    # cells and per pair of symbols, although the family lists both orders
+    # cells, although the family lists both orders and every pair of
+    # symbols (those sharing a pair of offsets merge into one)
     group = GROUPS[kind]
     window = builtin_one_or_less(group, k).forbidden.compiled_window(group, radius)
     placements = sum(len(bucket) for bucket in _buckets(window))
-    assert placements == comb(len(ball(group, radius)), 2) * k * k
+    assert placements == comb(len(ball(group, radius)), 2)
 
 
 def test_no_watch_bucket_repeats_a_rest(monkeypatch):
@@ -244,6 +247,43 @@ def test_no_watch_bucket_repeats_a_rest(monkeypatch):
     for window in windows:
         for bucket in _buckets(window):
             assert len(set(bucket)) == len(bucket)
+
+
+@pytest.mark.parametrize("rules", [
+    {(1, 0): (1, 0, 1), (0, 0): (0, 1, 0)},
+    {(0, 0): (0, 0, 1), (1, 0): (1, 0, 1)},
+])
+def test_domino_window_merges_same_offset_constraints(monkeypatch, rules):
+    # criterion 12's radius-4, height-6 windows: A2 and B1 share their
+    # offsets, and so do the B2 rules of one entry, so each such group
+    # grounds as one merged constraint (2,287 and 2,275 placements unmerged)
+    z = FreeAbelianGroup(1, names=["a"])
+    windows = []
+    monkeypatch.setattr(domino, "compile_window",
+                        lambda *args: windows.append(compile_window(*args)) or windows[-1])
+    instance = compile_domino(z, criterion_machine(z, ("walk", "acc"), {1}, rules),
+                              WindowedA1(8))
+    assert len(instance.constraints) == 53
+    verify_reduction_window(instance, 4, 6)
+    assert sum(len(bucket) for bucket in _buckets(windows[0])) == 799
+
+
+def test_verify_window_grounds_each_g_offset_once(monkeypatch):
+    # the G part of an offset is multiplied through the base ball once and
+    # placed on every level by arithmetic, so the height costs no product
+    instance = compile_domino(ZLINE, machine(("walk", "acc"), {(0, 0): (0, 0, 1)}),
+                              WindowedA1(3))
+    verify_reduction_window(instance, 2, 3)  # grows the ball
+    multiply = ZLINE.multiply
+    calls = []
+    monkeypatch.setattr(ZLINE, "multiply",
+                        lambda a, b: calls.append(1) or multiply(a, b))
+    counts = []
+    for height in (3, 6):
+        calls.clear()
+        verify_reduction_window(instance, 2, height)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 @st.composite
@@ -267,7 +307,7 @@ def small_windows(draw):
 @given(small_windows())
 def test_solve_with_placements_matches_enumeration(instance):
     n, k, constraints, placements, fixed = instance
-    window = compile_window(range(n), constraints, lambda c, off: c + off)
+    window = compile_window(range(n), constraints, line_column(n))
     grounded = [tuple((c + off, a) for off, a in con)
                 for con in constraints for c in range(n)
                 if all(0 <= c + off < n for off, _ in con)]
@@ -282,3 +322,49 @@ def test_solve_with_placements_matches_enumeration(instance):
                      and not any(fires(val, p) for p in grounded + placements)),
                     None)
     assert solve(window, fixed, k, budget=10**6, placements=placements) == expected
+
+
+def line_column(n):
+    """The `column` callback of cells 0..n-1 moved by integer offsets."""
+    return lambda off: [c + off if 0 <= c + off < n else -1 for c in range(n)]
+
+
+def nodes_and_result(window, fixed, k, placements):
+    """The nodes `solve` visits (the least budget it does not run out of)
+    and what it returns; at one node less it raises carrying that count."""
+    lo, hi = 0, 10**4
+    while lo < hi:
+        mid = (lo + hi) // 2
+        try:
+            solve(window, fixed, k, mid, placements=placements)
+            hi = mid
+        except UndeterminedError:
+            lo = mid + 1
+    if lo:
+        with pytest.raises(UndeterminedError) as err:
+            solve(window, fixed, k, lo - 1, placements=placements)
+        assert err.value.nodes == lo
+    return lo, solve(window, fixed, k, lo, placements=placements)
+
+
+@CHECKS
+@given(small_windows(), st.data())
+def test_split_constraint_searches_the_same_tree(instance, data):
+    # one constraint split in two at one position, the halves' allowed sets
+    # there partitioning its own, forbids the same assignments: the search
+    # must find the same assignment after the same number of nodes
+    n, k, constraints, placements, fixed = instance
+    splittable = [(i, p) for i, con in enumerate(constraints)
+                  for p, (_, a) in enumerate(con) if len(a) > 1]
+    assume(splittable)
+    i, p = data.draw(st.sampled_from(splittable))
+    off, a = constraints[i][p]
+    part = data.draw(st.frozensets(st.sampled_from(sorted(a)), min_size=1,
+                                   max_size=len(a) - 1))
+    halves = [constraints[i][:p] + [(off, b)] + constraints[i][p + 1:]
+              for b in (part, a - part)]
+    split = constraints[:i] + halves + constraints[i + 1:]
+    assert (nodes_and_result(compile_window(range(n), constraints, line_column(n)),
+                             fixed, k, placements)
+            == nodes_and_result(compile_window(range(n), split, line_column(n)),
+                                fixed, k, placements))

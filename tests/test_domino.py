@@ -220,6 +220,13 @@ def test_verifier_rejects_free_product(z, suite):
         verify_reduction_window(inst, 2, 2)
 
 
+@pytest.mark.parametrize("radius,height", [(-1, 2), (2, -1)])
+def test_verifier_rejects_negative_window(z, suite, radius, height):
+    inst = compile_domino(z, suite[1], WindowedA1(2))
+    with pytest.raises(MalformedInputError, match="must be >= 0"):
+        verify_reduction_window(inst, radius, height)
+
+
 def test_all_single_symbols_forbidden_unsat(z):
     from groupshift.domino import ComponentAlphabet, DominoConstraint, DominoInstance
     alphabet = ComponentAlphabet((("sym", ("0", "1")),))

@@ -17,6 +17,7 @@ from .errors import (
     ComponentExhaustedError,
     MalformedInputError,
     UnsupportedGroupError,
+    require_nonnegative,
 )
 from .groups import Element, Group, Letters
 
@@ -342,8 +343,7 @@ def disjoint_ball_sequences(group: Group, n: int) -> tuple[list[Element], list[E
     """
     if group.is_finite():
         raise UnsupportedGroupError("disjoint ball sequences need an infinite group")
-    if n < 0:
-        raise MalformedInputError("n must be >= 0")
+    require_nonnegative("n", n)
     cap = 1 + 2 * n * (n + 2)
     table = ball(group, 0).table
     found: list[Element] = []       # g_0, h_0, g_1, h_1, ...
@@ -389,8 +389,7 @@ def component_sequence(group: Group, n_cut: int, seed, count: int) -> list[Eleme
     with |seed| the distance from the identity however the seed is spelled.
     """
     seed_el = seed if isinstance(seed, Element) else group.element(seed)
-    if count < 0:
-        raise MalformedInputError("count must be >= 0")
+    require_nonnegative("count", count)
     seed_len = distance_from_identity(group, seed_el)
     if seed_len <= n_cut:
         raise MalformedInputError("seed must lie outside the cut ball")

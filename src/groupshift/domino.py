@@ -26,7 +26,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .errors import MalformedInputError, UnsupportedGroupError
+from .errors import MalformedInputError, UnsupportedGroupError, require_nonnegative
 from .cayley import ball
 from .constraints import compile_window, solve
 from .groups import Element, FiniteGroup, FreeAbelianGroup, Group, direct_product
@@ -385,8 +385,7 @@ def verify_reduction_window(
     Raises UndeterminedError (carrying the node count) when the search
     exceeds `budget` nodes.
     """
-    if height_z < 0:
-        raise MalformedInputError("height must be >= 0")
+    require_nonnegative("height", height_z)
     group = instance.g_group
     symbols = list(instance.alphabet.symbols())
     cells = window_cells(instance, radius_g, height_z)

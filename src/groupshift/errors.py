@@ -21,6 +21,12 @@ class MalformedInputError(GroupShiftError):
     request exceeds a fixed cap."""
 
 
+def require_nonnegative(name: str, value: int) -> None:
+    """A negative count in a request is malformed input (exit 2)."""
+    if value < 0:
+        raise MalformedInputError(f"{name} must be >= 0, got {value}")
+
+
 class UnsupportedGroupError(GroupShiftError):
     """Operation requires an infinite group (or otherwise unsupported kind)."""
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable
 
-from .errors import BallBudgetError, MalformedInputError, UnsupportedGroupError
+from .errors import BallBudgetError, MalformedInputError, UnsupportedGroupError, require_nonnegative
 from .cayley import BallTable, ball, disjoint_ball_sequences
 from .groups import Element, FreeAbelianGroup, Group
 from .patterns import Alphabet, Pattern
@@ -215,8 +215,7 @@ def builtin_amenable_witness(group: Group, n_max: int) -> SubshiftSpec:
     """
     if group.is_finite():
         raise UnsupportedGroupError("the witness construction needs an infinite group")
-    if n_max < 0:
-        raise MalformedInputError("n_max must be >= 0")
+    require_nonnegative("n_max", n_max)
     alphabet = Alphabet(("0", "1", "2"))
     gs, hs = disjoint_ball_sequences(group, n_max)
 

@@ -61,8 +61,12 @@ class Element:
         return self._hash
 
     def __eq__(self, other):
-        return isinstance(other, Element) and self._hash == other._hash \
-            and self.key == other.key
+        return self is other or isinstance(other, Element) and \
+            self._hash == other._hash and self.key == other.key
+
+    def __ne__(self, other):  # one dispatch, not object.__ne__ then __eq__
+        return not (self is other or isinstance(other, Element) and
+                    self._hash == other._hash and self.key == other.key)
 
     def __repr__(self):  # pragma: no cover
         return f"Element({self.key!r})"

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence, Union
 
-from .errors import MalformedInputError, RetargetSoundnessError
+from .errors import MalformedInputError, RetargetSoundnessError, require_nonnegative
 from .groups import Element, Group, Letters
 from .patterns import Alphabet, Pattern, PatternCoding, check_consistency, Inconsistent, coding_length
 
@@ -128,8 +128,7 @@ def trace_run(spec: GMachineSpec, p: Pattern, budget: int):
     The config is advanced in place, so a consumer that keeps anything from
     it past the next iteration must copy it first.
     """
-    if budget < 0:
-        raise MalformedInputError(f"budget must be >= 0, got {budget}")
+    require_nonnegative("budget", budget)
     cfg = initial_config(spec, p)
     while True:
         yield cfg
@@ -160,8 +159,7 @@ def fixed_moving_equivalent(spec: GMachineSpec, p: Pattern, steps: int) -> bool:
     under the head, right after it is read, so a wrong symbol is caught when
     it is read again or, failing that, at the end.
     """
-    if steps < 0:
-        raise MalformedInputError(f"steps must be >= 0, got {steps}")
+    require_nonnegative("steps", steps)
     group = spec.group
     cfg = initial_config(spec, p)
     # the literal fixed-head tape: frame position (head at origin) ->
@@ -266,8 +264,7 @@ class MultiHeadSpec:
 def run_multihead(spec: MultiHeadSpec, p: Pattern, budget: int) -> RunOutcome:
     """Lockstep run; accepts when any coordinate reaches an accepting state.
     Its joint step over n tapes has no single-tape table, hence its own loop."""
-    if budget < 0:
-        raise MalformedInputError(f"budget must be >= 0, got {budget}")
+    require_nonnegative("budget", budget)
     group = spec.group
     tapes: list[dict[Element, int]] = [dict() for _ in range(spec.n)]
     for e, v in p.items():

@@ -20,6 +20,7 @@ from .errors import (
     MalformedInputError,
     UndeterminedError,
     UnsupportedGroupError,
+    require_nonnegative,
 )
 from .groups import Element, Group, Letters
 from .machines import (Accepted, Exhausted, GMachineSpec, MachineConfig,
@@ -37,9 +38,7 @@ _STATE_BACK = 1
 
 
 def _sym_name(group: Group, dirs: Sequence[int], c1: int, c2: int, c3: int) -> str:
-    first = {"0": "_", "1": ">"}.get(str(c1)) if c1 in (0, 1) else None
-    if first is None:
-        first = group.generators[dirs[c1 - 2]].display
+    first = "_>"[c1] if c1 < 2 else group.generators[dirs[c1 - 2]].display
     second = "#" if c2 == _C2_MARK else "_"
     third = "_" if c3 == _C3_BLANK else group.generators[dirs[c3 - 1]].display
     return f"{first}|{second}|{third}"
@@ -58,29 +57,24 @@ class PathMachine:
             raise UnsupportedGroupError("need at least one non-identity generator")
         self.k = k
         self.n_c1, self.n_c2, self.n_c3 = k + 2, 2, k + 1
-        names = [_sym_name(group, self.dirs, c1, c2, c3)
-                 for c1 in range(self.n_c1)
-                 for c2 in range(self.n_c2)
-                 for c3 in range(self.n_c3)]
-        self.alphabet = Alphabet(tuple(names))
+        # decode tables, built once: symbol -> (c1, c2, c3) in `sym` order,
+        # the letter a mark made from each state arrived by (0 at the root),
+        # and the letter stepping back along each arrival link c1
+        self.decode = tuple((c1, c2, c3) for c1 in range(self.n_c1)
+                            for c2 in range(self.n_c2) for c3 in range(self.n_c3))
+        self.c2_of = tuple(c2 for _, c2, _ in self.decode)
+        self.arrival_of = (0, 0) + tuple(d for d in self.dirs for _ in "<>") + (0,)
+        self.back_of = (0, 0) + tuple(group.inverse_letter(d) for d in self.dirs)
+        self.alphabet = Alphabet(tuple(_sym_name(group, self.dirs, *c)
+                                       for c in self.decode))
         self.blank = self.sym(0, 0, 0)
-        self.c2_of = tuple(self.unsym(s)[1] for s in range(len(self.alphabet)))
-        states = ["I", "B"]
-        for i in range(k):
-            d = group.generators[self.dirs[i]].display
-            states.extend([f"{d}<", f"{d}>"])
-        states.append("DEAD")
-        self.states = tuple(states)
-        self.dead_state = len(states) - 1
+        self.states = ("I", "B") + tuple(f"{group.generators[d].display}{side}"
+                                         for d in self.dirs for side in "<>") + ("DEAD",)
+        self.dead_state = len(self.states) - 1
         self.spec, self.gated_spec = self._build_specs()
 
     def sym(self, c1: int, c2: int, c3: int) -> int:
         return (c1 * self.n_c2 + c2) * self.n_c3 + c3
-
-    def unsym(self, s: int) -> tuple[int, int, int]:
-        c3 = s % self.n_c3
-        rest = s // self.n_c3
-        return (rest // self.n_c2, rest % self.n_c2, c3)
 
     def state_left(self, i: int) -> int:
         return 2 + 2 * i
@@ -90,12 +84,10 @@ class PathMachine:
 
     def _build_specs(self) -> tuple[GMachineSpec, GMachineSpec]:
         """The six-rule table, and its depth gate: rule 2 bounces as rule 4 does."""
-        group, dirs, k = self.group, self.dirs, self.k
-        delta: dict[tuple[int, int], tuple[int, int, int]] = {}
-        n_states = len(self.states)
-        for s in range(len(self.alphabet)):
-            for q in range(n_states):
-                delta[(s, q)] = (s, q, 0)  # filler self-loop; overwritten below
+        group, dirs, k, back = self.group, self.dirs, self.k, self.back_of
+        # filler self-loops, overwritten below
+        delta = {(s, q): (s, q, 0) for s in range(len(self.alphabet))
+                 for q in range(len(self.states))}
         blank = self.blank
         # rule 1: initialize at the origin, head out towards the first direction
         delta[(blank, _STATE_INIT)] = (
@@ -113,8 +105,7 @@ class PathMachine:
                     delta[(marked, right)] = (
                         self.sym(c1, _C2_MARK, 1 + i), left, dirs[i])
                     # rule 4: arrived at an occupied cell: bounce back
-                    delta[(marked, left)] = (
-                        marked, _STATE_BACK, group.inverse_letter(dirs[i]))
+                    delta[(marked, left)] = (marked, _STATE_BACK, back[2 + i])
         # rules 5/6: backtracking at a marked cell with outgoing link g_i
         for c1 in range(self.n_c1):
             for i in range(k):
@@ -130,13 +121,10 @@ class PathMachine:
                     delta[(marked, _STATE_BACK)] = (marked, self.dead_state, 0)
                 else:
                     # erase the dead end and step back along the arrival link
-                    delta[(marked, _STATE_BACK)] = (
-                        blank, _STATE_BACK,
-                        group.inverse_letter(dirs[c1 - 2]))
+                    delta[(marked, _STATE_BACK)] = (blank, _STATE_BACK, back[c1])
         gated = dict(delta)
         for i in range(k):
-            gated[(blank, self.state_left(i))] = (
-                blank, _STATE_BACK, group.inverse_letter(dirs[i]))
+            gated[(blank, self.state_left(i))] = (blank, _STATE_BACK, back[2 + i])
         return tuple(GMachineSpec(group, self.states, frozenset(), self.alphabet,
                                   self.blank, table) for table in (delta, gated))
 
@@ -153,7 +141,9 @@ class PathRun(MachineConfig):
     its mark or erase off the cell the head left: every mark must extend the
     tip by one Cayley edge into an unmarked cell, every erase must remove
     exactly the tip.  `check_full` re-walks the arrival links from the tip to
-    the root as the deep (non-incremental) verification.
+    the root as the deep (non-incremental) verification.  Both compare
+    canonical keys from `key_append`, apart from the stored path: the
+    predicate of `Element` equality, with no `Element` built per check.
 
     With a `depth_limit`, paths are restricted to at most that many edges:
     past it the run steps by the machine's `gated_spec`, whose rule 2
@@ -163,6 +153,8 @@ class PathRun(MachineConfig):
 
     def __init__(self, machine: PathMachine, check: bool = True,
                  depth_limit: Optional[int] = None):
+        if depth_limit is not None:
+            require_nonnegative("depth limit", depth_limit)
         super().__init__({}, machine.group.identity, _STATE_INIT)
         self.m = machine
         self.group = machine.group
@@ -194,8 +186,7 @@ class PathRun(MachineConfig):
         if now_marked == _C2_MARK:
             self.path.append(cell)
             self.path_set.add(cell)
-            self.arrival.append(0 if state == _STATE_INIT
-                                else m.dirs[(state - 2) // 2])
+            self.arrival.append(m.arrival_of[state])
             self.max_path_len = max(self.max_path_len, len(self.path))
             return ("mark", cell)
         self.path.pop()
@@ -206,54 +197,57 @@ class PathRun(MachineConfig):
     def _check_transition(self, cell: Element, state: int, was_marked: int,
                           now_marked: int) -> None:
         """The step from `state` at `cell` against the path before it."""
-        m, group = self.m, self.group
+        m, group, path = self.m, self.group, self.path
         if was_marked == _C2_BLANK and now_marked == _C2_MARK:
             if cell in self.path_set:
                 raise AssertionError("marking an already-marked cell")
             if state == _STATE_INIT:
-                if self.path or cell != group.identity:
+                if path or cell.key != group.identity.key:
                     raise AssertionError("init mark away from the root")
-            else:
-                i = (state - 2) // 2
-                expected = group.multiply_letter(self.path[-1], m.dirs[i])
-                if expected != cell:
-                    raise AssertionError("mark does not extend the tip by one edge")
+            elif group.key_append(path[-1].key, m.arrival_of[state]) != cell.key:
+                raise AssertionError("mark does not extend the tip by one edge")
         elif was_marked == _C2_MARK and now_marked == _C2_BLANK:
-            if not self.path or self.path[-1] != cell:
+            if not path or path[-1].key != cell.key:
                 raise AssertionError("erase not at the tip")
-            if len(self.path) == 1:
+            if len(path) == 1:
                 raise AssertionError("erasing the root")
-        if len(self.path) != len(self.path_set):
+        if len(path) != len(self.path_set):
             raise AssertionError("path list and marked set diverged")
 
     def run(self, steps: int) -> None:
+        require_nonnegative("steps", steps)
         for _ in range(steps):
             self.step()
 
     def check_full(self) -> None:
-        """Walk the stored arrival links from the tip back to the root."""
-        m, group = self.m, self.group
-        if not self.path:
+        """Walk the arrival links from the tip back to the root, stepping a
+        canonical key back by `key_append` and comparing it with each stored
+        cell's key (the tape is read at the stored cell, its own key object),
+        then check that no mark lies off the path."""
+        m, group, path = self.m, self.group, self.path
+        if not path:
             return
-        if self.path[0] != group.identity:
+        if path[0] != group.identity:
             raise AssertionError("path root is not the identity")
         seen = set()
-        cell = self.path[-1]
-        for expected in reversed(self.path):
-            if cell != expected or cell in seen:
+        key, root_key = path[-1].key, path[0].key
+        for expected in reversed(path):
+            if key != expected.key or expected in seen:
                 raise AssertionError("arrival links do not retrace the path")
-            seen.add(cell)
-            c1, c2, _ = m.unsym(self.tape.get(cell, m.blank))
+            seen.add(expected)
+            c1, c2, _ = m.decode[self.tape.get(expected, m.blank)]
             if c2 != _C2_MARK:
                 raise AssertionError("path cell lost its mark")
-            if cell == self.path[0]:
+            if key == root_key:
                 if c1 != _C1_START:
                     raise AssertionError("root does not carry the start marker")
                 break
             if c1 in (_C1_BLANK, _C1_START):
                 raise AssertionError("non-root cell carries no arrival link")
-            cell = group.multiply_letter(
-                cell, group.inverse_letter(m.dirs[c1 - 2]))
+            key = group.key_append(key, m.back_of[c1])
+        # every path cell is marked, so equal sizes mean the marks are the path
+        if len(self.tape) != len(path):
+            raise AssertionError("a mark lies off the path")
 
     def path_word(self) -> Letters:
         return tuple(self.arrival[1:])
@@ -340,11 +334,13 @@ class VisitMachine:
         self.ticks += 1
 
     def run(self, ticks: int) -> list[VisitEvent]:
+        require_nonnegative("ticks", ticks)
         for _ in range(ticks):
             self.tick()
         return self.events
 
     def run_until_n(self, target: int, budget: int) -> list[VisitEvent]:
+        require_nonnegative("budget", budget)
         for _ in range(budget):
             if self.n > target:
                 return self.events

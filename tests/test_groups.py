@@ -341,3 +341,18 @@ def test_frame_keys_injective_on_ball(name):
 def test_identity_letter_vanishes(f2):
     w = (0, 1, 0, 2, 0)
     assert f2.element(w) == f2.element((1, 2))
+
+
+@pytest.mark.parametrize("name", KINDS)
+def test_element_ne_is_not_eq(name):
+    """`!=` on elements is the negation of `==`, between equal elements built
+    apart, an element and itself, and against None, its key and its word."""
+    g = KINDS[name]()
+    words = [w for n in range(3) for w in itertools.product(g.nonidentity_ids, repeat=n)]
+    elements = [g.element(w) for w in words]
+    others = [None, elements[-1].key, g.key_letters(elements[-1].key)]
+    for a in elements:
+        for b in elements + others:
+            assert (a != b) is (not (a == b))
+            assert (b != a) is (not (b == a))
+    assert any(a == b and a is not b for a in elements for b in elements)

@@ -8,6 +8,7 @@ from groupshift import (
     Accepted,
     Alphabet,
     Exhausted,
+    MalformedInputError,
     Pattern,
     PathMachine,
     PathRun,
@@ -22,7 +23,7 @@ from groupshift import (
     direct_product,
 )
 from groupshift.groups import ConsWord, FreeAbelianGroup
-from groupshift.pathwalk import _STATE_BACK
+from groupshift.pathwalk import _C1_START, _C2_MARK, _STATE_BACK
 
 from .conftest import KINDS
 
@@ -106,6 +107,183 @@ def test_step_checks_the_transition(z):
                 run.step()
         else:
             assert run.step() == ("mark", run.head)
+
+
+INFINITE_KINDS = ("z", "z2", "f2", "bs12", "z_a_a2", "c2xz", "c2*c3")
+
+
+def _before(machine, event, after=0, depth_limit=None):
+    """A fresh run stopped right before its first `event` ('mark' or
+    'erase') step once `after` steps are done."""
+    probe = PathRun(machine, depth_limit=depth_limit)
+    probe.run(after)
+    for _ in range(10_000):
+        ev = probe.step()
+        if ev is not None and ev[0] == event:
+            break
+    else:
+        pytest.fail(f"no {event} step within 10,000 steps")
+    run = PathRun(machine, depth_limit=depth_limit)
+    run.run(probe.steps - 1)
+    return run
+
+
+def _retag(run, cell, c1):
+    """Rewrite the arrival component of `cell`'s symbol, keeping the rest."""
+    m = run.m
+    _, c2, c3 = m.decode[run.tape[cell]]
+    run.tape[cell] = m.sym(c1, c2, c3)
+
+
+def _off_path(run):
+    """A cell of B_2 that the run's path does not hold."""
+    return next(e for e in ball(run.group, 2).sorted_elements()
+                if e not in run.path_set)
+
+
+# Each test below corrupts one run and asserts that the check it aims at
+# catches it: the per-step checks on the next step, the deep ones in
+# `check_full`.  Together they fire every assertion of `PathRun`.
+
+
+@pytest.mark.parametrize("kind", INFINITE_KINDS)
+def test_tamper_init_mark_away_from_the_root(kind):
+    machine = PathMachine(KINDS[kind]())
+    run = PathRun(machine)
+    run.head = machine.group.element((machine.dirs[0],))
+    with pytest.raises(AssertionError, match="init mark away from the root"):
+        run.step()
+
+
+@pytest.mark.parametrize("kind", INFINITE_KINDS)
+def test_tamper_already_marked(kind):
+    run = _before(PathMachine(KINDS[kind]()), "mark", after=50)
+    run.path_set.add(run.head)
+    with pytest.raises(AssertionError, match="marking an already-marked cell"):
+        run.step()
+
+
+@pytest.mark.parametrize("kind", INFINITE_KINDS)
+def test_tamper_mark_off_the_tip(kind):
+    run = _before(PathMachine(KINDS[kind]()), "mark", after=50)
+    assert len(run.path) > 1
+    run.path[-1] = run.path[0]
+    with pytest.raises(AssertionError,
+                       match="mark does not extend the tip by one edge"):
+        run.step()
+
+
+@pytest.mark.parametrize("kind", INFINITE_KINDS)
+def test_tamper_erase_off_the_tip(kind):
+    run = _before(PathMachine(KINDS[kind]()), "erase", depth_limit=2)
+    run.path[-1] = run.path[0]
+    with pytest.raises(AssertionError, match="erase not at the tip"):
+        run.step()
+
+
+@pytest.mark.parametrize("kind", INFINITE_KINDS)
+def test_tamper_erase_the_root(kind):
+    run = _before(PathMachine(KINDS[kind]()), "erase", depth_limit=1)
+    assert len(run.path) == 2
+    run.path_set.discard(run.path.pop(0))
+    with pytest.raises(AssertionError, match="erasing the root"):
+        run.step()
+
+
+@pytest.mark.parametrize("kind", INFINITE_KINDS)
+def test_tamper_path_and_set_diverge(kind):
+    run = PathRun(PathMachine(KINDS[kind]()))
+    run.run(50)
+    run.path_set.add(_off_path(run))
+    with pytest.raises(AssertionError, match="path list and marked set diverged"):
+        run.step()
+
+
+@pytest.mark.parametrize("kind", INFINITE_KINDS)
+def test_tamper_root_not_the_identity(kind):
+    run = PathRun(PathMachine(KINDS[kind]()))
+    run.run(200)
+    run.path[0] = run.path[1]
+    with pytest.raises(AssertionError, match="path root is not the identity"):
+        run.check_full()
+
+
+@pytest.mark.parametrize("kind", INFINITE_KINDS)
+def test_tamper_arrival_link(kind):
+    """An arrival link rewritten to another direction steps the walk's key
+    off the stored path."""
+    run = PathRun(PathMachine(KINDS[kind]()))
+    run.run(200)
+    tip = run.path[-1]
+    c1 = run.m.decode[run.tape[tip]][0]
+    _retag(run, tip, 2 + (c1 - 1) % run.m.k)
+    with pytest.raises(AssertionError,
+                       match="arrival links do not retrace the path"):
+        run.check_full()
+
+
+@pytest.mark.parametrize("kind", INFINITE_KINDS)
+def test_tamper_blank_path_cell(kind):
+    run = PathRun(PathMachine(KINDS[kind]()))
+    run.run(200)
+    del run.tape[run.path[len(run.path) // 2]]
+    with pytest.raises(AssertionError, match="path cell lost its mark"):
+        run.check_full()
+
+
+@pytest.mark.parametrize("kind", INFINITE_KINDS)
+def test_tamper_root_start_marker(kind):
+    run = PathRun(PathMachine(KINDS[kind]()))
+    run.run(200)
+    _retag(run, run.path[0], 2)
+    with pytest.raises(AssertionError,
+                       match="root does not carry the start marker"):
+        run.check_full()
+
+
+@pytest.mark.parametrize("kind", INFINITE_KINDS)
+def test_tamper_no_arrival_link(kind):
+    run = PathRun(PathMachine(KINDS[kind]()))
+    run.run(200)
+    _retag(run, run.path[len(run.path) // 2], _C1_START)
+    with pytest.raises(AssertionError,
+                       match="non-root cell carries no arrival link"):
+        run.check_full()
+
+
+@pytest.mark.parametrize("kind", INFINITE_KINDS)
+def test_tamper_mark_off_the_path(kind):
+    """A mark on a cell the path never reached (an erase that failed to blank
+    its cell leaves the same tape)."""
+    machine = PathMachine(KINDS[kind]())
+    run = PathRun(machine)
+    run.run(200)
+    run.check_full()
+    run.tape[_off_path(run)] = machine.sym(2, _C2_MARK, 0)
+    with pytest.raises(AssertionError, match="a mark lies off the path"):
+        run.check_full()
+
+
+def test_negative_steps_are_malformed(z):
+    run = PathRun(PathMachine(z))
+    with pytest.raises(MalformedInputError, match="steps must be >= 0, got -5"):
+        run.run(-5)
+
+
+def test_negative_depth_limit_is_malformed(z):
+    with pytest.raises(MalformedInputError,
+                       match="depth limit must be >= 0, got -1"):
+        PathRun(PathMachine(z), depth_limit=-1)
+
+
+def test_negative_ticks_are_malformed(z):
+    with pytest.raises(MalformedInputError, match="ticks must be >= 0, got -2"):
+        build_m_visit(z).run(-2)
+
+
+def test_negative_visit_budget_is_malformed(z):
+    with pytest.raises(MalformedInputError, match="budget must be >= 0, got -1"):
+        build_m_visit(z).run_until_n(1, -1)
 
 
 def test_gated_run_erases_dead_ends(f2):

@@ -26,6 +26,8 @@ DEFAULT_BALL_BUDGET = 200_000
 #: `BallTable.nbr` entry of a product not computed yet
 UNKNOWN = -2
 
+_new = tuple.__new__   # builds an Element without a Python frame
+
 
 class BallTable:
     """B_radius of a group's Cayley graph, its elements numbered in BFS order.
@@ -41,7 +43,9 @@ class BallTable:
     f's entry for s^-1, so a row of the outer shell starts with its inward
     entries and the rest are computed on demand.  Rows of shells below
     `radius` are complete.  The table only grows; it is changed only under
-    `lock`, which callers of `walk` hold.
+    `lock`, which callers of `walk` hold.  A product e * s is
+    `_new(Element, (group.key_append(e.key, s),))`: no Python frame but the
+    group's `key_append` runs per product.
 
     A node of a walk is a table index, or the Element itself for a cell
     outside the table (`node` / `element` convert).
@@ -85,7 +89,8 @@ class BallTable:
         DEFAULT_BALL_BUDGET elements.  A shell is committed only once
         complete: BallBudgetError leaves the table as it was, and a later
         call that would overrun again raises at once (`overrun`)."""
-        group, elements, index, nbr = self.group, self.elements, self.index, self.nbr
+        elements, index, nbr = self.elements, self.index, self.nbr
+        key_append = self.group.key_append
         budget = DEFAULT_BALL_BUDGET
         overrun = self.overrun
         if (overrun is not None and not self.full and self.radius < n
@@ -97,11 +102,11 @@ class BallTable:
             lo, hi = self.starts[-2], self.starts[-1]
             try:
                 for i in range(lo, hi):
-                    e, row = elements[i], nbr[i]
+                    key, row = elements[i].key, nbr[i]
                     for c in range(k):
                         if row[c] >= 0:
                             continue
-                        f = group.multiply_letter(e, c + 1)
+                        f = _new(Element, (key_append(key, c + 1),))
                         j = index.get(f)
                         if j is None:
                             j = len(elements)
@@ -129,7 +134,7 @@ class BallTable:
 
     def _fill(self, i: int, c: int) -> Element:
         """Compute the entry nbr[i][c] and return the product."""
-        f = self.group.multiply_letter(self.elements[i], c + 1)
+        f = _new(Element, (self.group.key_append(self.elements[i].key, c + 1),))
         j = self.nbr[i][c] = self.index.get(f, -1)
         if j >= 0:
             self.nbr[j][self.inverse_col[c]] = i
@@ -155,10 +160,11 @@ class BallTable:
         from the identity cannot get back into B_w in time and is dropped.
         Its distance is read off the table, and for a cell outside it is
         bounded by its normal-form length (geodesic kinds) or radius + 1.
-        Products are computed with `multiply_letter` only at the outer shell
-        and beyond, and only when the limit leaves room for them.
+        Products are computed by `key_append` only at the outer shell and
+        beyond, and only when the limit leaves room for them.
         """
         group, elements, index, nbr = self.group, self.elements, self.index, self.nbr
+        key_append = group.key_append
         outer = self.radius
         inner = len(elements) if self.full else self.starts[outer]  # complete rows
         geodesic = group.geodesic_normal_form()
@@ -182,13 +188,15 @@ class BallTable:
                         # an UNKNOWN product lies in shell `outer` or beyond,
                         # a -1 one beyond: computed only if the cap allows it
                         if j < 0 and (cap is None or cap >= outer + (j == -1)):
-                            f = group.multiply_letter(elements[v], c + 1) if j == -1 \
-                                else self._fill(v, c)
+                            f = _new(Element, (key_append(elements[v].key, c + 1),)) \
+                                if j == -1 else self._fill(v, c)
                             j = index.get(f, f)
                         step.append(j)
                 else:                   # outside the table
+                    key = v.key
                     step = [index.get(f, f) for f in
-                            (group.multiply_letter(v, s) for s in group.nonidentity_ids)]
+                            (_new(Element, (key_append(key, s),))
+                             for s in group.nonidentity_ids)]
                 for w in step:
                     if type(w) is int:
                         if w < 0 or w >= bound:

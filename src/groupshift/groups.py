@@ -11,7 +11,8 @@ exponent vector, affine pair, ...) rather than by materialized normal-form
 words: words equal in the group map to the same key, and the canonical word
 is derived from the key on demand.  This matters for machine runs, where
 e.g. a 500-step walk in BS(1,2) reaches elements whose normal-form words
-have exponentially many letters.
+have exponentially many letters.  An `Element` is a one-field tuple around
+its key, so that building, hashing and comparing elements runs in C.
 
 Free groups, free products and rewriting groups key their elements by a
 `ConsWord` (a hash-consed persistent word), so a machine walking a path of
@@ -26,7 +27,9 @@ from __future__ import annotations
 
 import itertools
 import threading
+from collections import namedtuple
 from dataclasses import dataclass
+from operator import add, neg
 from typing import Iterable, Optional, Sequence
 
 from .errors import MalformedInputError, UndeterminedError
@@ -45,30 +48,18 @@ class GeneratorSymbol:
     is_identity: bool = False
 
 
-class Element:
-    """A group element, identified by its canonical key."""
+class Element(namedtuple("_ElementBase", "key")):
+    """A group element, identified by its canonical key: an immutable
+    one-field tuple, equal to another (and hashing alike) exactly when their
+    keys are equal, and to the one-tuple `(key,)` but never to its key.
+    `key` is a C field getter and hashing and equality are the tuple's, so
+    no dict or set operation runs a Python method of `Element`.  This module
+    builds elements as `tuple.__new__(Element, (key,))`, skipping the Python
+    frame of the public `Element(key)`."""
 
-    __slots__ = ("key", "_hash")
+    __slots__ = ()
 
-    def __init__(self, key):
-        object.__setattr__(self, "key", key)
-        object.__setattr__(self, "_hash", hash(key))
-
-    def __setattr__(self, *a):  # immutable
-        raise AttributeError("Element is immutable")
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        return self is other or isinstance(other, Element) and \
-            self._hash == other._hash and self.key == other.key
-
-    def __ne__(self, other):  # one dispatch, not object.__ne__ then __eq__
-        return not (self is other or isinstance(other, Element) and
-                    self._hash == other._hash and self.key == other.key)
-
-    def __repr__(self):  # pragma: no cover
+    def __repr__(self):
         return f"Element({self.key!r})"
 
 
@@ -172,7 +163,7 @@ class Group:
             inv = self.generators[g.inverse]
             if inv.inverse != g.id:
                 raise MalformedInputError(f"inverse of {g.display} is not an involution")
-        self.identity = Element(self.identity_key())
+        self.identity = tuple.__new__(Element, (self.identity_key(),))
         self._display_to_id = {g.display: g.id for g in self.generators}
         self.nonidentity_ids: tuple[int, ...] = tuple(
             g.id for g in self.generators if not g.is_identity)
@@ -267,7 +258,7 @@ class Group:
         return self.key_letters(self.key_of_letters(word))
 
     def element(self, word: Iterable[int]) -> Element:
-        return Element(self.key_of_letters(self.check_word(word)))
+        return tuple.__new__(Element, (self.key_of_letters(self.check_word(word)),))
 
     def word_of(self, e: Element) -> Letters:
         return self.key_letters(e.key)
@@ -284,15 +275,15 @@ class Group:
         return self.format_word_compressed(w) if w else "e"
 
     def multiply(self, a: Element, b: Element) -> Element:
-        return Element(self.key_multiply(a.key, b.key))
+        return tuple.__new__(Element, (self.key_multiply(a.key, b.key),))
 
     def multiply_letter(self, a: Element, letter: int) -> Element:
         if letter == 0:
             return a
-        return Element(self.key_append(a.key, letter))
+        return tuple.__new__(Element, (self.key_append(a.key, letter),))
 
     def inverse_element(self, a: Element) -> Element:
-        return Element(self.key_inverse(a.key))
+        return tuple.__new__(Element, (self.key_inverse(a.key),))
 
     def is_finite(self) -> bool:
         return False
@@ -418,10 +409,10 @@ class FreeAbelianGroup(Group):
         return tuple(vec)
 
     def key_multiply(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
+        return tuple(map(add, a, b))
 
     def key_inverse(self, a):
-        return tuple(-x for x in a)
+        return tuple(map(neg, a))
 
     def key_letters(self, key) -> Letters:
         out: list[int] = []
@@ -431,7 +422,7 @@ class FreeAbelianGroup(Group):
         return tuple(out)
 
     def key_length(self, key) -> int:
-        return sum(abs(x) for x in key)
+        return sum(map(abs, key))
 
     def frame_prepend(self, letter: int, lkey):
         if letter == 0:
@@ -727,10 +718,10 @@ class DirectProductGroup(_ProductBase):
         return tuple(out)
 
     def component(self, e: Element, fi: int) -> Element:
-        return Element(e.key[fi])
+        return tuple.__new__(Element, (e.key[fi],))
 
     def pair(self, components: Sequence[Element]) -> Element:
-        return Element(tuple(c.key for c in components))
+        return tuple.__new__(Element, (tuple(c.key for c in components),))
 
     def is_finite(self) -> bool:
         return all(f.is_finite() for f in self.factors)

@@ -219,9 +219,9 @@ def test_overrun_is_not_retried(monkeypatch):
     |B_6| = 1457."""
     f2 = free_group(2)
     calls = []
-    real = f2.multiply_letter
-    monkeypatch.setattr(f2, "multiply_letter",
-                        lambda e, s: calls.append(s) or real(e, s))
+    real = f2.key_append
+    monkeypatch.setattr(f2, "key_append",
+                        lambda key, s: calls.append(s) or real(key, s))
     monkeypatch.setattr(cayley, "DEFAULT_BALL_BUDGET", 300)
     with pytest.raises(BallBudgetError):
         ball(f2, 6)

@@ -1,6 +1,9 @@
 """End-to-end CLI coverage over the JSON interfaces."""
 
 import json
+import os
+import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -625,3 +628,25 @@ def test_leaf_command_has_common_options_and_docs(runner, path):
     assert runner.invoke(main, [*path, "--help"]).exit_code == 0
     usage = README.read_text().split("## Command line", 1)[1].splitlines()
     assert any(line.startswith(f"groupshift {' '.join(path)} ") for line in usage)
+
+
+@pytest.mark.parametrize("group", [F2_GROUP, {"kind": "free_abelian", "rank": 2}],
+                         ids=["f2", "z2"])
+def test_output_is_independent_of_the_hash_seed(tmp_path, group):
+    """Set and dict orders follow the string hash seed; no output may.  Each
+    command's stdout under PYTHONHASHSEED=1 and =2 is the same bytes, but for
+    the manifest's timestamp line."""
+    g = write(tmp_path, "g.json", group)
+    src = str(Path(groups.__file__).resolve().parent.parent)
+    for argv in (["delone", "gen", "-n", "1", "--radius", "5"],
+                 ["ball", "--radius", "3"]):
+        outs = []
+        for seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": seed,
+                   "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+            proc = subprocess.run(
+                [sys.executable, "-m", "groupshift.cli", *argv, "--group", g,
+                 "--format", "json"],
+                capture_output=True, env=env, timeout=120, check=True)
+            outs.append(re.sub(rb'\n *"timestamp": [0-9.e+-]+,?', b"", proc.stdout))
+        assert outs[0] == outs[1] and b'"outcome": "ok"' in outs[0]

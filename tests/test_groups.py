@@ -15,7 +15,7 @@ from groupshift import (
     solve_word_problem,
 )
 from groupshift import groups
-from groupshift.groups import RewritingGroup
+from groupshift.groups import Element, RewritingGroup
 
 from .conftest import CHECKS, KINDS, oracle_ball, oracle_normal_form
 from .test_ball_table import GROUPS as TABLE_GROUPS
@@ -234,6 +234,29 @@ def test_format_element_round_trip(name, data):
     g = LAWS[name]
     e = g.element(data.draw(words(g)))
     assert g.element(g.parse_word(g.format_element(e))) == e
+
+
+@pytest.mark.parametrize("name", LAWS)
+@CHECKS
+@given(data=st.data())
+def test_element_value_laws(name, data):
+    """An element is the value of its key: the public constructor meets the
+    identity, equal keys give equal elements with equal hashes and unequal
+    keys unequal ones, an element never equals its raw key, it is immutable,
+    and its repr shows its key."""
+    g = LAWS[name]
+    assert Element(g.identity_key()) == g.identity
+    ku, kv = (g.element(data.draw(words(g))).key for _ in range(2))
+    a, b = Element(ku), g.element(g.key_letters(ku))
+    assert a == b and hash(a) == hash(b) and not a != b
+    assert (Element(ku) == Element(kv)) is (ku == kv)
+    assert (Element(ku) != Element(kv)) is (ku != kv)
+    assert a != ku and ku != a and not a == ku
+    for attr in ("key", "other"):
+        with pytest.raises(AttributeError):
+            setattr(a, attr, kv)
+    assert a.key is ku
+    assert repr(a) == f"Element({ku!r})"
 
 
 def test_direct_product_compresses_runs():

@@ -19,8 +19,12 @@ Free groups, free products and rewriting groups key their elements by a
 unbounded depth extends or shortens a key in time independent of its
 depth.  Free groups share the process-wide `ConsWord.EMPTY` root; each free
 product and rewriting group has a root of its own, so its nodes are freed
-with it.  Only this module knows the representation: `key_letters` and
-`Group.word_of` are the way to read a key.
+with it.  Hash-consing makes equal words of one root the same node, so a
+`ConsWord` is compared and hashed by identity, in C; keys of two groups
+with different roots never compare equal, and their hashes follow object
+addresses, not the string hash seed.  Only this module knows the
+representation: `key_letters` and `Group.word_of` are the way to read a
+key.
 """
 
 from __future__ import annotations
@@ -64,18 +68,22 @@ class Element(namedtuple("_ElementBase", "key")):
 
 
 class ConsWord:
-    """A persistent word (linked list) with O(1) append and cached hash.
+    """A persistent word (linked list) with O(1) append, compared by identity.
 
     The canonical key of free-group elements (letters), free-product
     elements ((factor, factor key) syllables) and rewriting-group elements
     (normal-form letters), so that long machine runs extend tape keys in
-    constant time instead of copying tuples.  Pushes are hash-consed: equal
-    words built by pushes from the same root are the same object, making
-    equality checks effectively constant.  A root is `ConsWord()`; the
-    nodes pushed from it live as long as it or any of them is referenced.
+    constant time instead of copying tuples.  Pushes are hash-consed: a node
+    keeps its children in `_kids`, so equal words built by pushes from the
+    same root are the same object for as long as the root lives.  Identity
+    is therefore equality, and hashing and comparing run in C.  A root is
+    `ConsWord()`; the nodes pushed from it live as long as it or any of them
+    is referenced.  Words of two different roots never compare equal, so the
+    keys of two free products or rewriting groups never do either, even for
+    the same word.
     """
 
-    __slots__ = ("parent", "letter", "length", "_hash", "_kids")
+    __slots__ = ("parent", "letter", "length", "_kids")
 
     EMPTY: "ConsWord"
 
@@ -83,12 +91,7 @@ class ConsWord:
         self.parent = parent
         self.letter = letter
         self._kids: Optional[dict] = None
-        if parent is None:
-            self.length = 0
-            self._hash = hash(("cons",))
-        else:
-            self.length = parent.length + 1
-            self._hash = hash((parent._hash, letter))
+        self.length = 0 if parent is None else parent.length + 1
 
     def push(self, letter) -> "ConsWord":
         kids = self._kids
@@ -110,24 +113,12 @@ class ConsWord:
         out.reverse()
         return tuple(out)
 
-    def __hash__(self):
-        return self._hash
+    # a copy must be the node itself, or it would equal no key of its group
+    def __copy__(self):
+        return self
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, ConsWord):
-            return NotImplemented
-        if self.length != other.length or self._hash != other._hash:
-            return False
-        a, b = self, other
-        while a.parent is not None:
-            if a is b:
-                return True
-            if a.letter != b.letter:
-                return False
-            a, b = a.parent, b.parent
-        return b.parent is None
+    def __deepcopy__(self, memo):
+        return self
 
     def __repr__(self):  # pragma: no cover
         return f"ConsWord{self.letters()!r}"
@@ -293,7 +284,10 @@ class Group:
     # A frame key is a second injective encoding of an element, built by
     # letters acting on the left.  Each kind supplies its own left action,
     # coded apart from key_append and key_multiply, so the literal-shift
-    # route of the conjugacy check stays an independent oracle.
+    # route of the conjugacy check stays an independent oracle.  The one
+    # exception is a rewriting group, whose frame key of g is the key of
+    # g^-1 under the same rules: there the rescanning oracle of the tests
+    # is the independent check.
 
     def frame_identity(self):
         return self.identity_key()
@@ -830,9 +824,12 @@ class RewritingGroup(Group):
     sides overlap, one inside the other, or coincide) reduces to one normal
     form; the constructor checks every pair and raises MalformedInputError
     on the first that does not.  A key is the normal-form word as a
-    `ConsWord` (last letter on top), and a frame key is the reversed normal
-    form, the normal form under the mirrored rules, as a `ConsWord` too;
-    both grow from the group's own trie root.
+    `ConsWord` (last letter on top), grown from the group's own trie root.
+    The frame key of g is the key of g^-1, since s g = (g^-1 s^-1)^-1: a
+    left multiplication by s is an append of s^-1, as cheap as a right one.
+    One rule dict serves both, so a wrong rule would corrupt both routes of
+    `machines.fixed_moving_equivalent` alike; the independent check of the
+    rules is the rescanning `oracle_normal_form` of the tests.
     """
 
     kind = "rewriting"
@@ -858,10 +855,6 @@ class RewritingGroup(Group):
         # one rule per left-hand side; the check below shows the choice is free
         self._rules: dict[Letters, Letters] = dict(parsed)
         self._lhs_lengths = sorted({len(l) for l in self._rules})
-        # the mirrored system rewrites reversed words: its normal forms are
-        # the reversed normal forms, and it is confluent and terminating
-        # because each of its rewrites mirrors one of the rules above
-        self._mirrored = {l[::-1]: r[::-1] for l, r in self._rules.items()}
         for word, u, v in _critical_pairs(parsed):
             if u == v:
                 continue
@@ -895,11 +888,9 @@ class RewritingGroup(Group):
             raise MalformedInputError("generator list is inconsistent")
         return gens
 
-    def _rewrite(self, base: ConsWord, letters: Iterable[int],
-                 _rules: Optional[dict] = None) -> ConsWord:
+    def _rewrite(self, base: ConsWord, letters: Iterable[int]) -> ConsWord:
         """The normal form of base * letters, for an irreducible base, under
-        the group's rules or, given `_rules`, under that rule dict (the
-        mirrored rules of the frame keys).
+        the group's one rule dict (keys and frame keys alike).
 
         Letters are pushed one at a time onto a working list over the base,
         identity letters skipped.  The word kept so far stays irreducible,
@@ -915,7 +906,7 @@ class RewritingGroup(Group):
         out: list[int] = []
         todo = list(letters)
         todo.reverse()
-        rules = self._rules if _rules is None else _rules
+        rules = self._rules
         lengths = self._lhs_lengths
         budget = DEFAULT_REWRITE_BUDGET
         while todo:
@@ -974,9 +965,8 @@ class RewritingGroup(Group):
         return key.length
 
     def frame_prepend(self, letter: int, lkey: ConsWord):
-        # frame keys are reversed normal forms, so a prepend is an append
-        # under the mirrored rules
-        return self._rewrite(lkey, (letter,), self._mirrored)
+        # lkey is the key of g^-1, and (s g)^-1 = g^-1 s^-1
+        return self._rewrite(lkey, (self.generators[letter].inverse,))
 
 
 def _critical_pairs(rules: Sequence[tuple[Letters, Letters]]):

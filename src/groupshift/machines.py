@@ -74,14 +74,19 @@ class MachineConfig:
         return {group.multiply(inv, cell): v for cell, v in self.tape.items()}
 
 
-def initial_config(spec: GMachineSpec, p: Pattern) -> MachineConfig:
+def _initial_tape(spec, p: Pattern) -> dict[Element, int]:
+    """The non-blank cells of p, for a single- or multi-head machine."""
     tape = {}
     for e, v in p.items():
         if not 0 <= v < len(spec.tape_alphabet):
             raise MalformedInputError("pattern symbol outside tape alphabet")
         if v != spec.blank:
             tape[e] = v
-    return MachineConfig(tape, spec.group.identity, spec.initial_state)
+    return tape
+
+
+def initial_config(spec: GMachineSpec, p: Pattern) -> MachineConfig:
+    return MachineConfig(_initial_tape(spec, p), spec.group.identity, spec.initial_state)
 
 
 def step_moving(spec: GMachineSpec, cfg: MachineConfig) -> MachineConfig:
@@ -144,20 +149,23 @@ def fixed_moving_equivalent(spec: GMachineSpec, p: Pattern, steps: int) -> bool:
     whose fixed-head reading is `observable_tape`, and an independent literal
     implementation of the fixed-head semantics that physically shifts its
     tape each step.  The shift moves every cell's frame key by the group's
-    own left action (`frame_prepend`), coded apart from the key algebra of
-    the moving run.  Per cell that is a few integer operations on Z^n and
-    BS(1,n), a table lookup on finite groups, a push or pop on free groups,
-    a change to the outer syllable on free products, and on rewriting
-    groups a rewrite of the reversed normal form that can reach its whole
-    length.  Each literal entry carries its symbol and the moving-tape cell
-    it tracks, the cell labelled when the symbol was written under the
-    head.  At every step t it checks that the states and the tape sizes
-    agree, that the literal origin holds the moving head's cell and the
-    symbol the moving head reads; when the run ends, that the literal tape
-    read through its labels equals the moving tape cell for cell.  That is
-    as strong as comparing whole tapes at every step: a cell is written only
-    under the head, right after it is read, so a wrong symbol is caught when
-    it is read again or, failing that, at the end.
+    own left action (`frame_prepend`).  Per cell that is a few integer
+    operations on Z^n and BS(1,n), a table lookup on finite groups, a push
+    or pop on free groups, a change to the outer syllable on free products,
+    and on rewriting groups an append of s^-1 to the normal form of the
+    cell's inverse.  Every kind but the rewriting one codes its left action
+    apart from the key algebra of the moving run; a rewriting group's two
+    routes share its one rule dict, so there this checks the run, and the
+    rescanning oracle normal form of the tests checks the rules.  Each
+    literal entry carries its symbol and the moving-tape cell it tracks, the
+    cell labelled when the symbol was written under the head.  At every
+    step t it checks that the states and the tape sizes agree, that the
+    literal origin holds the moving head's cell and the symbol the moving
+    head reads; when the run ends, that the literal tape read through its
+    labels equals the moving tape cell for cell.  That is as strong as
+    comparing whole tapes at every step: a cell is written only under the
+    head, right after it is read, so a wrong symbol is caught when it is
+    read again or, failing that, at the end.
     """
     require_nonnegative("steps", steps)
     group = spec.group
@@ -266,10 +274,8 @@ def run_multihead(spec: MultiHeadSpec, p: Pattern, budget: int) -> RunOutcome:
     Its joint step over n tapes has no single-tape table, hence its own loop."""
     require_nonnegative("budget", budget)
     group = spec.group
-    tapes: list[dict[Element, int]] = [dict() for _ in range(spec.n)]
-    for e, v in p.items():
-        if v != spec.blank:
-            tapes[0][e] = v
+    tapes: list[dict[Element, int]] = [_initial_tape(spec, p)]
+    tapes += [dict() for _ in range(spec.n - 1)]
     heads = [group.identity] * spec.n
     states = tuple(0 for _ in range(spec.n))
     for step in range(budget + 1):

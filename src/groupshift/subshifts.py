@@ -298,11 +298,11 @@ def identity_block_code(group: Group, alphabet_size: int) -> BlockCode:
 def apply_block_code(x: Pattern, code: BlockCode) -> Pattern:
     """Pointwise local rule; output support shrinks to full-window cells."""
     group = code.group
-    candidates = set()
+    candidates = {}   # a dict, so the output follows x's order, not hashes
     inv_window = [group.inverse_element(w) for w in code.window]
-    for c in x.support:
+    for c in x.assignment:
         for wi in inv_window:
-            candidates.add(group.multiply(c, wi))
+            candidates[group.multiply(c, wi)] = None
     out = {}
     for g in candidates:
         values = []

@@ -14,11 +14,18 @@ from click.testing import CliRunner
 from groupshift import cayley, groups, jsonio
 from groupshift.cli import main, run_main
 
+from .conftest import Z_A_A2_RULES
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 Z_GROUP = {"kind": "free_abelian", "rank": 1, "names": ["a"]}
 F2_GROUP = {"kind": "free", "rank": 2}
 BS_GROUP = {"kind": "bs", "n": 2}
+C2_C3_GROUP = {"kind": "free_product", "factors": [
+    {"kind": "finite", "table": [[(i + j) % m for j in range(m)] for i in range(m)]}
+    for m in (2, 3)]}
+Z_A_A2_GROUP = {"kind": "rewriting", "generators": ["A", "A^-1", "a", "a^-1"],
+                "rules": [list(rule) for rule in Z_A_A2_RULES]}
 
 CONSISTENT_CODING = {
     "alphabet": ["0", "1"],
@@ -630,12 +637,16 @@ def test_leaf_command_has_common_options_and_docs(runner, path):
     assert any(line.startswith(f"groupshift {' '.join(path)} ") for line in usage)
 
 
-@pytest.mark.parametrize("group", [F2_GROUP, {"kind": "free_abelian", "rank": 2}],
-                         ids=["f2", "z2"])
+@pytest.mark.parametrize(
+    "group", [F2_GROUP, {"kind": "free_abelian", "rank": 2}, C2_C3_GROUP, Z_A_A2_GROUP],
+    ids=["f2", "z2", "c2*c3", "z_a_a2"])
 def test_output_is_independent_of_the_hash_seed(tmp_path, group):
-    """Set and dict orders follow the string hash seed; no output may.  Each
-    command's stdout under PYTHONHASHSEED=1 and =2 is the same bytes, but for
-    the manifest's timestamp line."""
+    """Set orders follow element hashes: the string hash seed for tuple and
+    letter keys, and object addresses, which differ from process to process,
+    for the `ConsWord` keys of free groups, free products and rewriting
+    groups.  No output may follow them.  Each command's stdout under
+    PYTHONHASHSEED=1 and =2, in two processes, is the same bytes, but for the
+    manifest's timestamp line."""
     g = write(tmp_path, "g.json", group)
     src = str(Path(groups.__file__).resolve().parent.parent)
     for argv in (["delone", "gen", "-n", "1", "--radius", "5"],

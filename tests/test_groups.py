@@ -1,5 +1,6 @@
 """Canonical forms and word-problem solvers across the group kinds."""
 
+import copy
 import itertools
 
 import pytest
@@ -147,11 +148,27 @@ def test_rewriting_keys_match_oracle(name, data):
     assert g.key_inverse(g.key_inverse(ku)) == ku
     assert g.key_multiply(ku, g.key_inverse(ku)) == g.identity_key()
     assert CLOSED_FORM[name](nf) == CLOSED_FORM[name](u)
-    # the mirrored rules on the reversed normal form: a left multiplication
+    # the frame key is the normal form of the inverse: a left multiplication
+    # by s appends s^-1 to it
     s = data.draw(st.integers(0, len(g.generators) - 1))
     lkey = g.frame_of_element(g.element(u))
-    assert lkey.letters() == nf[::-1]
-    assert g.frame_prepend(s, lkey).letters() == oracle_normal_form(rules, (s,) + u)[::-1]
+    assert lkey.letters() == oracle_normal_form(rules, g.inverse_word(u))
+    assert (g.frame_prepend(s, lkey).letters()
+            == oracle_normal_form(rules, g.inverse_word((s,) + u)))
+
+
+def test_rewriting_left_action_is_an_append(monkeypatch):
+    """Prepending a letter to a deep frame key rewrites only at its top: on
+    Z through A -> 2, a -> 1, the frame key of A^500 a takes an a on the left
+    within a budget of four rewrites."""
+    g = KINDS["z_a_a2"]()
+    a, = g.parse_word("a")
+    word = g.parse_word("A^500 a")
+    lkey = g.frame_of_element(g.element(word))
+    expected = g.frame_of_element(g.element((a,) + word))
+    monkeypatch.setattr(groups, "DEFAULT_REWRITE_BUDGET", 4)
+    frame = g.frame_prepend(a, lkey)
+    assert frame == expected and frame.length == 501
 
 
 def test_rewriting_budget(monkeypatch):
@@ -243,7 +260,7 @@ def test_element_value_laws(name, data):
     """An element is the value of its key: the public constructor meets the
     identity, equal keys give equal elements with equal hashes and unequal
     keys unequal ones, an element never equals its raw key, it is immutable,
-    and its repr shows its key."""
+    a copy of it equals it, and its repr shows its key."""
     g = LAWS[name]
     assert Element(g.identity_key()) == g.identity
     ku, kv = (g.element(data.draw(words(g))).key for _ in range(2))
@@ -256,6 +273,7 @@ def test_element_value_laws(name, data):
         with pytest.raises(AttributeError):
             setattr(a, attr, kv)
     assert a.key is ku
+    assert copy.copy(a) == a == copy.deepcopy(a)
     assert repr(a) == f"Element({ku!r})"
 
 
@@ -281,8 +299,9 @@ def test_length_against_ball_distance(name):
 
 
 # the kinds whose frame key of an element is its key's word (letters, or
-# free-product syllables) read backwards; the others' is the key itself
-REVERSED_FRAME = {"f2", "z_a_a2", "c2*c3"}
+# free-product syllables) read backwards; the rewriting group's is the key of
+# the inverse, and the others' is the key itself
+REVERSED_FRAME = {"f2", "c2*c3"}
 
 
 @pytest.mark.parametrize("name", LAWS)
@@ -299,6 +318,8 @@ def test_frame_prepend_is_left_multiplication(name, data):
     frame = g.frame_of_element(e)
     if name in REVERSED_FRAME:
         assert frame.letters() == e.key.letters()[::-1]
+    elif name == "z_a_a2":
+        assert frame == g.inverse_element(e).key
     else:
         assert frame == e.key
     assert (g.frame_prepend(s, g.frame_of_element(e))
@@ -328,7 +349,8 @@ def test_deep_keys_share_structure(name):
 def test_frame_prepend_avoids_key_algebra(name, monkeypatch):
     """The left action is coded apart from key_append and key_multiply, the
     factors' included, so the literal-shift route of the conjugacy check
-    stays an independent oracle."""
+    stays an independent oracle.  (A rewriting group's left action appends
+    to the inverse's key through the same `_rewrite`, called directly.)"""
     g = KINDS[name]()
     ball3 = [g.element(w) for n in range(4)
              for w in itertools.product(g.nonidentity_ids, repeat=n)]

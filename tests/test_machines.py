@@ -296,6 +296,24 @@ def test_multihead_copier(z):
     assert isinstance(out, Exhausted)
 
 
+def test_multihead_rejects_symbol_outside_tape_alphabet(z):
+    """A pattern symbol outside the tape alphabet is malformed input, as for
+    a single-head run, and never reaches delta."""
+    calls = []
+
+    def delta(symbols, states):
+        calls.append(symbols)
+        return symbols, states, (0,)
+
+    mh = MultiHeadSpec(z, 1, ("run",), frozenset(), Alphabet(("_", "1")), 0, delta)
+    with pytest.raises(MalformedInputError, match="outside tape alphabet"):
+        run_multihead(mh, Pattern({z.identity: 7}), 2)
+    assert calls == []
+    m = machine(z, ("run",), set(), {})
+    with pytest.raises(MalformedInputError, match="outside tape alphabet"):
+        run_accepts(m, Pattern({z.identity: 7}), 2)
+
+
 def test_multihead_any_coordinate_accepts(z):
     def delta(symbols, states):
         return (0, 0), (0, 1), (0, 0)  # second head enters accept

@@ -1,16 +1,26 @@
 """Compiled local constraints on a finite window, and the one backtracking
-solver, shared by `extendable`, `factor_window_admissible` and
-`verify_reduction_window`.
+solver, behind `extendable`, `factor_window_admissible`,
+`ForbiddenFamily.violates` and `verify_reduction_window`.
 
-A constraint is a sequence of (offset, allowed) pairs: placed at an anchor
-cell c it covers c moved by each offset, and it fires when each of them
-holds a symbol index in its `allowed` set.  `compile_window` numbers the
-window cells 0..n-1, grounds every constraint at every anchor once and
-keeps only the placements that lie wholly inside the window, so the search
-does no group arithmetic.  Constraints with the same offsets whose allowed
-sets differ at one position only are first merged into one taking the
-union there: it fires exactly when one of them would, on the same cells,
-so the search tree is unchanged.
+`ground` is the one grounding routine.  A window is levels of a base list
+of G cells, level-major: window cell j is base[j % width] on level
+j // width (a ball is one level).  A constraint comes as (g, z, allowed)
+cells, anchored at its first cell (g0, z0): each cell becomes the offset
+(g0^-1 * g, z - z0).  Under a geodesic normal form a constraint with a G
+part longer than `reach` is dropped: with the window's cells pairwise at
+most `reach` apart (2r on B_r), c and c * g both inside imply |g| <= reach,
+on every kind.  Each distinct G part is shifted through the base once and
+placed on every level by arithmetic: (g, dz) moves cell z * width + j to
+(z + dz) * width + j', where base[j] * g = base[j'].
+
+`compile_window` grounds anchored constraints, sequences of (offset,
+allowed) pairs: placed at a cell c one covers c moved by each offset, and
+fires when each of them holds a symbol index in its `allowed` set.  Each is
+grounded at every anchor once, keeping the placements wholly inside the
+window, so the search does no group arithmetic.  Constraints with the same
+offsets whose allowed sets differ at one position only are first merged into
+one taking the union there: it fires exactly when one of them would, on the
+same cells, so the search tree is unchanged.
 
 The solver assigns the free cells in window order, so a placement becomes
 fully assigned exactly when its last cell in that order does.  Each
@@ -32,6 +42,7 @@ from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence
 
 from .errors import UndeterminedError
+from .groups import Element, Group
 
 # the (cell index, allowed symbol indices) pairs of a placement; its rest is
 # the same minus its watch
@@ -84,6 +95,50 @@ def compile_window(cells: Sequence[Hashable], constraints: Iterable[Constraint],
                   for row in filed)
     return CompiledWindow(tuple(cells), {c: j for j, c in enumerate(cells)},
                           watch, always)
+
+
+def ground(group: Group, cells: Sequence[Hashable], base: Sequence[Element], reach: int,
+           constraints: Iterable[Iterable[tuple[Element, int, frozenset[int]]]],
+           shift: Optional[Callable[[Element, Element], Optional[Element]]] = None
+           ) -> CompiledWindow:
+    """Anchor the (g, z, allowed) constraints, drop those out of `reach` and
+    compile the rest onto `cells`, levels of `base` (see the module
+    docstring); `shift(c, g)`, by default the group's product, is c * g or None."""
+    shift = shift or group.multiply
+    reach = reach if group.geodesic_normal_form() else None
+    moved: dict[tuple[Element, Element], Optional[Element]] = {}  # None: out of reach
+
+    def anchored():
+        for con in constraints:
+            row = []
+            for g, z, allowed in con:
+                if not row:
+                    g0, z0 = g, z
+                key = (g0, g)
+                if key not in moved:
+                    off = group.multiply(group.inverse_element(g0), g)
+                    fits = reach is None or group.length_of(off) <= reach
+                    moved[key] = off if fits else None
+                off = moved[key]
+                if off is None:
+                    break
+                row.append(((off, z - z0), allowed))
+            else:
+                yield row
+
+    width = len(base)
+    levels = len(cells) // max(width, 1)
+    at = {c: j for j, c in enumerate(base)}
+    g_columns: dict[Element, list[int]] = {}  # shared by every level
+
+    def column(off: tuple[Element, int]) -> list[int]:
+        g, dz = off
+        if g not in g_columns:
+            g_columns[g] = [at.get(shift(c, g), -1) for c in base]
+        return [z * width + j if j >= 0 and 0 <= z < levels else -1
+                for z in range(dz, levels + dz) for j in g_columns[g]]
+
+    return compile_window(cells, anchored(), column)
 
 
 def _merged(rows: list[tuple[frozenset[int], ...]]) -> list[tuple[frozenset[int], ...]]:

@@ -8,15 +8,10 @@ sets so the emitted family sizes match their closed forms exactly; a fully
 expanded concrete-pattern representation would multiply the counts by every
 wildcard dimension.
 
-`verify_reduction_window` compiles the instance onto its level-major G x Z
-window once per call (`constraints.compile_window`): each constraint becomes
-offsets (anchor.g^-1 * o.g, o.dz - anchor.dz) from its first support cell,
-and each cell requirement becomes the set of indices into
-`list(alphabet.symbols())` it allows.  Each distinct G part of an offset is
-multiplied through the base ball once, and placed on every level by
-arithmetic.  The search (`constraints.solve`) counts one node per (cell,
-symbol) tried.  `grounded_violations` is the one direct, uncompiled scan,
-kept as the check of explicit assignments: behind `check_window_assignment`,
+`verify_reduction_window` grounds the instance on its level-major G x Z
+window by `constraints.ground`, on every G kind, each cell requirement as
+the indices into `list(alphabet.symbols())` it allows.  `grounded_violations`
+is the one uncompiled scan, behind `check_window_assignment`,
 `simulation.URuleSet.check_window` and the tests' search oracle.
 """
 
@@ -28,7 +23,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import MalformedInputError, UnsupportedGroupError, require_nonnegative
 from .cayley import ball
-from .constraints import compile_window, solve
+from .constraints import ground, solve
 from .groups import Element, FiniteGroup, FreeAbelianGroup, Group, direct_product
 from .machines import GMachineSpec
 from .patterns import Pattern
@@ -344,18 +339,19 @@ def grounded_violations(
     with `touched`, only the placements that cover that cell.
 
     The direct, uncompiled scan: each constraint is placed by group
-    multiplication at every anchor tried.
+    multiplication at every anchor whose tried cell meets its requirement.
     """
     out = []
     for con in constraints:
         _require_g_offsets(con)
         if touched is None:
-            through = [(cell, con.support[0]) for cell in assign]
+            through = [(cell, 0) for cell in assign]
         else:
-            through = [(touched, off) for off in con.support]
+            through = [(touched, i) for i in range(len(con.support)) if touched in assign]
         anchors = dict.fromkeys(
-            (group.multiply(cell[0], group.inverse_element(off.g)), cell[1] - off.dz)
-            for cell, off in through)
+            (group.multiply(cell[0], group.inverse_element(con.support[i].g)),
+             cell[1] - con.support[i].dz)
+            for cell, i in through if con.cell_matches(i, assign[cell]))
         for g0, z0 in anchors:
             for i, o in enumerate(con.support):
                 sym = assign.get((group.multiply(g0, o.g), z0 + o.dz))
@@ -389,18 +385,8 @@ def verify_reduction_window(
     group = instance.g_group
     symbols = list(instance.alphabet.symbols())
     cells = window_cells(instance, radius_g, height_z)
-    width = len(cells) // (height_z + 1)
-    at = {g: j for j, (g, _) in enumerate(cells[:width])}
-    g_columns: dict[Element, list[int]] = {}  # shared by every level
-
-    def column(off: tuple[Element, int]) -> list[int]:
-        g, dz = off
-        if g not in g_columns:
-            g_columns[g] = [at.get(group.multiply(c, g), -1) for c in at]
-        return [z * width + j if j >= 0 and 0 <= z <= height_z else -1
-                for z in range(dz, height_z + 1 + dz) for j in g_columns[g]]
-
-    window = compile_window(cells, _indexed_constraints(instance), column)
+    base = [g for g, z in cells if z == 0]
+    window = ground(group, cells, base, 2 * radius_g, _indexed_constraints(instance))
     fixed = {}
     if instance.origin_symbol is not None:
         origin = tuple(instance.origin_symbol)
@@ -411,24 +397,18 @@ def verify_reduction_window(
     if val is None:
         return Unsatisfiable()
     product = instance.product_group()
-    witness = {}
-    for (g, z), v in zip(window.cells, val):
-        witness[product.pair([g, _z_element(product, z)])] = symbols[v]
-    return Satisfiable(Pattern(witness))
+    line = product.factors[1]  # levels are 0..height_z, powers of its generator
+    return Satisfiable(Pattern({product.pair([g, line.element((1,) * z)]): symbols[v]
+                                for (g, z), v in zip(window.cells, val)}))
 
 
 def _indexed_constraints(instance: DominoInstance):
-    """Each constraint as (offset from its first cell, allowed symbol indices
-    in mixed radix), each distinct offset and requirement computed once."""
-    group = instance.g_group
+    """Each constraint as its (g, dz, allowed) cells, the allowed symbol
+    indices in mixed radix computed once per distinct requirement."""
     allowed: dict[CellReq, frozenset[int]] = {}
-    moved: dict[tuple[Element, Element], Element] = {}
-    out = []
     for con in instance.constraints:
         _require_g_offsets(con)
-        pairs = []
-        anchor = con.support[0]
-        for o, req in zip(con.support, con.cells):
+        for req in con.cells:
             if req not in allowed:
                 indices = [0]
                 for ci, (_, vals) in enumerate(instance.alphabet.components):
@@ -436,15 +416,4 @@ def _indexed_constraints(instance: DominoInstance):
                             if all(v in a for c, a in req if c == ci)]
                     indices = [i * len(vals) + v for i in indices for v in keep]
                 allowed[req] = frozenset(indices)
-            if (anchor.g, o.g) not in moved:
-                moved[anchor.g, o.g] = group.multiply(
-                    group.inverse_element(anchor.g), o.g)
-            pairs.append(((moved[anchor.g, o.g], o.dz - anchor.dz), allowed[req]))
-        out.append(pairs)
-    return out
-
-
-def _z_element(product, z: int):
-    zg = product.factors[1]
-    letter = 1 if z >= 0 else 2
-    return zg.element((letter,) * abs(z))
+        yield [(o.g, o.dz, allowed[req]) for o, req in zip(con.support, con.cells)]

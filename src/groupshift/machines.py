@@ -11,7 +11,7 @@ it against a literal tape-shifting simulation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import MalformedInputError, RetargetSoundnessError, require_nonnegative
 from .groups import Element, Group, Letters
@@ -30,26 +30,27 @@ class GMachineSpec:
     delta: Mapping[tuple[int, int], tuple[int, int, int]]
 
     def __post_init__(self):
-        n_sym, n_states = len(self.tape_alphabet), len(self.states)
-        if not 0 <= self.blank < n_sym:
-            raise MalformedInputError("blank symbol outside the tape alphabet")
-        for q in self.accepting:
-            if not 0 <= q < n_states:
-                raise MalformedInputError("accepting state out of range")
-        for sym in range(n_sym):
-            for q in range(n_states):
+        for sym in range(len(self.tape_alphabet)):
+            for q in range(len(self.states)):
                 if (sym, q) not in self.delta:
-                    raise MalformedInputError(
-                        f"delta not total: missing ({sym}, {q})")
-        for (sym, q), (w, r, move) in self.delta.items():
-            if not (0 <= w < n_sym and 0 <= r < n_states):
-                raise MalformedInputError("delta output out of range")
-            if not 0 <= move < len(self.group.generators):
-                raise MalformedInputError("delta move is not a generator id")
+                    raise MalformedInputError(f"delta not total: missing ({sym}, {q})")
+        _check_ranges(self, self.delta.values())
 
     @property
     def initial_state(self) -> int:
         return 0
+
+
+def _check_ranges(spec, outputs: Iterable[tuple[int, int, int]]) -> None:
+    """Malformed unless a machine spec's blank and accepting states, and each
+    (write, next state, move) output, lie in range (a move is a generator id)."""
+    n_sym, n_states = len(spec.tape_alphabet), len(spec.states)
+    if not (0 <= spec.blank < n_sym and all(0 <= q < n_states for q in spec.accepting)):
+        raise MalformedInputError("blank symbol or accepting state out of range")
+    for w, r, move in outputs:
+        if not (0 <= w < n_sym and 0 <= r < n_states
+                and 0 <= move < len(spec.group.generators)):
+            raise MalformedInputError(f"delta output {(w, r, move)} out of range")
 
 
 @dataclass
@@ -268,10 +269,16 @@ class MultiHeadSpec:
     blank: int
     delta: Callable
 
+    def __post_init__(self):
+        if self.n < 1 or not self.states:
+            raise MalformedInputError("a multi-head spec needs a head and a state")
+        _check_ranges(self, ())
+
 
 def run_multihead(spec: MultiHeadSpec, p: Pattern, budget: int) -> RunOutcome:
     """Lockstep run; accepts when any coordinate reaches an accepting state.
-    Its joint step over n tapes has no single-tape table, hence its own loop."""
+    Its joint step over n tapes has no single-tape table, hence its own loop;
+    every delta output is checked against the spec."""
     require_nonnegative("budget", budget)
     group = spec.group
     tapes: list[dict[Element, int]] = [_initial_tape(spec, p)]
@@ -284,7 +291,10 @@ def run_multihead(spec: MultiHeadSpec, p: Pattern, budget: int) -> RunOutcome:
         if step >= budget:
             break
         symbols = tuple(tapes[i].get(heads[i], spec.blank) for i in range(spec.n))
-        writes, states, moves = spec.delta(symbols, states)
+        writes, states, moves = out = spec.delta(symbols, states)
+        if not len(writes) == len(states) == len(moves) == spec.n:
+            raise MalformedInputError(f"delta output {out!r} is not for {spec.n} heads")
+        _check_ranges(spec, zip(writes, states, moves))
         for i in range(spec.n):
             if writes[i] == spec.blank:
                 tapes[i].pop(heads[i], None)

@@ -6,21 +6,12 @@ projective subdynamics) is realized at a caller-chosen radius with
 cylinder meets the subshift".  Budget exhaustion is a distinct outcome
 (UndeterminedError), never folded into a boolean.
 
-`extendable` and `factor_window_admissible` search the forbidden patterns
-compiled onto a ball (`constraints.compile_window`): each pattern becomes
-offsets from one of its cells, patterns that cannot fit in the ball are
-dropped, and every translate lying inside it is grounded to window-cell
-indices.  The compiled window is cached on the forbidden family per
-(group, radius), alongside the family's own pattern cache, so repeated
-searches on one window pay for grounding once.  A factor query compiles
-its own window, with its targets' preimage cells searched first, and hands
-the targets' output constraints to the search as further placements.  The
-one search (`constraints.solve`) counts one node per (cell, symbol) tried,
-and re-checks a semantic family's completed assignments through `violates`.
-`ForbiddenFamily.violates` compiles the same way onto the cells of the
-pattern it checks, shifting offsets by a lookup among those cells, and
-fixes every cell: one `solve` call with no free cell answers whether some
-placement fires.
+`extendable` and `factor_window_admissible` search (`constraints.solve`)
+the forbidden patterns compiled onto a ball, each pattern cell h holding v
+a constraint cell (h, 0, {v}) grounded on one level by `constraints.ground`.
+The compiled ball is cached on the family per (group, radius), so repeated
+searches on one window pay for grounding once; a factor query compiles its
+own, and `ForbiddenFamily.violates` compiles onto the pattern it checks.
 """
 
 from __future__ import annotations
@@ -28,12 +19,12 @@ from __future__ import annotations
 import itertools
 import threading
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import MalformedInputError, UndeterminedError
 from .cayley import ball, distance_from_identity
-from .constraints import CompiledWindow, compile_window, solve
+from .constraints import CompiledWindow, ground, solve
 from .groups import Element, Group
 from .patterns import Alphabet, Pattern
 
@@ -198,43 +189,20 @@ def _compile_ball(family: ForbiddenFamily, group: Group, radius: int,
     """Compile the family's patterns of diameter <= 2*radius onto B_radius,
     whose cells are numbered `first` (cells of B_radius) then the rest in
     shortlex order."""
-    cells = list(dict.fromkeys(first))
-    taken = set(cells)
-    cells += [c for c in ball(group, radius).sorted_elements() if c not in taken]
-    return _compile(family, group, max(2 * radius, 1), cells, group.multiply)
+    cells = list(dict.fromkeys([*first, *ball(group, radius).sorted_elements()]))
+    return _compile(family, group, max(2 * radius, 1), cells)
 
 
 def _compile(family: ForbiddenFamily, group: Group, diameter: int,
              cells: Sequence[Element],
-             shift: Callable[[Element, Element], Optional[Element]]) -> CompiledWindow:
-    """Compile the family's patterns up to `diameter` onto `cells`, any two
-    of which lie at most `diameter` apart.
-
-    A pattern becomes the offsets anchor^-1 * h of its cells from its first
-    cell, each with a singleton allowed set (one shared set per symbol).
-    Under a geodesic normal form an offset longer than `diameter` cannot fit
-    in the cells, so its pattern is dropped before grounding.
-    """
-    reach = diameter if group.geodesic_normal_form() else None
-    singletons: dict[int, frozenset[int]] = {}
-    constraints = []
-    for q in family.patterns_up_to(group, diameter):
-        con = []
-        inv = None
-        for h, v in q.items():
-            if inv is None:
-                inv = group.inverse_element(h)
-            off = group.multiply(inv, h)
-            if reach is not None and group.length_of(off) > reach:
-                break
-            if v not in singletons:
-                singletons[v] = frozenset((v,))
-            con.append((off, singletons[v]))
-        else:
-            constraints.append(con)
-    index = {c: j for j, c in enumerate(cells)}
-    return compile_window(cells, constraints,
-                          lambda off: [index.get(shift(c, off), -1) for c in cells])
+             shift: Optional[Callable[[Element, Element], Optional[Element]]] = None,
+             ) -> CompiledWindow:
+    """Ground the family's patterns up to `diameter` on `cells`, any two of
+    which lie at most `diameter` apart."""
+    singleton = cache(lambda v: frozenset((v,)))
+    constraints = (((h, 0, singleton(v)) for h, v in q.items())
+                   for q in family.patterns_up_to(group, diameter))
+    return ground(group, cells, cells, diameter, constraints, shift)
 
 
 # -- closure operations --------------------------------------------------------
@@ -325,19 +293,17 @@ def factor_window_admissible(
 ) -> bool:
     """Windowed factor membership: whether some admissible total assignment
     on B_{radius+reach} takes the value y[g] under the block code at every
-    target g of y.
+    target g of y (targets inside B_radius).
 
-    One search (`constraints.solve`) over the family's patterns compiled
-    onto B_{radius+reach}, with the targets' preimage cells g*w first (targets
-    in shortlex order), so that each target's output is checked as soon as
-    its preimage is placed.  Each target adds its output constraint, handed
-    to the search as placements: every source tuple v over the cells g*w
-    with local(v) != y[g]; a target no source tuple maps to y[g] decides
-    False at once.  The targets must lie inside B_radius, and the code must
-    read the subshift's alphabet.  One node is counted per (cell, symbol)
-    tried over the whole search; budget exhaustion raises UndeterminedError
-    carrying the count.  The budget bounds the search only: building the
-    output constraints calls `local` source_size^|window| times per target.
+    One search over the family's patterns compiled onto B_{radius+reach},
+    the targets' preimage cells g*w first (targets in shortlex order) so
+    that each target's output is checked as soon as its preimage is placed,
+    each target's output constraint handed to it as placements: every source
+    tuple v over the cells g*w with local(v) != y[g]; a target no source
+    tuple maps to y[g] decides False at once.  One node is counted per
+    (cell, symbol) tried; budget exhaustion raises UndeterminedError
+    carrying the count.  Building the output constraints, outside the
+    budget, calls `local` source_size^|window| times per target.
     """
     group = x_spec.group
     if code.source_size != len(x_spec.alphabet):

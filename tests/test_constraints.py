@@ -4,8 +4,9 @@
 placements with enumeration of every assignment, and
 `verify_reduction_window` with the same search run on uncompiled
 constraints (`grounded_violations`), whose witness must match exactly and
-pass the full scan `check_window_assignment`.  Windows stay at five to nine
-cells so the oracles finish quickly; Hypothesis runs derandomized.
+pass the full scan `check_window_assignment`, on Z, Z^2, F2 and BS(1,2).
+Windows stay at ten cells or fewer so the oracles finish quickly;
+Hypothesis runs derandomized.
 """
 
 import itertools
@@ -20,7 +21,7 @@ from .conftest import (
     finite_specs,
 )
 from .test_machines import machine as criterion_machine
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from groupshift import (
     Alphabet,
@@ -42,14 +43,14 @@ from groupshift import (
     identity_block_code,
     verify_reduction_window,
 )
-from groupshift import domino
+from groupshift import constraints
 from groupshift.constraints import compile_window, solve
 from groupshift.domino import (
     check_window_assignment,
     grounded_violations,
     window_cells,
 )
-from groupshift.groups import FreeAbelianGroup
+from groupshift.groups import FreeAbelianGroup, bs_group
 
 ZLINE = GROUPS["z"]
 SIGMA = Alphabet(("_", "1"))
@@ -77,12 +78,13 @@ def test_extendable_matches_brute_force(instance):
 
 
 @st.composite
-def two_state_machines(draw):
-    """A random two-state Z machine; state 1 accepts, move 0/1/2 = stay/a/a^-1."""
+def two_state_machines(draw, group=ZLINE):
+    """A random two-state machine; state 1 accepts, and a move is any
+    generator id (on Z, 0/1/2 = stay/a/a^-1)."""
     delta = {(s, q): (draw(st.integers(0, 1)), draw(st.integers(0, 1)),
-                      draw(st.integers(0, 2)))
+                      draw(st.integers(0, len(group.generators) - 1)))
              for s in range(2) for q in range(2)}
-    return GMachineSpec(ZLINE, ("q0", "acc"), frozenset({1}), SIGMA, 0, delta)
+    return GMachineSpec(group, ("q0", "acc"), frozenset({1}), SIGMA, 0, delta)
 
 
 def scan_search(instance, radius_g, height_z):
@@ -90,7 +92,7 @@ def scan_search(instance, radius_g, height_z):
     newly assigned cell; the first admissible window assignment, or None."""
     cells = window_cells(instance, radius_g, height_z)
     symbols = list(instance.alphabet.symbols())
-    origin = (ZLINE.identity, 0)
+    origin = (instance.g_group.identity, 0)
     assign = {origin: tuple(instance.origin_symbol)}
 
     def fires(cell):
@@ -124,11 +126,7 @@ def window_assignment(instance, witness):
     return out
 
 
-@CHECKS
-@given(two_state_machines(), st.integers(1, 2), st.integers(0, 1),
-       st.integers(0, 2))
-def test_verify_window_matches_scan_search(machine, a1, radius_g, height_z):
-    instance = compile_domino(ZLINE, machine, WindowedA1(a1))
+def assert_verify_matches_scan_search(instance, radius_g, height_z):
     out = verify_reduction_window(instance, radius_g, height_z)
     expected = scan_search(instance, radius_g, height_z)
     if expected is None:
@@ -137,6 +135,31 @@ def test_verify_window_matches_scan_search(machine, a1, radius_g, height_z):
         assert isinstance(out, Satisfiable)
         assert window_assignment(instance, out.witness) == expected
         assert check_window_assignment(instance, expected) == []
+
+
+@CHECKS
+@given(two_state_machines(), st.integers(1, 2), st.integers(0, 1),
+       st.integers(0, 2))
+def test_verify_window_matches_scan_search(machine, a1, radius_g, height_z):
+    assert_verify_matches_scan_search(compile_domino(ZLINE, machine, WindowedA1(a1)),
+                                      radius_g, height_z)
+
+
+BS12 = bs_group(2)
+
+
+@pytest.mark.parametrize("a1", [1, 3])
+@pytest.mark.parametrize("group", [GROUPS["z2"], GROUPS["f2"], BS12],
+                         ids=["z2", "f2", "bs12"])
+@settings(CHECKS, max_examples=5)
+@given(data=st.data())
+def test_verify_window_matches_scan_search_off_z(group, a1, data):
+    # B_1 has five cells on each kind, so a window of two levels has ten;
+    # A1 exclusions out to B_3 reach past 2 * radius_g, where the geodesic
+    # kinds (Z^2, F2) drop them before grounding
+    machine = data.draw(two_state_machines(group))
+    assert_verify_matches_scan_search(compile_domino(group, machine, WindowedA1(a1)),
+                                      1, data.draw(st.integers(0, 1)))
 
 
 def z_sft(*forbidden_words):
@@ -238,7 +261,7 @@ def test_no_watch_bucket_repeats_a_rest(monkeypatch):
                builtin_mirror(z2).forbidden.compiled_window(z2, 2),
                builtin_delone(ZLINE, 1).forbidden.compiled_window(ZLINE, 3)]
     # the domino window, whose A1 exclusions list each pair of cells twice
-    monkeypatch.setattr(domino, "compile_window",
+    monkeypatch.setattr(constraints, "compile_window",
                         lambda *args: windows.append(compile_window(*args)) or windows[-1])
     rules = {(0, 0): (0, 0, 1), (1, 0): (1, 0, 1)}
     verify_reduction_window(compile_domino(ZLINE, machine(("walk", "acc"), rules),
@@ -259,13 +282,32 @@ def test_domino_window_merges_same_offset_constraints(monkeypatch, rules):
     # grounds as one merged constraint (2,287 and 2,275 placements unmerged)
     z = FreeAbelianGroup(1, names=["a"])
     windows = []
-    monkeypatch.setattr(domino, "compile_window",
+    monkeypatch.setattr(constraints, "compile_window",
                         lambda *args: windows.append(compile_window(*args)) or windows[-1])
     instance = compile_domino(z, criterion_machine(z, ("walk", "acc"), {1}, rules),
                               WindowedA1(8))
     assert len(instance.constraints) == 53
     verify_reduction_window(instance, 4, 6)
     assert sum(len(bucket) for bucket in _buckets(windows[0])) == 799
+
+
+@pytest.mark.parametrize("kind", ["z2", "f2"])
+def test_domino_window_drops_offsets_out_of_reach(monkeypatch, kind):
+    # criterion 12's move_right with A1 exclusions out to B_8, on B_3 x [0, 4]:
+    # a G offset longer than 2 * 3 cannot map a cell of B_3 into B_3, so
+    # its constraint is dropped before grounding (on F2, 13,120 A1
+    # constraints would otherwise each be multiplied through B_3)
+    group = GROUPS[kind]
+    grounded = []
+    monkeypatch.setattr(constraints, "compile_window",
+                        lambda cells, cons, column: grounded.append(list(cons))
+                        or compile_window(cells, grounded[-1], column))
+    move_right = criterion_machine(group, ("walk", "acc"), {1},
+                                   {(1, 0): (1, 0, 1), (0, 0): (0, 1, 0)})
+    instance = compile_domino(group, move_right, WindowedA1(8))
+    assert isinstance(verify_reduction_window(instance, 3, 4), Unsatisfiable)
+    assert len(grounded) == 1
+    assert max(group.length_of(g) for con in grounded[0] for (g, _), _ in con) == 6
 
 
 def test_verify_window_grounds_each_g_offset_once(monkeypatch):

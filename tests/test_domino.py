@@ -1,16 +1,20 @@
 """The origin-constrained compiler, its window verifier and the free-product
 wrapper."""
 
+import random
+
 import pytest
 
 from groupshift import (
     Alphabet,
     GMachineSpec,
     MalformedInputError,
+    Pattern,
     Satisfiable,
     Unsatisfiable,
     UserSftCover,
     WindowedA1,
+    ball,
     compile_domino,
     cyclic_group,
     free_product_layer,
@@ -25,6 +29,9 @@ from groupshift.domino import (
     window_cells,
 )
 from groupshift import jsonio
+from groupshift.machines import trace_run
+
+from .test_constraints import window_assignment
 
 SIGMA = Alphabet(("_", "1"))
 
@@ -49,6 +56,49 @@ def suite(z):
         (0, 0): (0, 0, a_plus), (1, 0): (1, 0, a_plus),
     })
     return accept_now, move_right, loop
+
+
+def random_machine(group, rng):
+    """A seeded machine of two or three states, the last accepting, moving
+    by any generator id (0 stays)."""
+    n = rng.randint(2, 3)
+    delta = {(sym, q): (rng.randrange(len(SIGMA)), rng.randrange(n),
+                        rng.randrange(len(group.generators)))
+             for sym in range(len(SIGMA)) for q in range(n)}
+    return GMachineSpec(group, tuple(f"q{i}" for i in range(n)), frozenset({n - 1}),
+                        SIGMA, 0, delta)
+
+
+def accepts_inside(spec, radius, steps):
+    """Oracle: the run from the blank tape accepts within `steps` steps with
+    every head position, the accepting one included, in B_radius."""
+    inside = ball(spec.group, radius)
+    for cfg in trace_run(spec, Pattern({}), steps):
+        if cfg.head not in inside:
+            return False
+    return cfg.state in spec.accepting
+
+
+@pytest.mark.parametrize("kind", ["z", "z2", "bs12", "f2"])
+def test_window_verdict_is_the_bounded_run(request, kind):
+    # the reduction differential: with A1 exclusions across the whole
+    # window, the (r, h) window is unsatisfiable exactly when the machine
+    # accepts inside B_r within h steps; an unsatisfiable window stays so
+    # one level higher
+    group = request.getfixturevalue(kind)
+    for seed in range(12):
+        rng = random.Random(seed)
+        spec = random_machine(group, rng)
+        radius, height = rng.randint(1, 2), rng.randint(2, 5)
+        instance = compile_domino(group, spec, WindowedA1(2 * radius))
+        out = verify_reduction_window(instance, radius, height)
+        assert isinstance(out, Unsatisfiable) == accepts_inside(spec, radius, height)
+        if isinstance(out, Satisfiable):
+            assert check_window_assignment(
+                instance, window_assignment(instance, out.witness)) == []
+        else:
+            assert isinstance(verify_reduction_window(instance, radius, height + 1),
+                              Unsatisfiable)
 
 
 def test_family_counts(z, suite):

@@ -314,6 +314,28 @@ def test_multihead_rejects_symbol_outside_tape_alphabet(z):
         run_accepts(m, Pattern({z.identity: 7}), 2)
 
 
+@pytest.mark.parametrize("out", [((9,), (0,), (0,)), ((0,), (5,), (0,)),
+                                 ((0,), (0,), (99,)), ((0, 0), (0, 0), (0, 0))],
+                         ids=["symbol", "state", "move", "arity"])
+def test_multihead_rejects_delta_output_out_of_range(z, out):
+    """A written symbol outside the tape alphabet, a state outside the
+    machine, a move that is no generator id or a tuple of the wrong length
+    is malformed input, not a run that goes on or a bare IndexError."""
+    mh = MultiHeadSpec(z, 1, ("run", "acc"), frozenset({1}), SIGMA, 0,
+                       lambda symbols, states: out)
+    with pytest.raises(MalformedInputError, match="delta output"):
+        run_multihead(mh, Pattern({}), 3)
+
+
+@pytest.mark.parametrize("n,blank,accepting",
+                         [(0, 0, {1}), (1, len(SIGMA), {1}), (1, 0, {2})],
+                         ids=["no_head", "blank", "accepting"])
+def test_multihead_spec_rejects_fields_out_of_range(z, n, blank, accepting):
+    with pytest.raises(MalformedInputError):
+        MultiHeadSpec(z, n, ("run", "acc"), frozenset(accepting), SIGMA, blank,
+                      lambda symbols, states: (symbols, states, (0,) * n))
+
+
 def test_multihead_any_coordinate_accepts(z):
     def delta(symbols, states):
         return (0, 0), (0, 1), (0, 0)  # second head enters accept

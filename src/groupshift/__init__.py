@@ -24,8 +24,7 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "errors": (
-        "BallBudgetError", "ComponentExhaustedError", "GroupExhaustedError",
-        "GroupShiftError", "MalformedInputError", "RetargetSoundnessError",
+        "BallBudgetError", "GroupShiftError", "MalformedInputError",
         "UndeterminedError", "UnsupportedGroupError",
     ),
     "groups": (

@@ -14,7 +14,6 @@ from typing import Iterator, Optional
 
 from .errors import (
     BallBudgetError,
-    ComponentExhaustedError,
     MalformedInputError,
     UnsupportedGroupError,
     require_nonnegative,
@@ -412,5 +411,5 @@ def component_sequence(group: Group, n_cut: int, seed, count: int) -> list[Eleme
             found += (v for v in shell if v in component)
             if len(found) > count:
                 return [table.elements[v] for v in found[:count + 1]]
-    raise ComponentExhaustedError(
+    raise UnsupportedGroupError(
         f"component holds fewer than {count + 1} reachable elements")

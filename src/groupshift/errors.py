@@ -1,12 +1,22 @@
-"""Exception hierarchy shared across the library.
+"""Exception hierarchy shared across the library, and its one failure policy.
 
-Every exception class of the library lives here, and this module holds the
-one budget policy.  A budget that runs out while the library works (search
-nodes, ball elements, rewrites, completion steps, visit ticks, machine
-steps) raises `UndeterminedError`: the answer is neither yes nor no, and
-the CLI exits 3.  A fixed cap checked against the request before any work
-(a generated family's radius, a clock prefix, a materialized word's length)
-raises `MalformedInputError`, and the CLI exits 2.
+Every exception class of the library lives here.  The library raises four:
+
+- `MalformedInputError` (CLI exit 2): a word, pattern, spec or map names
+  symbols that do not exist or breaks a law it must keep, or a request
+  exceeds a fixed cap checked before any work (a generated family's radius,
+  a clock prefix, a materialized word's length).
+- `UnsupportedGroupError` (CLI exit 2): the group lacks a property the
+  operation needs, such as being infinite or having enough elements.
+- `UndeterminedError` (CLI exit 3): a budget ran out while the library
+  worked (search nodes, rewrites, completion steps, visit ticks, machine
+  steps), so the answer is neither yes nor no.
+- `BallBudgetError` (CLI exit 3): its subclass for a ball that outgrew its
+  element cap, so that a caller can fall back on a ball overrun without
+  swallowing a search's budget error.
+
+Beyond these, a raise is an `AssertionError` for a broken invariant or a
+`NotImplementedError` for an abstract method.
 """
 
 from typing import Optional
@@ -17,8 +27,7 @@ class GroupShiftError(Exception):
 
 
 class MalformedInputError(GroupShiftError):
-    """A word, pattern or spec refers to symbols that do not exist, or a
-    request exceeds a fixed cap."""
+    """Malformed input, or a request over a fixed cap."""
 
 
 def require_nonnegative(name: str, value: int) -> None:
@@ -28,20 +37,12 @@ def require_nonnegative(name: str, value: int) -> None:
 
 
 class UnsupportedGroupError(GroupShiftError):
-    """Operation requires an infinite group (or otherwise unsupported kind)."""
-
-
-class ComponentExhaustedError(GroupShiftError):
-    """A component ran out of elements before the requested count."""
+    """The group lacks a property the operation needs."""
 
 
 class UndeterminedError(GroupShiftError):
-    """A budget ran out while the library worked; the verdict is neither
-    Yes nor No.
-
-    `nodes` is the search-node count at which the budget ran out, when the
-    search counts nodes (None otherwise).
-    """
+    """A budget ran out; `nodes` is the search-node count at which it did,
+    when the search counts nodes (None otherwise)."""
 
     def __init__(self, message: str, nodes: Optional[int] = None):
         super().__init__(message)
@@ -49,15 +50,4 @@ class UndeterminedError(GroupShiftError):
 
 
 class BallBudgetError(UndeterminedError):
-    """Ball construction exceeded the configured element cap.
-
-    Its own class so that a caller can fall back on a ball overrun without
-    swallowing a search's budget error."""
-
-
-class RetargetSoundnessError(GroupShiftError):
-    """A generator retargeting map does not preserve group elements."""
-
-
-class GroupExhaustedError(GroupShiftError):
-    """The path builder exhausted every direction (finite group reached)."""
+    """Ball construction exceeded the configured element cap."""

@@ -220,7 +220,8 @@ def builtin_amenable_witness(group: Group, n_max: int) -> SubshiftSpec:
     gs, hs = disjoint_ball_sequences(group, n_max)
 
     def gen(g: Group, radius: int) -> Iterable[Pattern]:
-        for cell in ball(g, radius).sorted_elements():
+        window = ball(g, radius)
+        for cell in window.sorted_elements():
             if cell == g.identity:
                 continue
             yield Pattern({g.identity: 2, cell: 2})
@@ -228,7 +229,7 @@ def builtin_amenable_witness(group: Group, n_max: int) -> SubshiftSpec:
             for b in ball(g, n).sorted_elements():
                 left = g.multiply(gs[n], b)
                 right = g.multiply(hs[n], b)
-                if max(g.length_of(left), g.length_of(right)) > radius:
+                if left not in window or right not in window:
                     continue
                 for s in range(3):
                     for t in range(3):

@@ -244,10 +244,6 @@ class Group:
 
     # -- elements ------------------------------------------------------------
 
-    def canonical(self, word: Iterable[int]) -> Letters:
-        """Normal-form word (materialized; prefer keys for heavy loops)."""
-        return self.key_letters(self.key_of_letters(word))
-
     def element(self, word: Iterable[int]) -> Element:
         return tuple.__new__(Element, (self.key_of_letters(self.check_word(word)),))
 
@@ -809,7 +805,9 @@ class FreeProductGroup(_ProductBase):
         return all(f.geodesic_normal_form() for f in self.factors)
 
     def geodesics_extend(self) -> bool:
-        nontrivial = [f for f in self.factors if f.nonidentity_ids]
+        # a rewriting factor's generators may all be trivial
+        nontrivial = [f for f in self.factors if any(
+            f.key_of_letters((s,)) != f.identity_key() for s in f.nonidentity_ids)]
         if len(nontrivial) >= 2 and self.geodesic_normal_form():
             return True
         return any(f.geodesics_extend() for f in self.factors)
@@ -967,6 +965,12 @@ class RewritingGroup(Group):
     def frame_prepend(self, letter: int, lkey: ConsWord):
         # lkey is the key of g^-1, and (s g)^-1 = g^-1 s^-1
         return self._rewrite(lkey, (self.generators[letter].inverse,))
+
+    def geodesic_normal_form(self) -> bool:
+        # every word of an element rewrites to its normal form by
+        # shortlex-decreasing steps, so the normal form is its shortlex-least
+        # word, and a shortest one
+        return True
 
 
 def _critical_pairs(rules: Sequence[tuple[Letters, Letters]]):

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
-from .errors import MalformedInputError, RetargetSoundnessError, require_nonnegative
+from .errors import MalformedInputError, require_nonnegative
 from .groups import Element, Group, Letters
 from .patterns import Alphabet, Pattern, PatternCoding, check_consistency, Inconsistent, coding_length
 
@@ -215,10 +215,10 @@ def retarget_generators(
         if move in words:
             continue
         if move not in gamma:
-            raise RetargetSoundnessError(f"gamma misses move generator {move}")
+            raise MalformedInputError(f"gamma misses move generator {move}")
         word = group.check_word(gamma[move])
-        if group.canonical(word + (group.inverse_letter(move),)):
-            raise RetargetSoundnessError(
+        if group.element(word) != group.element((move,)):
+            raise MalformedInputError(
                 f"gamma({group.generators[move].display}) is not equal in the group")
         words[move] = word
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import (
-    GroupExhaustedError,
     MalformedInputError,
     UndeterminedError,
     UnsupportedGroupError,
@@ -148,7 +147,7 @@ class PathRun(MachineConfig):
     With a `depth_limit`, paths are restricted to at most that many edges:
     past it the run steps by the machine's `gated_spec`, whose rule 2
     bounces off a fresh cell as rule 4 does off an occupied one, and entering
-    the dead state sets `completed` instead of raising GroupExhaustedError.
+    the dead state sets `completed` instead of raising UnsupportedGroupError.
     """
 
     def __init__(self, machine: PathMachine, check: bool = True,
@@ -174,7 +173,7 @@ class PathRun(MachineConfig):
         step_moving(m.gated_spec if gated else m.spec, self)
         if self.state == m.dead_state:
             if self.depth_limit is None:
-                raise GroupExhaustedError(
+                raise UnsupportedGroupError(
                     "every direction from the root is exhausted")
             self.completed = True
             return None

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import threading
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import MalformedInputError, UndeterminedError
@@ -231,17 +231,14 @@ def union_window_admissible(
     extendable either."""
     if x_spec.alphabet != y_spec.alphabet:
         raise MalformedInputError("union requires a common alphabet")
-    first_undetermined: Optional[UndeterminedError] = None
     try:
         if extendable(x, x_spec, radius, budget):
             return True
-    except UndeterminedError as e:
-        first_undetermined = e
-    if extendable(x, y_spec, radius, budget):
-        return True
-    if first_undetermined is not None:
-        raise first_undetermined
-    return False
+    except UndeterminedError:
+        if extendable(x, y_spec, radius, budget):
+            return True
+        raise
+    return extendable(x, y_spec, radius, budget)
 
 
 @dataclass(frozen=True)
@@ -255,7 +252,8 @@ class BlockCode:
     target_size: int
 
     def reach(self) -> int:
-        return max((self.group.length_of(e) for e in self.window), default=0)
+        return max((distance_from_identity(self.group, e) for e in self.window),
+                   default=0)
 
 
 def identity_block_code(group: Group, alphabet_size: int) -> BlockCode:
@@ -300,7 +298,8 @@ def factor_window_admissible(
     that each target's output is checked as soon as its preimage is placed,
     each target's output constraint handed to it as placements: every source
     tuple v over the cells g*w with local(v) != y[g]; a target no source
-    tuple maps to y[g] decides False at once.  One node is counted per
+    tuple maps to y[g] decides False at once, and a `local` value outside
+    range(target_size) is malformed input.  One node is counted per
     (cell, symbol) tried; budget exhaustion raises UndeterminedError
     carrying the count.  Building the output constraints, outside the
     budget, calls `local` source_size^|window| times per target.
@@ -319,8 +318,14 @@ def factor_window_admissible(
     placements = []
     for g, want in targets:
         js = [window.index[group.multiply(g, w)] for w in code.window]
-        bad = [v for v in itertools.product(range(code.source_size), repeat=len(js))
-               if code.local(v) != want]
+        bad = []
+        for v in itertools.product(range(code.source_size), repeat=len(js)):
+            out = code.local(v)
+            if out not in range(code.target_size):
+                raise MalformedInputError(
+                    f"block code maps {v} to {out!r}, outside its target alphabet")
+            if out != want:
+                bad.append(v)
         if len(bad) == code.source_size ** len(js):
             return False
         placements += (tuple(zip(js, map(singletons.__getitem__, v))) for v in bad)
@@ -338,18 +343,15 @@ def projective_window_admissible(
 ) -> bool:
     """Translate a subgroup pattern through the embedding, then extend."""
     group = x_spec.group
+    images = {}
     for gid in h_group.nonidentity_ids:
         if gid not in embedding:
             raise MalformedInputError(f"embedding misses generator id {gid}")
-        img = group.canonical(tuple(embedding[gid]))
-        inv_img = group.canonical(tuple(embedding[h_group.inverse_letter(gid)]))
-        if group.canonical(img + inv_img):
+        images[gid] = group.element(embedding[gid])
+    for gid, img in images.items():
+        if group.multiply(img, images[h_group.inverse_letter(gid)]) != group.identity:
             raise MalformedInputError(
                 "embedding does not send inverse generators to inverses")
-    translated = {}
-    for e, v in y_h.items():
-        word: list[int] = []
-        for letter in h_group.word_of(e):
-            word.extend(embedding[letter])
-        translated[group.element(tuple(word))] = v
+    translated = {reduce(group.multiply, map(images.__getitem__, h_group.word_of(e)),
+                         group.identity): v for e, v in y_h.items()}
     return extendable(Pattern(translated), x_spec, radius, budget)

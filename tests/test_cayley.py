@@ -183,6 +183,15 @@ def test_component_sequence_seed_only(f2):
     assert seq == [f2.element(f2.parse_word("a"))]
 
 
+def test_component_sequence_short_component_is_unsupported():
+    """Z/4 as a rewriting system is not declared finite; the component of
+    B_M minus B_0 holding a has three elements, too few for eleven."""
+    c4 = RewritingGroup(["a", "a^-1"], [("a a a", "a^-1"), ("a^-1 a^-1", "a a")])
+    with pytest.raises(UnsupportedGroupError,
+                       match="component holds fewer than 11 reachable elements"):
+        component_sequence(c4, 0, c4.parse_word("a"), 10)
+
+
 def test_component_sequence_z_positive_ray(z):
     seq = component_sequence(z, 1, z.parse_word("a a"), 3)
     assert len(seq) == 4

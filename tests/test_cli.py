@@ -153,6 +153,19 @@ def test_subshift_check_and_extend(runner, tmp_path):
     assert res.exit_code == 0 and "yes" in res.output
 
 
+def test_subshift_check_amenable_witness_on_bs12(runner, tmp_path):
+    """A Y2 mismatch whose cells lie in B_3 of BS(1,2), one of them with a
+    five-letter normal form, is inadmissible."""
+    spec = write(tmp_path, "spec.json", {
+        "alphabet": ["0", "1", "2"], "group": BS_GROUP,
+        "forbidden": {"kind": "builtin", "name": "amenable_witness", "n_max": 1}})
+    p = write(tmp_path, "p.json",
+              {"support": [["", "2"], ["b a a", "0"], ["a a a a b^-1", "1"]]})
+    res = runner.invoke(main, ["subshift", "check", "--spec", spec, "--pattern", p,
+                               "--format", "json"], standalone_mode=False)
+    assert res.exit_code == 1 and json.loads(res.output)["admissible"] is False
+
+
 def test_delone_gen(runner, tmp_path):
     g = write(tmp_path, "g.json", Z_GROUP)
     res = runner.invoke(main, ["delone", "gen", "--group", g, "-n", "1",

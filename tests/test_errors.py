@@ -1,5 +1,6 @@
 """Every exception class of the library is defined in `errors.py`, which
-holds the one budget policy: a lint step of the tier-1 suite."""
+holds the one failure policy, and every raise uses one of its classes: lint
+steps of the tier-1 suite."""
 
 import ast
 import builtins
@@ -44,3 +45,58 @@ def test_exception_class_is_caught():
            "class D(object): pass\n")
     assert exception_classes(src, BUILTIN_EXCEPTIONS | set(ERRORS)) == ["A", "B", "C"]
     assert {"GroupShiftError", "UndeterminedError", "BallBudgetError"} <= set(ERRORS)
+
+
+# -- what the library raises --------------------------------------------------
+
+# the policy's classes, plus AssertionError for a broken invariant and
+# NotImplementedError for an abstract method
+VOCABULARY = {"MalformedInputError", "UnsupportedGroupError", "UndeterminedError",
+              "BallBudgetError", "AssertionError", "NotImplementedError"}
+
+
+def raised_outside_vocabulary(source: str, filename: str) -> list[str]:
+    """Each `raise` in `source` of something outside the vocabulary, as
+    'name (line n)'.  A bare `raise` re-raises and passes; `cli.py` may also
+    raise click's errors (`click.Name`), and the package `__init__.py` the
+    AttributeError of its module `__getattr__`."""
+    out = []
+    raises = [node for node in ast.walk(ast.parse(source))
+              if isinstance(node, ast.Raise) and node.exc is not None]
+    for node in sorted(raises, key=lambda node: node.lineno):
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        name = ast.unparse(exc)
+        if (name in VOCABULARY
+                or filename == "cli.py" and name.startswith("click.")
+                or filename == "__init__.py" and name == "AttributeError"):
+            continue
+        out.append(f"{name} (line {node.lineno})")
+    return out
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_raises_keep_to_the_vocabulary(path):
+    assert raised_outside_vocabulary(path.read_text(), path.name) == []
+
+
+def test_raise_outside_vocabulary_is_caught():
+    src = ("import click\n"
+           "def f(x):\n"
+           "    try:\n"
+           "        raise MalformedInputError('bad')\n"
+           "    except MalformedInputError as e:\n"
+           "        if x:\n"
+           "            raise\n"
+           "        raise e\n"
+           "    raise ValueError(x)\n"
+           "def g():\n"
+           "    raise click.UsageError('no')\n"
+           "def h():\n"
+           "    raise AttributeError('no')\n")
+    assert raised_outside_vocabulary(src, "groups.py") == [
+        "e (line 8)", "ValueError (line 9)", "click.UsageError (line 11)",
+        "AttributeError (line 13)"]
+    assert raised_outside_vocabulary(src, "cli.py") == [
+        "e (line 8)", "ValueError (line 9)", "AttributeError (line 13)"]
+    assert raised_outside_vocabulary(src, "__init__.py") == [
+        "e (line 8)", "ValueError (line 9)", "click.UsageError (line 11)"]

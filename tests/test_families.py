@@ -17,6 +17,8 @@ from groupshift import (
 )
 from groupshift.families import MIRROR_BLACK, MIRROR_RED, MIRROR_WHITE
 
+from .conftest import KINDS, oracle_ball
+
 
 def row(z2, symbols, start=0):
     return Pattern({z2.element((1,) * (start + i) if start + i >= 0 else (2,) * -(start + i)): s
@@ -149,6 +151,43 @@ def test_amenable_witness_rules(z2):
         agree[z2.multiply(gs[1], b)] = 1
         agree[z2.multiply(hs[1], b)] = 1
     assert locally_admissible(Pattern(agree), spec)
+
+
+def test_amenable_witness_y2_mismatch_on_bs12(bs12):
+    """g_1 a and h_1 a for (g_1, h_1) = (b a, a^2 b^-1) on BS(1,2) lie at
+    distance 3 from the identity, though the normal form of h_1 a = a^4 b^-1
+    has five letters: a 0 and a 1 there under a 2 at e break Y2."""
+    spec = builtin_amenable_witness(bs12, 1)
+    gs, hs = disjoint_ball_sequences(bs12, 1)
+    cell = bs12.element(bs12.parse_word("a^4 b^-1"))
+    assert bs12.length_of(cell) == 5 and element_distance(bs12, bs12.identity, cell) == 3
+    a = bs12.element(bs12.parse_word("a"))
+    assert (bs12.multiply(gs[1], a), bs12.multiply(hs[1], a)) == (
+        bs12.element(bs12.parse_word("b a a")), cell)
+    bad = Pattern({bs12.identity: 2, bs12.multiply(gs[1], a): 0, cell: 1})
+    assert not locally_admissible(bad, spec)
+
+
+@pytest.mark.parametrize("kind", ["bs12", "z_a_a2"])
+def test_amenable_witness_generates_every_y2_pattern_in_the_ball(kind):
+    """patterns_up_to(r) holds every Y2 pattern {e: 2, g_n b: s, h_n b: t}
+    (s != t, b in B_n) whose cells lie in B_r, with the ball from a fresh BFS."""
+    group = KINDS[kind]()
+    n_max = 1
+    spec = builtin_amenable_witness(group, n_max)
+    gs, hs = disjoint_ball_sequences(group, n_max)
+    for radius in range(7):
+        window = oracle_ball(group, radius)
+        want = set()
+        for n in range(n_max + 1):
+            for b in oracle_ball(group, n):
+                left, right = group.multiply(gs[n], b), group.multiply(hs[n], b)
+                if {left, right} <= window.keys() and group.identity not in (left, right):
+                    want |= {frozenset({(group.identity, 2), (left, s), (right, t)})
+                             for s in range(3) for t in range(3) if s != t}
+        got = {frozenset(p.assignment.items())
+               for p in spec.forbidden.patterns_up_to(group, radius)}
+        assert want <= got
 
 
 def test_amenable_witness_rejects_finite():

@@ -124,8 +124,9 @@ def _letter_sum(g, weights):
 
 Z_SUM = _letter_sum(REWRITING["z4_rewriting"], {"A": 2, "A^-1": -2, "a": 1, "a^-1": -1})
 C4_SUM = _letter_sum(REWRITING["rw_c4"], {"a": 1, "a^-1": -1})
+F2 = free_group(2)
 CLOSED_FORM = {"z4_rewriting": Z_SUM, "rw_c4": lambda word: C4_SUM(word) % 4,
-               "free": free_group(2).canonical}
+               "free": lambda word: F2.word_of(F2.element(word))}
 
 
 @pytest.mark.parametrize("name", REWRITING)
@@ -175,7 +176,7 @@ def test_rewriting_budget(monkeypatch):
     g = RewritingGroup(["a", "a^-1"], [])
     monkeypatch.setattr(groups, "DEFAULT_REWRITE_BUDGET", 2)
     with pytest.raises(UndeterminedError, match="rewriting did not reach a normal form"):
-        g.canonical(g.parse_word("a a^-1 " * 10))
+        g.word_of(g.element(g.parse_word("a a^-1 " * 10)))
 
 
 def test_invalid_letters(f2):
@@ -195,7 +196,7 @@ def test_generator_involution(f2, z2, bs12):
 # -- one property suite over every kind ---------------------------------------
 
 LAWS = {name: make() for name, make in KINDS.items()}
-GEODESIC = {"z", "z2", "f2", "c2xz", "c2*c3", "s3"}
+GEODESIC = {"z", "z2", "f2", "z_a_a2", "c2xz", "c2*c3", "s3"}
 
 
 def words(g, max_size=12):
@@ -235,7 +236,7 @@ def test_canonical_words_round_trip(name, data):
     w = g.word_of(e)
     assert 0 not in w
     assert g.element(w) == e
-    assert g.canonical(w) == w == g.canonical(u)
+    assert g.word_of(g.element(w)) == w == g.word_of(g.element(u))
     assert g.length_of(e) == len(w)
     if name == "z_a_a2":   # Z through A -> 2, a -> 1
         assert Z_SUM(w) == Z_SUM(u)
@@ -296,6 +297,16 @@ def test_length_against_ball_distance(name):
             assert g.length_of(e) >= d
         if name == "z_a_a2":
             assert d == (abs(Z_SUM(g.word_of(e))) + 1) // 2
+
+
+def test_free_product_with_a_trivial_rewriting_factor():
+    """A rewriting group whose one generator rewrites to e is trivial, so its
+    free product with C3 is C3, whose geodesics do not extend; with two
+    nontrivial factors with geodesic normal forms they do."""
+    trivial = RewritingGroup(["a"], [("a", "")])
+    c3 = free_product(trivial, cyclic_group(3))
+    assert c3.geodesic_normal_form() and not c3.geodesics_extend()
+    assert free_product(KINDS["z_a_a2"](), cyclic_group(3)).geodesics_extend()
 
 
 # the kinds whose frame key of an element is its key's word (letters, or

@@ -12,7 +12,6 @@ from groupshift import (
     MalformedInputError,
     MultiHeadSpec,
     Pattern,
-    RetargetSoundnessError,
     acceptance_bound,
     coding,
     coding_length,
@@ -233,8 +232,14 @@ def test_retarget_identity_map(z):
 
 def test_retarget_unsound_gamma_rejected(z):
     m = machine(z, ("q0",), set(), {(0, 0): (0, 0, 1)})
-    with pytest.raises(RetargetSoundnessError):
+    with pytest.raises(MalformedInputError, match="is not equal in the group"):
         retarget_generators(m, {1: (2,)})  # a |-> a^-1 is not equal
+
+
+def test_retarget_gamma_missing_a_move_rejected(z):
+    m = machine(z, ("q0",), set(), {(0, 0): (0, 0, 1)})
+    with pytest.raises(MalformedInputError, match="gamma misses move generator 1"):
+        retarget_generators(m, {2: (2,)})
 
 
 def test_retarget_rewriting_group(z4_rewriting):

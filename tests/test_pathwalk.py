@@ -12,6 +12,7 @@ from groupshift import (
     Pattern,
     PathMachine,
     PathRun,
+    UnsupportedGroupError,
     ball,
     build_m_path,
     build_m_visit,
@@ -22,8 +23,8 @@ from groupshift import (
     cyclic_group,
     direct_product,
 )
-from groupshift.groups import ConsWord, FreeAbelianGroup
-from groupshift.pathwalk import _C1_START, _C2_MARK, _STATE_BACK
+from groupshift.groups import ConsWord, FreeAbelianGroup, RewritingGroup
+from groupshift.pathwalk import _C1_START, _C2_MARK, _STATE_BACK, VisitEvent
 
 from .conftest import KINDS
 
@@ -301,10 +302,20 @@ def test_gated_run_erases_dead_ends(f2):
 
 
 def test_path_group_exhausted_error():
-    # a finite group is rejected up front; exercised via the gated runner's
-    # completion flag instead (below)
-    with pytest.raises(Exception):
+    # a group declared finite is rejected up front
+    with pytest.raises(UnsupportedGroupError, match="needs an infinite group"):
         PathMachine(cyclic_group(3))
+
+
+def test_path_run_on_a_finite_rewriting_group_is_unsupported():
+    """Z/4 as a rewriting system is not declared finite, so the path machine
+    accepts it, and its run exhausts every direction from the root."""
+    c4 = RewritingGroup(["a", "a^-1"], [("a a a", "a^-1"), ("a^-1 a^-1", "a a")])
+    run = PathRun(PathMachine(c4))
+    with pytest.raises(UnsupportedGroupError,
+                       match="every direction from the root is exhausted"):
+        for _ in range(1000):
+            run.step()
 
 
 @pytest.mark.parametrize("group_name,depth",
@@ -361,6 +372,31 @@ def test_visit_collision_reset(z):
     vm._reset_upper_layers()
     assert vm.n == 1
     assert not vm.counter_tape
+
+
+def test_visit_erased_counter_cell_resets_the_upper_layers(f2):
+    """The supervisor's rules, driven white-box: no ungated layer 1 reaches a
+    dead end in the ticks a test affords, so layer 1 is swapped for a
+    depth-1 run on F2, which erases its tip within a few steps, and n starts
+    at 2, whose counter needs two path cells."""
+    vm = build_m_visit(f2)
+    vm.layer1 = PathRun(vm.machine, depth_limit=1)
+    vm.n = 2
+    layer3 = vm.layer3
+    vm.tick()   # layer 1 marks the root only: the counter stays pending
+    assert vm._counter_pending and vm.counter_tape == {} and vm.ticks == 1
+    assert vm.layer3 is layer3 and layer3.steps == 0
+    for _ in range(100):
+        counter = dict(vm.counter_tape)
+        tip = vm.layer1.path[-1]
+        vm.tick()
+        if vm.events and vm.events[-1].kind == "reset":
+            break
+    assert len(counter) == 2 and tip in counter and tip not in vm.layer1.path
+    assert vm.events[-1] == VisitEvent("reset", 1)
+    assert vm.n == 1 and vm.counter_tape == {} and vm._counter_pending
+    assert vm.layer3 is not layer3
+    assert (vm.layer3.depth_limit, vm.layer3.steps, vm.layer3.path) == (1, 0, [])
 
 
 # -- oracle simulator -----------------------------------------------------------

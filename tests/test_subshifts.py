@@ -37,6 +37,7 @@ from groupshift import (
     locally_admissible,
     projective_window_admissible,
     translate_pattern,
+    subshifts,
     union_window_admissible,
 )
 
@@ -195,6 +196,47 @@ def test_union_window(zline):
     assert union_window_admissible(Pattern({}), only0, only1, 1)
 
 
+def test_union_raises_the_first_overrun_when_the_second_fails(z2, monkeypatch):
+    """The mirror shift's search on B_3 overruns a budget of 2 nodes, and a
+    shift forbidding white at every cell rejects a white identity at once:
+    the union raises the first search's error.  When both overrun, the
+    second's propagates."""
+    mirror = builtin_mirror(z2)
+    white = Pattern({z2.identity: 0})
+    no_white = SubshiftSpec(mirror.alphabet, z2, FiniteFamily((white,)))
+    outcomes = []
+
+    def spy(*args):
+        try:
+            outcomes.append(extendable(*args))
+        except UndeterminedError as e:
+            outcomes.append(e)
+            raise
+        return outcomes[-1]
+    monkeypatch.setattr(subshifts, "extendable", spy)
+    with pytest.raises(UndeterminedError) as info:
+        union_window_admissible(white, mirror, no_white, 3, budget=2)
+    assert outcomes == [info.value, False] and info.value.nodes == 3
+    outcomes.clear()
+    with pytest.raises(UndeterminedError) as info:
+        union_window_admissible(Pattern({}), mirror, mirror, 3, budget=2)
+    assert len(outcomes) == 2 and info.value is outcomes[1]
+
+
+@pytest.mark.parametrize("kind", ["z", "z2"])
+@CHECKS
+@given(data=st.data())
+def test_extendable_on_an_intersection_matches_brute_force(kind, data):
+    """Two seeded finite families over one alphabet, intersected, at radius 1."""
+    group = GROUPS[kind]
+    a = data.draw(finite_specs(group, 3))
+    b = data.draw(finite_specs(group, 3).filter(
+        lambda spec: spec.alphabet == a.alphabet))
+    both = intersect(a, b)
+    p = small_pattern(data.draw, group, 1, len(a.alphabet))
+    assert extendable(p, both, 1) == brute_force_extendable(p, both, 1)
+
+
 def test_apply_block_code_identity(zline):
     code = identity_block_code(zline, 2)
     p = Pattern({zline.identity: 1, zline.element((1,)): 0})
@@ -337,6 +379,19 @@ def test_factor_window_constant_code(zline):
     assert not factor_window_admissible(y, full, code, 1)
 
 
+def test_block_code_reach_is_the_word_metric(bs12):
+    """a^4 b^-1 in BS(1,2) lies at distance 3, with a five-letter normal form."""
+    cell = bs12.element(bs12.parse_word("a^4 b^-1"))
+    assert BlockCode(bs12, (bs12.identity, cell), lambda v: 0, 2, 2).reach() == 3
+
+
+def test_factor_code_output_outside_its_target_alphabet_is_malformed(zline):
+    code = BlockCode(zline, (zline.identity,), lambda v: 5, 2, 2)
+    with pytest.raises(MalformedInputError, match="outside its target alphabet"):
+        factor_window_admissible(Pattern({zline.identity: 1}),
+                                 builtin_one_or_less(zline, 1), code, 1)
+
+
 def test_factor_window_renaming(zline):
     spec = z_sft(zline, "11")
     code = identity_block_code(zline, 2)  # 0->0 ("a"), 1->1 ("b")
@@ -363,6 +418,17 @@ def test_projective_identity_embedding(z2):
     p = Pattern({z2.identity: 1})
     assert projective_window_admissible(p, z2, embedding, spec, 1) == \
         extendable(p, spec, 1)
+
+
+@pytest.mark.parametrize("embedding,message", [
+    ({1: (99,), 2: (2,)}, "invalid letter id 99"),
+    ({1: (1,)}, "embedding misses generator id 2"),
+], ids=["letter_out_of_range", "inverse_missing"])
+def test_projective_embedding_is_checked(z2, embedding, message):
+    zline = FreeAbelianGroup(1, names=["t"])
+    spec = builtin_one_or_less(z2, 1)
+    with pytest.raises(MalformedInputError, match=message):
+        projective_window_admissible(Pattern({}), zline, embedding, spec, 1)
 
 
 def test_block_code_commutes_with_translation(zline):

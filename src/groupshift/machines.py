@@ -1,11 +1,12 @@
 """The group-walking machine VM: both action models, acceptance, retargeting.
 
 Tapes are finite-support dicts keyed by canonical elements; the blank symbol
-is implicit.  One mutable `MachineConfig` is the run state, `step_moving`
-advances it in place (the path runs and the wrapped walker step through it
-too) and `trace_run` is the one run loop.  The fixed-head model is a view on
-that run (`MachineConfig.observable_tape`); `fixed_moving_equivalent` checks
-it against a literal tape-shifting simulation.
+is implicit.  One mutable `MachineConfig` is the run state and `step_moving`
+the one step, which advances it in place.  `trace_run` is the run loop of a
+plain machine; the checked loop of `pathwalk.PathRun` takes the same step.
+The fixed-head model is a view on that run (`MachineConfig.observable_tape`);
+`fixed_moving_equivalent` checks it against a literal tape-shifting
+simulation.
 """
 
 from __future__ import annotations
@@ -91,8 +92,9 @@ def initial_config(spec: GMachineSpec, p: Pattern) -> MachineConfig:
 
 
 def step_moving(spec: GMachineSpec, cfg: MachineConfig) -> MachineConfig:
-    """One moving-head step, in place: write at the head, multiply the head
-    on the right by the move.  Returns `cfg`."""
+    """One moving-head step, in place: write at the head, move the head's key
+    on the right by the move.  Returns `cfg`.  The one stepper of every run:
+    `trace_run`, `fixed_moving_equivalent` and the loop of `PathRun`."""
     write, cfg.state, move = spec.delta[(cfg.tape.get(cfg.head, spec.blank),
                                          cfg.state)]
     if write == spec.blank:
@@ -100,7 +102,7 @@ def step_moving(spec: GMachineSpec, cfg: MachineConfig) -> MachineConfig:
     else:
         cfg.tape[cfg.head] = write
     if move:
-        cfg.head = spec.group.multiply_letter(cfg.head, move)
+        cfg.head = tuple.__new__(Element, (spec.group.key_append(cfg.head.key, move),))
     cfg.steps += 1
     return cfg
 

@@ -3,7 +3,8 @@ from classical oracle machines to group-walking machines.
 
 The path machine's six transition rules are transcribed literally into a
 total table, plus a second table for depth-gated runs.  One `PathRun`, with
-an optional depth gate, steps through either table only by `step_moving`.
+an optional depth gate, runs either table in one loop that takes each step
+by `step_moving`; its `step` is the loop's one-step case.
 The visit machine and the oracle simulator are layered interpreters whose
 supervision rules (collision resets, restarts) live outside the per-layer
 tables, since they depend on head positions and global tape state that no
@@ -13,6 +14,7 @@ finite (Sigma^n, Q^n) table can see.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import (
@@ -136,13 +138,14 @@ def build_m_path(group: Group) -> GMachineSpec:
 class PathRun(MachineConfig):
     """Instrumented path-machine run with per-step simple-path invariants.
 
-    Each step advances the run's `MachineConfig` by `step_moving` and reads
-    its mark or erase off the cell the head left: every mark must extend the
-    tip by one Cayley edge into an unmarked cell, every erase must remove
-    exactly the tip.  `check_full` re-walks the arrival links from the tip to
-    the root as the deep (non-incremental) verification.  Both compare
-    canonical keys from `key_append`, apart from the stored path: the
-    predicate of `Element` equality, with no `Element` built per check.
+    `step` and `run` share one loop.  Each of its steps advances the run's
+    `MachineConfig` by one `step_moving` call, then reads its mark or erase
+    off the cell the head left and checks it inline: every mark must extend
+    the tip by one Cayley edge into an unmarked cell, every erase must
+    remove exactly the tip.  `check_full` re-walks the arrival links from
+    the tip to the root as the deep (non-incremental) verification.  Both
+    compare canonical keys from `key_append`, apart from the stored path:
+    the predicate of `Element` equality, with no `Element` built per check.
 
     With a `depth_limit`, paths are restricted to at most that many edges:
     past it the run steps by the machine's `gated_spec`, whose rule 2
@@ -167,56 +170,64 @@ class PathRun(MachineConfig):
 
     def step(self) -> Optional[tuple[str, Element]]:
         """Advance one step; returns a ('mark'|'erase', cell) event or None."""
-        m, cell, state = self.m, self.head, self.state
-        was_marked = m.c2_of[self.tape.get(cell, m.blank)]
-        gated = self.depth_limit is not None and len(self.path) > self.depth_limit
-        step_moving(m.gated_spec if gated else m.spec, self)
-        if self.state == m.dead_state:
-            if self.depth_limit is None:
-                raise UnsupportedGroupError(
-                    "every direction from the root is exhausted")
-            self.completed = True
-            return None
-        now_marked = m.c2_of[self.tape.get(cell, m.blank)]
-        if self.check:
-            self._check_transition(cell, state, was_marked, now_marked)
-        if was_marked == now_marked:
-            return None
-        if now_marked == _C2_MARK:
-            self.path.append(cell)
-            self.path_set.add(cell)
-            self.arrival.append(m.arrival_of[state])
-            self.max_path_len = max(self.max_path_len, len(self.path))
-            return ("mark", cell)
-        self.path.pop()
-        self.path_set.discard(cell)
-        self.arrival.pop()
-        return ("erase", cell)
-
-    def _check_transition(self, cell: Element, state: int, was_marked: int,
-                          now_marked: int) -> None:
-        """The step from `state` at `cell` against the path before it."""
-        m, group, path = self.m, self.group, self.path
-        if was_marked == _C2_BLANK and now_marked == _C2_MARK:
-            if cell in self.path_set:
-                raise AssertionError("marking an already-marked cell")
-            if state == _STATE_INIT:
-                if path or cell.key != group.identity.key:
-                    raise AssertionError("init mark away from the root")
-            elif group.key_append(path[-1].key, m.arrival_of[state]) != cell.key:
-                raise AssertionError("mark does not extend the tip by one edge")
-        elif was_marked == _C2_MARK and now_marked == _C2_BLANK:
-            if not path or path[-1].key != cell.key:
-                raise AssertionError("erase not at the tip")
-            if len(path) == 1:
-                raise AssertionError("erasing the root")
-        if len(path) != len(self.path_set):
-            raise AssertionError("path list and marked set diverged")
+        return self._advance(1)
 
     def run(self, steps: int) -> None:
         require_nonnegative("steps", steps)
-        for _ in range(steps):
-            self.step()
+        self._advance(index(steps))  # a non-integer count is a TypeError
+
+    def _advance(self, steps: int) -> Optional[tuple[str, Element]]:
+        """`steps` moves by `step_moving`, each mark or erase checked and
+        booked inline; returns the last step's event.  Only a mark or an
+        erase changes the path length, so only they re-choose the table."""
+        m, path, tape, limit = self.m, self.path, self.tape, self.depth_limit
+        c2_of, blank = m.c2_of, m.blank
+        spec = m.spec if limit is None or len(path) <= limit else m.gated_spec
+        event = None
+        while steps > 0:
+            steps -= 1
+            cell, state = self.head, self.state
+            was_marked = c2_of[tape.get(cell, blank)]
+            step_moving(spec, self)
+            if c2_of[tape.get(cell, blank)] == was_marked:
+                event = None
+                # the dead state is entered by a step that keeps its cell's mark
+                if self.state == m.dead_state:
+                    if limit is None:
+                        raise UnsupportedGroupError(
+                            "every direction from the root is exhausted")
+                    self.completed = True
+            elif was_marked == _C2_BLANK:
+                if self.check:
+                    group = self.group
+                    if cell in self.path_set:
+                        raise AssertionError("marking an already-marked cell")
+                    if state == _STATE_INIT:
+                        if path or cell.key != group.identity.key:
+                            raise AssertionError("init mark away from the root")
+                    elif group.key_append(path[-1].key, m.arrival_of[state]) != cell.key:
+                        raise AssertionError("mark does not extend the tip by one edge")
+                path.append(cell)
+                self.path_set.add(cell)
+                self.arrival.append(m.arrival_of[state])
+                if len(path) > self.max_path_len:
+                    self.max_path_len = len(path)
+                event = ("mark", cell)
+            else:
+                if self.check:
+                    if not path or path[-1].key != cell.key:
+                        raise AssertionError("erase not at the tip")
+                    if len(path) == 1:
+                        raise AssertionError("erasing the root")
+                path.pop()
+                self.path_set.discard(cell)
+                self.arrival.pop()
+                event = ("erase", cell)
+            if self.check and len(path) != len(self.path_set):
+                raise AssertionError("path list and marked set diverged")
+            if event is not None and limit is not None:
+                spec = m.spec if len(path) <= limit else m.gated_spec
+        return event
 
     def check_full(self) -> None:
         """Walk the arrival links from the tip back to the root, stepping a

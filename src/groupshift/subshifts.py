@@ -255,6 +255,14 @@ class BlockCode:
         return max((distance_from_identity(self.group, e) for e in self.window),
                    default=0)
 
+    def image(self, v: tuple) -> int:
+        """`local(v)`, malformed input unless it lies in range(target_size)."""
+        out = self.local(v)
+        if out not in range(self.target_size):
+            raise MalformedInputError(
+                f"block code maps {v} to {out!r}, outside its target alphabet")
+        return out
+
 
 def identity_block_code(group: Group, alphabet_size: int) -> BlockCode:
     return BlockCode(group, (group.identity,), lambda v: v[0],
@@ -278,7 +286,7 @@ def apply_block_code(x: Pattern, code: BlockCode) -> Pattern:
                 break
             values.append(v)
         else:
-            out[g] = code.local(tuple(values))
+            out[g] = code.image(tuple(values))
     return Pattern(out)
 
 
@@ -320,11 +328,7 @@ def factor_window_admissible(
         js = [window.index[group.multiply(g, w)] for w in code.window]
         bad = []
         for v in itertools.product(range(code.source_size), repeat=len(js)):
-            out = code.local(v)
-            if out not in range(code.target_size):
-                raise MalformedInputError(
-                    f"block code maps {v} to {out!r}, outside its target alphabet")
-            if out != want:
+            if code.image(v) != want:
                 bad.append(v)
         if len(bad) == code.source_size ** len(js):
             return False

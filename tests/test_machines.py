@@ -274,6 +274,61 @@ def test_retarget_rewriting_group(z4_rewriting):
     assert isinstance(r1, Accepted) and isinstance(r2, Accepted)
 
 
+def test_retarget_on_the_rewriting_z_against_z():
+    """Seeded machines on Z over {A = a^2, a} that move by A^+-1 and a^+-1,
+    retargeted by gamma(A) = a a, move by a^+-1 alone, so they transcribe
+    onto Z over {a}.  Both runs reach the same verdict, step count, state,
+    head and tape under a^k <-> a^k.  The retargeted run also keeps the
+    original's verdict and tape: each original step is one to three steps
+    that write only what it wrote."""
+    from groupshift.machines import trace_run
+    g, z = KINDS["z_a_a2"](), KINDS["z"]()
+    big_a, a = g.parse_word("A")[0], g.parse_word("a")[0]
+    big_a_inv, a_inv = g.inverse_letter(big_a), g.inverse_letter(a)
+    gamma = {0: (), big_a: (a, a), big_a_inv: (a_inv, a_inv), a: (a,), a_inv: (a_inv,)}
+    to_z = {0: 0, a: 1, a_inv: 2}
+    power = {big_a: 2, big_a_inv: -2, a: 1, a_inv: -1}
+
+    def on_z(e):
+        k = sum(power[s] for s in g.word_of(e))
+        return z.element((1,) * k if k >= 0 else (2,) * -k)
+
+    def last(spec, p, budget):
+        for cfg in trace_run(spec, p, budget):
+            pass
+        return cfg
+
+    rng = random.Random(2025)
+    verdicts = set()
+    for _ in range(80):
+        m = random_machine(g, rng)
+        cells = [g.element((a,) * k if k >= 0 else (a_inv,) * -k)
+                 for k in rng.sample(range(-3, 4), 3)]
+        p = Pattern({c: rng.randrange(1, len(SIGMA)) for c in cells})
+        p_z = Pattern({on_z(c): v for c, v in p.items()})
+        retargeted = retarget_generators(m, gamma)
+        on_line = GMachineSpec(z, retargeted.states, retargeted.accepting, SIGMA, 0,
+                               {k: (w, r, to_z[move])
+                                for k, (w, r, move) in retargeted.delta.items()})
+        budget = 40
+        assert run_accepts(on_line, p_z, 3 * budget) == \
+            run_accepts(retargeted, p, 3 * budget)
+        ended, ended_z = last(retargeted, p, 3 * budget), last(on_line, p_z, 3 * budget)
+        assert (ended.state, ended.steps, on_z(ended.head)) == \
+            (ended_z.state, ended_z.steps, ended_z.head)
+        assert {on_z(c): v for c, v in ended.tape.items()} == ended_z.tape
+        direct = run_accepts(m, p, budget)
+        verdicts.add(type(direct))
+        if isinstance(direct, Accepted):
+            again = last(retargeted, p, 3 * direct.steps)
+            original = last(m, p, budget)
+            assert again.state in m.accepting
+            assert (again.tape, again.head) == (original.tape, original.head)
+        else:
+            assert isinstance(run_accepts(retargeted, p, budget), Exhausted)
+    assert verdicts == {Accepted, Exhausted}
+
+
 def test_multihead_single_reduces(z):
     m = machine(z, ("q0", "acc"), {1}, {(0, 0): (1, 1, 1)})
 

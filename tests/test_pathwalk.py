@@ -24,6 +24,7 @@ from groupshift import (
     direct_product,
 )
 from groupshift.groups import ConsWord, FreeAbelianGroup, RewritingGroup
+from groupshift.machines import trace_run
 from groupshift.pathwalk import _C1_START, _C2_MARK, _STATE_BACK, VisitEvent
 
 from .conftest import KINDS
@@ -97,7 +98,7 @@ def test_depth_limit_above_the_steps_changes_nothing(kind):
 
 
 def test_step_checks_the_transition(z):
-    """The per-step invariants run on the step `step_moving` took: a cell
+    """The loop's inline checks run on its one-step case too: a cell
     already recorded on the path cannot be marked again."""
     for check in (True, False):
         run = PathRun(PathMachine(z), check=check)
@@ -111,6 +112,62 @@ def test_step_checks_the_transition(z):
 
 
 INFINITE_KINDS = ("z", "z2", "f2", "bs12", "z_a_a2", "c2xz", "c2*c3")
+
+
+def _state(run):
+    """Everything a path run's loop advances or books."""
+    return (dict(run.tape), run.head, run.state, run.steps, list(run.path),
+            set(run.path_set), list(run.arrival), run.max_path_len, run.completed)
+
+
+@pytest.mark.parametrize("depth_limit", [None, 1, 2, 3])
+@pytest.mark.parametrize("kind", INFINITE_KINDS)
+def test_split_runs_equal_one_run(kind, depth_limit):
+    """The loop resumes where it stopped, its depth-gated table included:
+    run(a) then run(b) leaves the run as run(a + b) does."""
+    machine = PathMachine(KINDS[kind]())
+    whole = PathRun(machine, depth_limit=depth_limit)
+    whole.run(600)
+    for a in (0, 1, 97, 333):
+        split = PathRun(machine, depth_limit=depth_limit)
+        split.run(a)
+        split.run(600 - a)
+        assert _state(split) == _state(whole)
+
+
+@pytest.mark.parametrize("depth_limit", [None, 2])
+@pytest.mark.parametrize("kind", INFINITE_KINDS)
+def test_steps_equal_one_run(kind, depth_limit):
+    """k calls of `step` leave the run as run(k) does, and their events
+    replay its path: each mark pushes its cell, each erase pops it."""
+    machine = PathMachine(KINDS[kind]())
+    stepped, ran = (PathRun(machine, depth_limit=depth_limit) for _ in "ab")
+    replay, events = [], set()
+    for _ in range(500):
+        ev = stepped.step()
+        if ev is not None:
+            events.add(ev[0])
+            if ev[0] == "mark":
+                replay.append(ev[1])
+            else:
+                assert replay.pop() == ev[1]
+    ran.run(500)
+    assert _state(stepped) == _state(ran)
+    assert replay == ran.path
+    assert events == ({"mark"} if depth_limit is None else {"mark", "erase"})
+
+
+@pytest.mark.parametrize("kind", INFINITE_KINDS)
+def test_ungated_run_ends_where_trace_run_ends(kind):
+    """The checked loop takes the steps the plain run loop takes on the path
+    table: the same tape, head, state and step count."""
+    machine = PathMachine(KINDS[kind]())
+    run = PathRun(machine)
+    run.run(700)
+    for cfg in trace_run(machine.spec, Pattern({}), 700):
+        pass
+    assert (run.tape, run.head, run.state, run.steps) == \
+        (cfg.tape, cfg.head, cfg.state, cfg.steps)
 
 
 def _before(machine, event, after=0, depth_limit=None):
@@ -269,6 +326,14 @@ def test_negative_steps_are_malformed(z):
     run = PathRun(PathMachine(z))
     with pytest.raises(MalformedInputError, match="steps must be >= 0, got -5"):
         run.run(-5)
+
+
+def test_non_integer_steps_are_rejected(z):
+    """The loop counts steps down, so a fractional count must not reach it."""
+    run = PathRun(PathMachine(z))
+    with pytest.raises(TypeError):
+        run.run(2.5)
+    assert run.steps == 0
 
 
 def test_negative_depth_limit_is_malformed(z):

@@ -392,6 +392,12 @@ def test_factor_code_output_outside_its_target_alphabet_is_malformed(zline):
                                  builtin_one_or_less(zline, 1), code, 1)
 
 
+def test_applied_code_output_outside_its_target_alphabet_is_malformed(zline):
+    code = BlockCode(zline, (zline.identity,), lambda v: 5, 2, 2)
+    with pytest.raises(MalformedInputError, match="maps \\(1,\\) to 5, outside"):
+        apply_block_code(Pattern({zline.identity: 1}), code)
+
+
 def test_factor_window_renaming(zline):
     spec = z_sft(zline, "11")
     code = identity_block_code(zline, 2)  # 0->0 ("a"), 1->1 ("b")

@@ -8,11 +8,11 @@ sets so the emitted family sizes match their closed forms exactly; a fully
 expanded concrete-pattern representation would multiply the counts by every
 wildcard dimension.
 
-`verify_reduction_window` grounds the instance on its level-major G x Z
-window by `constraints.ground`, on every G kind, each cell requirement as
-the indices into `list(alphabet.symbols())` it allows.  `grounded_violations`
-is the one uncompiled scan, behind `check_window_assignment`,
-`simulation.URuleSet.check_window` and the tests' search oracle.
+`verify_reduction_window` grounds the instance (each cell requirement as
+the indices into `list(alphabet.symbols())` it allows) once per base cell
+of its level-major G x Z window by `constraints.ground`, on every G kind.
+`grounded_violations` is the one uncompiled scan, behind
+`check_window_assignment`, `URuleSet.check_window` and the tests' oracle.
 """
 
 from __future__ import annotations
@@ -386,7 +386,7 @@ def verify_reduction_window(
     symbols = list(instance.alphabet.symbols())
     cells = window_cells(instance, radius_g, height_z)
     base = [g for g, z in cells if z == 0]
-    window = ground(group, cells, base, 2 * radius_g, _indexed_constraints(instance))
+    window = ground(group, cells, base, _indexed_constraints(instance))
     fixed = {}
     if instance.origin_symbol is not None:
         origin = tuple(instance.origin_symbol)

@@ -298,17 +298,17 @@ def instance_from_json(obj: Mapping[str, Any]) -> DominoInstance:
     group = group_from_json(obj["group"])
     alphabet = ComponentAlphabet(tuple(
         (name, tuple(vals)) for name, vals in obj["alphabet"]))
+    # each distinct G offset and cell requirement is decoded once
+    g_offset = functools.cache(
+        lambda word, dz: GOffset(group.element(group.parse_word(word)), int(dz)))
+    requirement = functools.cache(lambda cell: cell_requirement(alphabet, dict(cell)))
     cons = []
     for c in obj["forbidden"]:
-        support = []
-        for off in c["support"]:
-            if "h" in off:
-                support.append(HOffset(int(off["h"])))
-            else:
-                support.append(GOffset(group.element(group.parse_word(off["g"])),
-                                       int(off["dz"])))
-        cells = tuple(cell_requirement(alphabet, cell) for cell in c["cells"])
-        cons.append(DominoConstraint(tuple(support), cells, c["tag"]))
+        support = tuple(HOffset(int(off["h"])) if "h" in off else g_offset(off["g"], off["dz"])
+                        for off in c["support"])
+        cells = tuple(requirement(tuple((name, tuple(v) if isinstance(v, list) else v)
+                                        for name, v in cell.items())) for cell in c["cells"])
+        cons.append(DominoConstraint(support, cells, c["tag"]))
     origin = obj.get("origin_symbol")
     origin_symbol = None
     if origin is not None:

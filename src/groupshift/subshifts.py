@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import MalformedInputError, UndeterminedError
 from .cayley import ball, distance_from_identity
-from .constraints import CompiledWindow, ground, solve
+from .constraints import CompiledWindow, differences, ground, solve
 from .groups import Element, Group
 from .patterns import Alphabet, Pattern
 
@@ -47,21 +47,14 @@ class ForbiddenFamily:
         """Whether some forbidden pattern (generated up to the diameter of x's
         support) embeds into x, translated.
 
-        The patterns are compiled onto x's own cells: an offset moves a cell
-        a to the cell b with a^-1 * b equal to it, and a translate leaving the
-        support is dropped.  Every cell is fixed, so the one `solve` call
-        counts no node, and None means some placement fired.
+        The patterns are grounded on x's own cells, whose difference set
+        also gives the diameter.  Every cell is fixed, so the one `solve`
+        call counts no node, and None means some placement fired.
         """
         cells = list(x.assignment)
-        inside = {}
-        for a in cells:
-            inv = group.inverse_element(a)
-            for b in cells:
-                inside[a, group.multiply(inv, b)] = b
-        diameter = max((distance_from_identity(group, off) for off in
-                        {off for _, off in inside}), default=0)
-        window = _compile(self, group, diameter, cells,
-                          lambda c, off: inside.get((c, off)))
+        moves = differences(group, cells)
+        diameter = max((distance_from_identity(group, g) for g in moves), default=0)
+        window = ground(group, cells, cells, _constraints(self, group, diameter), moves)
         fixed = dict(enumerate(x.assignment.values()))
         return solve(window, fixed, n_symbols=0, budget=0) is None
 
@@ -190,19 +183,15 @@ def _compile_ball(family: ForbiddenFamily, group: Group, radius: int,
     whose cells are numbered `first` (cells of B_radius) then the rest in
     shortlex order."""
     cells = list(dict.fromkeys([*first, *ball(group, radius).sorted_elements()]))
-    return _compile(family, group, max(2 * radius, 1), cells)
+    return ground(group, cells, cells, _constraints(family, group, max(2 * radius, 1)))
 
 
-def _compile(family: ForbiddenFamily, group: Group, diameter: int,
-             cells: Sequence[Element],
-             shift: Optional[Callable[[Element, Element], Optional[Element]]] = None,
-             ) -> CompiledWindow:
-    """Ground the family's patterns up to `diameter` on `cells`, any two of
-    which lie at most `diameter` apart."""
+def _constraints(family: ForbiddenFamily, group: Group, diameter: int):
+    """The family's patterns up to `diameter`, each cell h holding v as the
+    constraint cell (h, 0, {v})."""
     singleton = cache(lambda v: frozenset((v,)))
-    constraints = (((h, 0, singleton(v)) for h, v in q.items())
-                   for q in family.patterns_up_to(group, diameter))
-    return ground(group, cells, cells, diameter, constraints, shift)
+    return (((h, 0, singleton(v)) for h, v in q.items())
+            for q in family.patterns_up_to(group, diameter))
 
 
 # -- closure operations --------------------------------------------------------

@@ -4,12 +4,16 @@
 placements with enumeration of every assignment, and
 `verify_reduction_window` with the same search run on uncompiled
 constraints (`grounded_violations`), whose witness must match exactly and
-pass the full scan `check_window_assignment`, on Z, Z^2, F2 and BS(1,2).
-Windows stay at ten cells or fewer so the oracles finish quickly;
+pass the full scan `check_window_assignment`, on Z, Z^2, F2 and BS(1,2);
+`ground`'s placements, read through each cell's watch and level shift, are
+compared with anchoring every constraint by group products.  Windows stay at ten cells or fewer so the oracles finish quickly;
 Hypothesis runs derandomized.
 """
 
+import gc
 import itertools
+import sys
+import types
 from math import comb
 
 import pytest
@@ -43,8 +47,8 @@ from groupshift import (
     identity_block_code,
     verify_reduction_window,
 )
-from groupshift import constraints
-from groupshift.constraints import compile_window, solve
+from groupshift import constraints, domino
+from groupshift.constraints import ground, solve
 from groupshift.domino import (
     check_window_assignment,
     grounded_violations,
@@ -155,8 +159,8 @@ BS12 = bs_group(2)
 @given(data=st.data())
 def test_verify_window_matches_scan_search_off_z(group, a1, data):
     # B_1 has five cells on each kind, so a window of two levels has ten;
-    # A1 exclusions out to B_3 reach past 2 * radius_g, where the geodesic
-    # kinds (Z^2, F2) drop them before grounding
+    # A1 exclusions out to B_3 reach past 2 * radius_g, where they fall
+    # outside the base's difference set and are dropped before grounding
     machine = data.draw(two_state_machines(group))
     assert_verify_matches_scan_search(compile_domino(group, machine, WindowedA1(a1)),
                                       1, data.draw(st.integers(0, 1)))
@@ -205,7 +209,7 @@ def test_empty_forbidden_pattern_always_fires():
     for radius in (0, 2):
         assert not extendable(Pattern({}), spec, radius)
         assert not brute_force_extendable(Pattern({}), spec, radius)
-    window = compile_window(["c"], [[]], lambda off: [0])
+    window = ground(ZLINE, [ZLINE.identity], [ZLINE.identity], [[]])
     assert solve(window, {}, 2, budget=10) is None
 
 
@@ -244,6 +248,33 @@ def _buckets(window):
     return [bucket for row in window.watch for _, bucket in row]
 
 
+def grounded_window(monkeypatch, instance, radius_g, height_z):
+    """The window `verify_reduction_window` grounds and searches, as
+    `ground` returns it."""
+    windows = []
+    monkeypatch.setattr(domino, "ground", lambda *args: windows.append(ground(*args))
+                        or windows[-1])
+    verify_reduction_window(instance, radius_g, height_z)
+    monkeypatch.undo()
+    assert len(windows) == 1
+    return windows[0]
+
+
+def absolute_placements(window):
+    """Every placement of a compiled window as the set of its absolute
+    (cell index, allowed) pairs, each rest cell j read at j plus its watch
+    level times the width; the watch must be the placement's last cell."""
+    out = set()
+    for w, row in enumerate(window.watch):
+        shift = w - w % window.width
+        for a, bucket in row:
+            for rest in bucket:
+                cells = [(j + shift, b) for j, b in rest]
+                assert all(0 <= j <= w for j, _ in cells)
+                out.add(frozenset([(w, a), *cells]))
+    return out
+
+
 @pytest.mark.parametrize("kind,k,radius", [("f2", 1, 2), ("z2", 2, 3)])
 def test_one_or_less_files_each_placement_once(kind, k, radius):
     # two cells with nonzero symbols: one placement per unordered pair of
@@ -261,12 +292,10 @@ def test_no_watch_bucket_repeats_a_rest(monkeypatch):
                builtin_mirror(z2).forbidden.compiled_window(z2, 2),
                builtin_delone(ZLINE, 1).forbidden.compiled_window(ZLINE, 3)]
     # the domino window, whose A1 exclusions list each pair of cells twice
-    monkeypatch.setattr(constraints, "compile_window",
-                        lambda *args: windows.append(compile_window(*args)) or windows[-1])
     rules = {(0, 0): (0, 0, 1), (1, 0): (1, 0, 1)}
-    verify_reduction_window(compile_domino(ZLINE, machine(("walk", "acc"), rules),
-                                           WindowedA1(8)), 4, 6)
-    assert len(windows) == 4
+    windows.append(grounded_window(
+        monkeypatch, compile_domino(ZLINE, machine(("walk", "acc"), rules), WindowedA1(8)),
+        4, 6))
     for window in windows:
         for bucket in _buckets(window):
             assert len(set(bucket)) == len(bucket)
@@ -279,35 +308,92 @@ def test_no_watch_bucket_repeats_a_rest(monkeypatch):
 def test_domino_window_merges_same_offset_constraints(monkeypatch, rules):
     # criterion 12's radius-4, height-6 windows: A2 and B1 share their
     # offsets, and so do the B2 rules of one entry, so each such group
-    # grounds as one merged constraint (2,287 and 2,275 placements unmerged)
+    # grounds as one merged constraint (2,287 and 2,275 placements unmerged);
+    # a placement is counted on every level its watch tuple serves
     z = FreeAbelianGroup(1, names=["a"])
-    windows = []
-    monkeypatch.setattr(constraints, "compile_window",
-                        lambda *args: windows.append(compile_window(*args)) or windows[-1])
     instance = compile_domino(z, criterion_machine(z, ("walk", "acc"), {1}, rules),
                               WindowedA1(8))
     assert len(instance.constraints) == 53
-    verify_reduction_window(instance, 4, 6)
-    assert sum(len(bucket) for bucket in _buckets(windows[0])) == 799
+    window = grounded_window(monkeypatch, instance, 4, 6)
+    assert sum(len(bucket) for bucket in _buckets(window)) == 799
+    assert len(absolute_placements(window)) == 799
 
 
 @pytest.mark.parametrize("kind", ["z2", "f2"])
 def test_domino_window_drops_offsets_out_of_reach(monkeypatch, kind):
     # criterion 12's move_right with A1 exclusions out to B_8, on B_3 x [0, 4]:
-    # a G offset longer than 2 * 3 cannot map a cell of B_3 into B_3, so
+    # a G offset longer than 2 * 3 is not c^-1 * c' for two cells of B_3, so
     # its constraint is dropped before grounding (on F2, 13,120 A1
-    # constraints would otherwise each be multiplied through B_3)
+    # constraints would otherwise each be multiplied through B_3), while
+    # every offset up to 6 is placed
     group = GROUPS[kind]
-    grounded = []
-    monkeypatch.setattr(constraints, "compile_window",
-                        lambda cells, cons, column: grounded.append(list(cons))
-                        or compile_window(cells, grounded[-1], column))
     move_right = criterion_machine(group, ("walk", "acc"), {1},
                                    {(1, 0): (1, 0, 1), (0, 0): (0, 1, 0)})
     instance = compile_domino(group, move_right, WindowedA1(8))
     assert isinstance(verify_reduction_window(instance, 3, 4), Unsatisfiable)
-    assert len(grounded) == 1
-    assert max(group.length_of(g) for con in grounded[0] for (g, _), _ in con) == 6
+    window = grounded_window(monkeypatch, instance, 3, 4)
+    base = [g for g, _ in window.cells[:window.width]]
+    assert base == ball(group, 3).sorted_elements()
+    longest = max(group.length_of(group.multiply(group.inverse_element(base[j % len(base)]),
+                                                 base[k % len(base)]))
+                  for placement in absolute_placements(window)
+                  for j, _ in placement for k, _ in placement)
+    assert longest == 6
+
+
+@pytest.mark.parametrize("kind", ["z", "z2", "f2", "bs12"])
+@settings(CHECKS, max_examples=30)
+@given(data=st.data())
+def test_ground_matches_brute_force_anchoring(kind, data):
+    # windows of B_0 or B_1 on one or two levels (at most ten cells) and
+    # constraints with G parts out to B_2, some of which fit nowhere: the
+    # placements each cell's watch implies are the anchorings of every
+    # constraint at every window cell, by group products, wholly inside
+    group = BS12 if kind == "bs12" else GROUPS[kind]
+    base = ball(group, data.draw(st.integers(0, 1))).sorted_elements()
+    levels = data.draw(st.integers(1, 2))
+    cells = [(g, z) for z in range(levels) for g in base]
+    near = ball(group, 2).sorted_elements()
+    allowed = st.frozensets(st.integers(0, 2), min_size=1)
+    cons, seen = [], set()
+    for _ in range(data.draw(st.integers(1, 4))):
+        gs = data.draw(st.lists(st.sampled_from(near), min_size=1, max_size=3, unique=True))
+        con = [(g, data.draw(st.integers(0, 1)), data.draw(allowed)) for g in gs]
+        # constraints sharing their offsets would merge into one
+        offsets = tuple((group.multiply(group.inverse_element(gs[0]), g), z - con[0][1])
+                        for g, z, _ in con)
+        if offsets not in seen:
+            seen.add(offsets)
+            cons.append(con)
+    index = {c: j for j, c in enumerate(cells)}
+    expected = set()
+    for con in cons:
+        g0, z0, _ = con[0]
+        for c, z in cells:
+            at = [(index.get((group.multiply(c, group.multiply(group.inverse_element(g0), g)),
+                              z + dz - z0)), a) for g, dz, a in con]
+            if all(j is not None for j, _ in at):
+                expected.add(frozenset(at))
+    window = ground(group, cells, base, cons)
+    assert window.cells == tuple(cells) and window.width == len(base)
+    assert absolute_placements(window) == expected
+
+
+def test_sparse_family_grounds_per_offset(monkeypatch):
+    # one two-cell pattern on B_10 of Z^2 (221 cells): each of its two
+    # offsets is moved through the base, 221 products apiece, and the
+    # 221^2 differences of the base are never built
+    z2 = FreeAbelianGroup(2)
+    a = z2.element((1,))
+    spec = SubshiftSpec(Alphabet(("0", "1")), z2,
+                        FiniteFamily((Pattern({z2.identity: 1, a: 1}),)))
+    size = len(ball(z2, 10))
+    multiply = z2.multiply
+    calls = []
+    monkeypatch.setattr(z2, "multiply", lambda g, h: calls.append(1) or multiply(g, h))
+    window = spec.forbidden.compiled_window(z2, 10)
+    assert size == 221 and len(calls) <= 2 * size + 2
+    assert sum(len(bucket) for bucket in _buckets(window)) == size - 21
 
 
 def test_verify_window_grounds_each_g_offset_once(monkeypatch):
@@ -330,29 +416,49 @@ def test_verify_window_grounds_each_g_offset_once(monkeypatch):
 
 @st.composite
 def small_windows(draw):
-    """Cells 0..n-1 (n <= 6) shifted by integer offsets, random constraints,
-    extra placements and fixed cells over two or three symbols."""
-    n = draw(st.integers(1, 6))
+    """Cells 0..n-1 (n <= 6), levels of `width` cells each, shifted by
+    (x, z) offsets; random constraints, extra placements and fixed cells
+    over two or three symbols."""
+    width = draw(st.integers(1, 3))
+    levels = draw(st.integers(1, 6 // width))
+    n = width * levels
     k = draw(st.integers(2, 3))
     allowed = st.frozensets(st.integers(0, k - 1), min_size=1)
-    constraints = draw(st.lists(st.lists(st.tuples(st.integers(-2, 2), allowed),
+    offset = st.tuples(st.integers(-2, 2), st.integers(-1, 1))
+    constraints = draw(st.lists(st.lists(st.tuples(offset, allowed),
                                          min_size=1, max_size=3), max_size=4))
     placements = draw(st.lists(st.lists(st.tuples(st.integers(0, n - 1), allowed),
                                         min_size=1, max_size=3).map(tuple),
                                max_size=4))
     fixed = draw(st.dictionaries(st.integers(0, n - 1), st.integers(0, k - 1),
                                  max_size=3))
-    return n, k, constraints, placements, fixed
+    return width, levels, k, constraints, placements, fixed
+
+
+def plane_window(width, levels, constraints):
+    """`ground` of (x, z) offsets on `levels` levels of the cells a^0 ..
+    a^(width-1) of Z, window cell z * width + x holding (a^x, z)."""
+    def power(x):
+        return ZLINE.element((1,) * x if x >= 0 else (2,) * -x)
+    base = [power(x) for x in range(width)]
+    cells = [(g, z) for z in range(levels) for g in base]
+    return ground(ZLINE, cells, base,
+                  [[(power(x), z, a) for (x, z), a in con] for con in constraints])
 
 
 @CHECKS
 @given(small_windows())
 def test_solve_with_placements_matches_enumeration(instance):
-    n, k, constraints, placements, fixed = instance
-    window = compile_window(range(n), constraints, line_column(n))
-    grounded = [tuple((c + off, a) for off, a in con)
-                for con in constraints for c in range(n)
-                if all(0 <= c + off < n for off, _ in con)]
+    width, levels, k, constraints, placements, fixed = instance
+    n = width * levels
+    window = plane_window(width, levels, constraints)
+    # a constraint is anchored at its first cell, which runs over the window
+    anchored = [[((dx - con[0][0][0], dz - con[0][0][1]), a) for (dx, dz), a in con]
+                for con in constraints]
+    grounded = [tuple(((z + dz) * width + x + dx, a) for (dx, dz), a in con)
+                for con in anchored for z in range(levels) for x in range(width)
+                if all(0 <= x + dx < width and 0 <= z + dz < levels
+                       for (dx, dz), _ in con)]
 
     def fires(val, placement):
         return all(val[j] in a for j, a in placement)
@@ -364,11 +470,6 @@ def test_solve_with_placements_matches_enumeration(instance):
                      and not any(fires(val, p) for p in grounded + placements)),
                     None)
     assert solve(window, fixed, k, budget=10**6, placements=placements) == expected
-
-
-def line_column(n):
-    """The `column` callback of cells 0..n-1 moved by integer offsets."""
-    return lambda off: [c + off if 0 <= c + off < n else -1 for c in range(n)]
 
 
 def nodes_and_result(window, fixed, k, placements):
@@ -395,7 +496,7 @@ def test_split_constraint_searches_the_same_tree(instance, data):
     # one constraint split in two at one position, the halves' allowed sets
     # there partitioning its own, forbids the same assignments: the search
     # must find the same assignment after the same number of nodes
-    n, k, constraints, placements, fixed = instance
+    width, levels, k, constraints, placements, fixed = instance
     splittable = [(i, p) for i, con in enumerate(constraints)
                   for p, (_, a) in enumerate(con) if len(a) > 1]
     assume(splittable)
@@ -406,7 +507,47 @@ def test_split_constraint_searches_the_same_tree(instance, data):
     halves = [constraints[i][:p] + [(off, b)] + constraints[i][p + 1:]
               for b in (part, a - part)]
     split = constraints[:i] + halves + constraints[i + 1:]
-    assert (nodes_and_result(compile_window(range(n), constraints, line_column(n)),
-                             fixed, k, placements)
-            == nodes_and_result(compile_window(range(n), split, line_column(n)),
-                                fixed, k, placements))
+    assert (nodes_and_result(plane_window(width, levels, constraints), fixed, k, placements)
+            == nodes_and_result(plane_window(width, levels, split), fixed, k, placements))
+
+
+def test_search_deeper_than_the_recursion_limit():
+    # B_300 x [0, 1] of Z is 1,202 cells, all but the origin free: the
+    # search keeps its own stack, so its depth is not bounded by Python's
+    rules = {(0, 0): (0, 0, 1), (1, 0): (1, 0, 1)}
+    instance = compile_domino(ZLINE, machine(("walk", "acc"), rules), WindowedA1(1))
+    assert sys.getrecursionlimit() < 1201
+    assert isinstance(verify_reduction_window(instance, 300, 1), Satisfiable)
+
+
+def test_no_search_state_outlives_a_call():
+    # with the cyclic collector off, repeated searches must free everything
+    # they build (the watch lists, and through them the compiled windows)
+    # by reference counting alone: no closure may refer to itself
+    spec = z_sft("11", "000", "1001")
+    x = Pattern({ZLINE.identity: 1})
+    rules = {(0, 0): (0, 0, 1), (1, 0): (1, 0, 1)}
+    instance = compile_domino(ZLINE, machine(("walk", "acc"), rules), WindowedA1(8))
+    window = spec.forbidden.compiled_window(ZLINE, 3)
+
+    def run():
+        assert extendable(x, spec, 3)
+        assert solve(window, {}, 2, budget=10**4) is not None
+        assert isinstance(verify_reduction_window(instance, 4, 6), Satisfiable)
+
+    def closures(objects):
+        return sum(isinstance(f, types.FunctionType) and "<locals>" in f.__qualname__
+                   and str(f.__module__).startswith("groupshift") for f in objects)
+
+    run()  # grows the balls and caches once
+    gc.collect()
+    gc.disable()
+    try:
+        before = gc.get_objects()
+        for _ in range(10):
+            run()
+        after = gc.get_objects()
+        assert closures(after) == closures(before)
+        assert len(after) - len(before) < 50
+    finally:
+        gc.enable()

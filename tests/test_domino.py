@@ -1,6 +1,7 @@
 """The origin-constrained compiler, its window verifier and the free-product
 wrapper."""
 
+import json
 import random
 
 import pytest
@@ -31,6 +32,7 @@ from groupshift.domino import (
 from groupshift import jsonio
 from groupshift.machines import trace_run
 
+from .conftest import KINDS
 from .test_constraints import window_assignment
 
 SIGMA = Alphabet(("_", "1"))
@@ -79,13 +81,13 @@ def accepts_inside(spec, radius, steps):
     return cfg.state in spec.accepting
 
 
-@pytest.mark.parametrize("kind", ["z", "z2", "bs12", "f2"])
-def test_window_verdict_is_the_bounded_run(request, kind):
+@pytest.mark.parametrize("kind", ["z", "z2", "bs12", "f2", "c2xz", "c2*c3", "z_a_a2"])
+def test_window_verdict_is_the_bounded_run(kind):
     # the reduction differential: with A1 exclusions across the whole
     # window, the (r, h) window is unsatisfiable exactly when the machine
     # accepts inside B_r within h steps; an unsatisfiable window stays so
     # one level higher
-    group = request.getfixturevalue(kind)
+    group = KINDS[kind]()
     for seed in range(12):
         rng = random.Random(seed)
         spec = random_machine(group, rng)
@@ -250,6 +252,28 @@ def test_instance_json_roundtrip(z, suite):
     out1 = verify_reduction_window(inst, 2, 3)
     out2 = verify_reduction_window(back, 2, 3)
     assert type(out1) is type(out2)
+
+
+def test_instance_json_decodes_to_the_compiled_constraints(f2):
+    # each distinct G offset and requirement is decoded once, and the
+    # decoded family equals the compiler's on the decoded group
+    rules = {(1, 0): (1, 0, 1), (0, 0): (0, 1, 0)}
+    inst = compile_domino(f2, machine(f2, ("walk", "acc"), {1}, rules), WindowedA1(3))
+    blob = json.loads(json.dumps(jsonio.instance_to_json(inst)))
+    back = jsonio.instance_from_json(blob)
+    group = back.g_group
+    assert back.constraints == compile_domino(
+        group, machine(group, ("walk", "acc"), {1}, rules), WindowedA1(3)).constraints
+    offsets = [o for con in back.constraints for o in con.support]
+    reqs = [req for con in back.constraints for req in con.cells]
+    assert len({id(o) for o in offsets}) == len(set(offsets)) < len(offsets)
+    assert len({id(r) for r in reqs}) == len(set(reqs)) < len(reqs)
+    # a requirement spelled as a string is malformed, even after the same
+    # labels arrived as a list
+    blob["forbidden"].append({"tag": "A4", "support": [{"g": "", "dz": 0}],
+                              "cells": [{"state": "12"}]})
+    with pytest.raises(MalformedInputError, match="list of value labels"):
+        jsonio.instance_from_json(blob)
 
 
 def test_free_product_instance_json(z, suite):

@@ -8,6 +8,7 @@ translated-ball scans walk integers instead of redoing group arithmetic.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from bisect import bisect_right
 from typing import Iterator, Optional
@@ -223,10 +224,6 @@ class CayleyBall:
         self.radius = radius
         self.table = table
         self._size = table.size(radius)
-        self._distances: Optional[dict[Element, int]] = None
-        self._elements: Optional[frozenset[Element]] = None
-        self._edges: Optional[frozenset] = None
-        self._sorted: Optional[list[Element]] = None
 
     def __contains__(self, e: Element) -> bool:
         i = self.table.index.get(e)
@@ -235,36 +232,29 @@ class CayleyBall:
     def __len__(self) -> int:
         return self._size
 
-    @property
+    @functools.cached_property
     def distances(self) -> dict[Element, int]:
-        if self._distances is None:
-            t = self.table
-            self._distances = {t.elements[i]: r
-                               for r in range(min(self.radius, t.radius) + 1)
-                               for i in range(t.starts[r], t.starts[r + 1])}
-        return self._distances
+        t = self.table
+        return {t.elements[i]: r for r in range(min(self.radius, t.radius) + 1)
+                for i in range(t.starts[r], t.starts[r + 1])}
 
-    @property
+    @functools.cached_property
     def elements(self) -> frozenset[Element]:
-        if self._elements is None:
-            self._elements = frozenset(self.table.elements[:self._size])
-        return self._elements
+        return frozenset(self.table.elements[:self._size])
 
-    @property
+    @functools.cached_property
     def edges(self) -> frozenset[tuple[Element, int, Element]]:
         """Triples (g, s, h) with g*s = h, both endpoints inside the ball."""
-        if self._edges is None:
-            t, size = self.table, self._size
-            with t.lock:
-                self._edges = frozenset(
-                    (t.elements[i], c + 1, t.elements[j])
-                    for i in range(size) for c, j in enumerate(t.row(i)) if 0 <= j < size)
-        return self._edges
+        t, size = self.table, self._size
+        with t.lock:
+            return frozenset((t.elements[i], c + 1, t.elements[j])
+                             for i in range(size) for c, j in enumerate(t.row(i)) if 0 <= j < size)
+
+    @functools.cached_property
+    def _sorted(self) -> list[Element]:
+        return sorted(self.table.elements[:self._size], key=self.group.shortlex_key)
 
     def sorted_elements(self) -> list[Element]:
-        if self._sorted is None:
-            self._sorted = sorted(self.table.elements[:self._size],
-                                  key=self.group.shortlex_key)
         return self._sorted
 
     def to_dot(self) -> str:

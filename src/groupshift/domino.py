@@ -8,16 +8,18 @@ sets so the emitted family sizes match their closed forms exactly; a fully
 expanded concrete-pattern representation would multiply the counts by every
 wildcard dimension.
 
-`verify_reduction_window` grounds the instance (each cell requirement as
-the indices into `list(alphabet.symbols())` it allows) once per base cell
-of its level-major G x Z window by `constraints.ground`, on every G kind.
+`ComponentAlphabet` is the one codec of cells.  `verify_reduction_window`
+grounds the instance (each cell requirement as the symbol codes it allows)
+once per base cell of its level-major G x Z window by `constraints.ground`.
 `grounded_violations` is the one uncompiled scan, behind
 `check_window_assignment`, `URuleSet.check_window` and the tests' oracle.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -34,7 +36,9 @@ COVER, MARKER = "cover", "marker"
 
 @dataclass(frozen=True)
 class ComponentAlphabet:
-    """Named product alphabet; cell symbols are tuples of value indices."""
+    """Named product alphabet, the one codec of its cells: a symbol is a
+    tuple of value indices, its code its index in `symbols()` order (the
+    last component fastest); JSON spells symbols and requirements in labels."""
 
     components: tuple[tuple[str, tuple[str, ...]], ...]
 
@@ -58,16 +62,77 @@ class ComponentAlphabet:
             raise MalformedInputError(f"{label!r} not a {name!r} value") from None
 
     def size(self) -> int:
-        out = 1
-        for _, vals in self.components:
-            out *= len(vals)
-        return out
+        return math.prod(len(vals) for _, vals in self.components)
 
     def symbols(self) -> Iterable[tuple[int, ...]]:
         return itertools.product(*(range(len(vals)) for _, vals in self.components))
 
+    def code(self, sym: Sequence[int]) -> int:
+        """The index of a symbol in `symbols()` order."""
+        if len(sym) != len(self.components) or not all(
+                v in range(len(vals)) for v, (_, vals) in zip(sym, self.components)):
+            raise MalformedInputError(f"symbol {tuple(sym)} outside the alphabet")
+        out = 0
+        for v, (_, vals) in zip(sym, self.components):
+            out = out * len(vals) + v
+        return out
+
+    def symbol(self, code: int) -> tuple[int, ...]:
+        """The symbol at index `code` of `symbols()`."""
+        out = []
+        for _, vals in reversed(self.components):
+            code, v = divmod(code, len(vals))
+            out.append(v)
+        return tuple(reversed(out))
+
+    def allowed(self, req: CellReq) -> frozenset[int]:
+        """The codes of the symbols that meet a requirement."""
+        codes = [0]
+        for ci, (_, vals) in enumerate(self.components):
+            keep = [v for v in range(len(vals)) if all(v in a for c, a in req if c == ci)]
+            codes = [i * len(vals) + v for i in codes for v in keep]
+        return frozenset(codes)
+
+    def require(self, **by_name: object) -> CellReq:
+        """A requirement from {component name: value index or indices}."""
+        out = []
+        for name, allowed in by_name.items():
+            out.append((self.index(name), frozenset(allowed) if isinstance(
+                allowed, (set, frozenset, tuple, list)) else frozenset({allowed})))
+        return tuple(out)
+
+    def requirement(self, labels: Mapping[str, Sequence[str]]) -> CellReq:
+        """A {component name: [value labels]} requirement; a component given
+        anything but a list of labels is malformed (a string would otherwise
+        be read one character per label)."""
+        out = []
+        for name, vals in labels.items():
+            if not isinstance(vals, (list, tuple)):
+                raise MalformedInputError(
+                    f"{name!r} needs a list of value labels, got {vals!r}")
+            out.append((self.index(name),
+                        frozenset(self.value_index(name, label) for label in vals)))
+        return tuple(out)
+
+    def labels(self, req: CellReq) -> dict[str, list[str]]:
+        """A requirement as {component name: [sorted value labels]}."""
+        return {self.components[ci][0]: sorted(self.components[ci][1][v] for v in allowed)
+                for ci, allowed in req}
+
+    def symbol_labels(self, sym: Sequence[int]) -> list[str]:
+        """A symbol as one value label per component."""
+        return [vals[v] for (_, vals), v in zip(self.components, sym)]
+
+    def from_labels(self, labels: Sequence[str]) -> tuple[int, ...]:
+        """The symbol spelled by one value label per component."""
+        if not isinstance(labels, (list, tuple)) or len(labels) != len(self.components):
+            raise MalformedInputError(
+                f"a symbol needs one label for each of {list(self.names())}, got {labels!r}")
+        return tuple(self.value_index(name, label)
+                     for (name, _), label in zip(self.components, labels))
+
     def format_symbol(self, sym: tuple[int, ...]) -> str:
-        return "(" + ",".join(vals[v] for (_, vals), v in zip(self.components, sym)) + ")"
+        return "(" + ",".join(self.symbol_labels(sym)) + ")"
 
 
 @dataclass(frozen=True)
@@ -107,33 +172,6 @@ class DominoConstraint:
 
     def cell_matches(self, i: int, symbol: tuple[int, ...]) -> bool:
         return all(symbol[ci] in allowed for ci, allowed in self.cells[i])
-
-
-def cell_requirement(alphabet: ComponentAlphabet,
-                     labels: Mapping[str, Iterable[str]]) -> CellReq:
-    """A {component name: [value labels]} requirement as value indices; a
-    component given anything but a list of labels is malformed (a string
-    would otherwise be read one character per label)."""
-    out = []
-    for name, vals in labels.items():
-        if not isinstance(vals, (list, tuple)):
-            raise MalformedInputError(
-                f"{name!r} needs a list of value labels, got {vals!r}")
-        out.append((alphabet.index(name),
-                    frozenset(alphabet.value_index(name, label) for label in vals)))
-    return tuple(out)
-
-
-def _req(alphabet: ComponentAlphabet, **by_name: object) -> CellReq:
-    out = []
-    for name, allowed in by_name.items():
-        ci = alphabet.index(name)
-        if isinstance(allowed, (set, frozenset, tuple, list)):
-            vals = frozenset(allowed)
-        else:
-            vals = frozenset({allowed})
-        out.append((ci, vals))
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -213,24 +251,24 @@ def compile_domino(group: Group, machine: GMachineSpec,
             if a != b:
                 cons.append(DominoConstraint(
                     (here, up),
-                    (_req(alphabet, sym=a, state=0), _req(alphabet, sym=b)),
+                    (alphabet.require(sym=a, state=0), alphabet.require(sym=b)),
                     "A2"))
     # A3 = B1 u B2, one pair of rules per delta entry
     for (a, q), (b, r, s) in machine.delta.items():
-        base = _req(alphabet, sym=a, state=q + 1)
+        base = alphabet.require(sym=a, state=q + 1)
         for c in range(len(sigma)):
             if c != b:
                 cons.append(DominoConstraint(
-                    (here, up), (base, _req(alphabet, sym=c)), "B1"))
+                    (here, up), (base, alphabet.require(sym=c)), "B1"))
         move_off = GOffset(group.element((s,)) if s else group.identity, 1)
         for t in range(k + 1):
             if t != r + 1:
                 cons.append(DominoConstraint(
-                    (here, move_off), (base, _req(alphabet, state=t)), "B2"))
+                    (here, move_off), (base, alphabet.require(state=t)), "B2"))
     # A4: the accepting state never appears
     for a in range(len(sigma)):
         cons.append(DominoConstraint(
-            (here,), (_req(alphabet, sym=a, state=k),), "A4"))
+            (here,), (alphabet.require(sym=a, state=k),), "A4"))
     # A1: at most one head per level
     heads = frozenset(range(1, k + 1))
     if isinstance(a1_mode, WindowedA1):
@@ -239,25 +277,25 @@ def compile_domino(group: Group, machine: GMachineSpec,
                 continue
             cons.append(DominoConstraint(
                 (here, GOffset(g, 0)),
-                (_req(alphabet, state=heads), _req(alphabet, state=heads)),
+                (alphabet.require(state=heads), alphabet.require(state=heads)),
                 "A1"))
     else:
         for support_spec, reqs in a1_mode.constraints:
             support = tuple(GOffset(group.element(group.parse_word(w)), dz)
                             for w, dz in support_spec)
-            cells = tuple(cell_requirement(alphabet, req) for req in reqs)
+            cells = tuple(alphabet.requirement(req) for req in reqs)
             cons.append(DominoConstraint(support, cells, "A1"))
     # X_aux: a star propagates along every generator within its level
     for s in group.nonidentity_ids:
         cons.append(DominoConstraint(
             (here, GOffset(group.element((s,)), 0)),
-            (_req(alphabet, star=1), _req(alphabet, star=0)),
+            (alphabet.require(star=1), alphabet.require(star=0)),
             "X_aux"))
     # a star cell must carry a blank machine symbol
     for a in range(len(sigma)):
         if a != blank:
             cons.append(DominoConstraint(
-                (here,), (_req(alphabet, star=1, sym=a),), "star_rule"))
+                (here,), (alphabet.require(star=1, sym=a),), "star_rule"))
     origin = [0] * len(alphabet.components)
     origin[alphabet.index(SYM)] = blank
     origin[alphabet.index(STATE)] = 1
@@ -282,11 +320,10 @@ def free_product_layer(h: FiniteGroup, base: DominoInstance) -> DominoInstance:
     m = h.order
     marker_ci = alphabet.index(MARKER)
     for bits in itertools.product((0, 1), repeat=m):
-        if sum(bits) == 1:
-            continue
-        support = tuple(HOffset(i) for i in range(m))
-        cells = tuple(((marker_ci, frozenset({bit})),) for bit in bits)
-        cons.append(DominoConstraint(support, cells, "Y_aux"))
+        if sum(bits) != 1:
+            cons.append(DominoConstraint(tuple(HOffset(i) for i in range(m)),
+                                         tuple(alphabet.require(marker=b) for b in bits),
+                                         "Y_aux"))
     # coupling: a marked cell carries the old origin symbol
     for ci, want in enumerate(base.origin_symbol):
         name, vals = base.alphabet.components[ci]
@@ -382,38 +419,28 @@ def verify_reduction_window(
     exceeds `budget` nodes.
     """
     require_nonnegative("height", height_z)
-    group = instance.g_group
-    symbols = list(instance.alphabet.symbols())
+    group, alphabet = instance.g_group, instance.alphabet
     cells = window_cells(instance, radius_g, height_z)
     base = [g for g, z in cells if z == 0]
-    window = ground(group, cells, base, _indexed_constraints(instance))
+    window = ground(group, cells, base, _indexed_constraints(alphabet, instance.constraints))
     fixed = {}
     if instance.origin_symbol is not None:
-        origin = tuple(instance.origin_symbol)
-        if origin not in symbols:
-            raise MalformedInputError(f"origin symbol {origin} outside the alphabet")
-        fixed[window.index[(group.identity, 0)]] = symbols.index(origin)
-    val = solve(window, fixed, len(symbols), budget)
+        fixed[window.index[(group.identity, 0)]] = alphabet.code(instance.origin_symbol)
+    val = solve(window, fixed, alphabet.size(), budget)
     if val is None:
         return Unsatisfiable()
     product = instance.product_group()
     line = product.factors[1]  # levels are 0..height_z, powers of its generator
-    return Satisfiable(Pattern({product.pair([g, line.element((1,) * z)]): symbols[v]
+    symbol = functools.cache(alphabet.symbol)
+    return Satisfiable(Pattern({product.pair([g, line.element((1,) * z)]): symbol(v)
                                 for (g, z), v in zip(window.cells, val)}))
 
 
-def _indexed_constraints(instance: DominoInstance):
+def _indexed_constraints(alphabet: ComponentAlphabet,
+                         constraints: Iterable[DominoConstraint]):
     """Each constraint as its (g, dz, allowed) cells, the allowed symbol
-    indices in mixed radix computed once per distinct requirement."""
-    allowed: dict[CellReq, frozenset[int]] = {}
-    for con in instance.constraints:
+    codes computed once per distinct requirement."""
+    allowed = functools.cache(alphabet.allowed)
+    for con in constraints:
         _require_g_offsets(con)
-        for req in con.cells:
-            if req not in allowed:
-                indices = [0]
-                for ci, (_, vals) in enumerate(instance.alphabet.components):
-                    keep = [v for v in range(len(vals))
-                            if all(v in a for c, a in req if c == ci)]
-                    indices = [i * len(vals) + v for i in indices for v in keep]
-                allowed[req] = frozenset(indices)
-        yield [(o.g, o.dz, allowed[req]) for o, req in zip(con.support, con.cells)]
+        yield [(o.g, o.dz, allowed(req)) for o, req in zip(con.support, con.cells)]

@@ -4,7 +4,8 @@ emitted constraint systems, plus the reproducible run manifest.
 Every `*_from_json` decoder raises MalformedInputError when its input lacks
 a key, holds a value of the wrong type or shape, or names one thing twice:
 a pattern giving one element two symbols, or a machine with two rules for
-one (read, state).
+one (read, state).  `domino.ComponentAlphabet` spells the cells of emitted
+constraints in value labels, and an origin symbol as one label per component.
 
 Only `groups` is imported at module level; every other decoder or encoder
 imports the module of the kind it builds, so decoding a group (every
@@ -246,14 +247,8 @@ def constraint_to_json(group: Group, alphabet: ComponentAlphabet,
                             "dz": off.dz})
         else:
             support.append({"h": off.h})
-    cells = []
-    for req in con.cells:
-        cell = {}
-        for ci, allowed in req:
-            name, vals = alphabet.components[ci]
-            cell[name] = sorted(vals[v] for v in allowed)
-        cells.append(cell)
-    return {"tag": con.tag, "support": support, "cells": cells}
+    return {"tag": con.tag, "support": support,
+            "cells": [alphabet.labels(req) for req in con.cells]}
 
 
 def instance_to_json(instance: DominoInstance) -> dict:
@@ -263,7 +258,7 @@ def instance_to_json(instance: DominoInstance) -> dict:
         "alphabet": component_alphabet_to_json(instance.alphabet),
         "forbidden": [constraint_to_json(group, instance.alphabet, c)
                       for c in instance.constraints],
-        "origin_symbol": (instance.alphabet.format_symbol(tuple(instance.origin_symbol))
+        "origin_symbol": (instance.alphabet.symbol_labels(instance.origin_symbol)
                           if instance.origin_symbol is not None else None),
     }
     if instance.h_group is not None:
@@ -287,21 +282,14 @@ def cover_from_json(obj: Mapping[str, Any]) -> UserSftCover:
 
 @_decoder
 def instance_from_json(obj: Mapping[str, Any]) -> DominoInstance:
-    from .domino import (
-        ComponentAlphabet,
-        DominoConstraint,
-        DominoInstance,
-        GOffset,
-        HOffset,
-        cell_requirement,
-    )
+    from .domino import ComponentAlphabet, DominoConstraint, DominoInstance, GOffset, HOffset
     group = group_from_json(obj["group"])
     alphabet = ComponentAlphabet(tuple(
         (name, tuple(vals)) for name, vals in obj["alphabet"]))
     # each distinct G offset and cell requirement is decoded once
     g_offset = functools.cache(
         lambda word, dz: GOffset(group.element(group.parse_word(word)), int(dz)))
-    requirement = functools.cache(lambda cell: cell_requirement(alphabet, dict(cell)))
+    requirement = functools.cache(lambda cell: alphabet.requirement(dict(cell)))
     cons = []
     for c in obj["forbidden"]:
         support = tuple(HOffset(int(off["h"])) if "h" in off else g_offset(off["g"], off["dz"])
@@ -310,11 +298,7 @@ def instance_from_json(obj: Mapping[str, Any]) -> DominoInstance:
                                         for name, v in cell.items())) for cell in c["cells"])
         cons.append(DominoConstraint(support, cells, c["tag"]))
     origin = obj.get("origin_symbol")
-    origin_symbol = None
-    if origin is not None:
-        labels = origin.strip("()").split(",")
-        origin_symbol = tuple(alphabet.value_index(name, label)
-                              for (name, _), label in zip(alphabet.components, labels))
+    origin_symbol = None if origin is None else alphabet.from_labels(origin)
     h_group = None
     if "free_product_factor" in obj:
         h_group = group_from_json(obj["free_product_factor"])

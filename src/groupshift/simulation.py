@@ -24,7 +24,6 @@ from .domino import (
     ComponentAlphabet,
     DominoConstraint,
     GOffset,
-    _req,
     grounded_violations,
 )
 
@@ -239,16 +238,16 @@ def build_u_rules(group: Group, params: XTimeParams,
             # copy rule: idle/start levels repeat the field below
             cons.append(DominoConstraint(
                 (here, up),
-                (_req(alphabet, field=v),
-                 _req(alphabet, tape=copy_tapes, field=w)),
+                (alphabet.require(field=v),
+                 alphabet.require(tape=copy_tapes, field=w)),
                 "copy"))
             # shift rule: a generator level displaces the field by it
             for s in group.nonidentity_ids:
                 s_val = alphabet.value_index(TAPE, group.generators[s].display)
                 cons.append(DominoConstraint(
                     (here, GOffset(group.element((s,)), 1)),
-                    (_req(alphabet, field=v),
-                     _req(alphabet, tape={s_val}, field=w)),
+                    (alphabet.require(field=v),
+                     alphabet.require(tape={s_val}, field=w)),
                     "shift"))
     # the clock is constant along each level
     for s in group.nonidentity_ids:
@@ -256,7 +255,7 @@ def build_u_rules(group: Group, params: XTimeParams,
             others = frozenset(range(len(tape_vals))) - {v}
             cons.append(DominoConstraint(
                 (here, GOffset(group.element((s,)), 0)),
-                (_req(alphabet, tape={v}), _req(alphabet, tape=others)),
+                (alphabet.require(tape={v}), alphabet.require(tape=others)),
                 "level_constant"))
     # above a star level the clock follows the stream
     star_val = alphabet.value_index(TAPE, STAR)
@@ -265,7 +264,7 @@ def build_u_rules(group: Group, params: XTimeParams,
         others = frozenset(range(len(tape_vals))) - {want}
         cons.append(DominoConstraint(
             (here, GOffset(group.identity, m)),
-            (_req(alphabet, tape={star_val}), _req(alphabet, tape=others)),
+            (alphabet.require(tape={star_val}), alphabet.require(tape=others)),
             "clock_determinism"))
     return URuleSet(group, params, alphabet, tuple(cons), window_radius)
 
@@ -508,7 +507,7 @@ def build_simulation(group: Group, m_x: GMachineSpec, abar_label: str,
 
     configuration = tuple(
         DominoConstraint((here, up),
-                         (_req(alphabet, read=x), _req(alphabet, read=y)),
+                         (alphabet.require(read=x), alphabet.require(read=y)),
                          "configuration")
         for x in range(n_read) for y in range(n_read) if x != y)
 
@@ -516,18 +515,18 @@ def build_simulation(group: Group, m_x: GMachineSpec, abar_label: str,
     for a in range(n_work):
         if a != wrapped.blank:
             starting.append(DominoConstraint(
-                (here,), (_req(alphabet, tape=tri, work=a),), "starting"))
+                (here,), (alphabet.require(tape=tri, work=a),), "starting"))
     for t in range(k + 1):
         if t != 1:
             starting.append(DominoConstraint(
-                (here,), (_req(alphabet, tape=tri, field=1, head=t),), "starting"))
+                (here,), (alphabet.require(tape=tri, field=1, head=t),), "starting"))
         if t != 0:
             starting.append(DominoConstraint(
-                (here,), (_req(alphabet, tape=tri, field={0, 2}, head=t),),
+                (here,), (alphabet.require(tape=tri, field={0, 2}, head=t),),
                 "starting"))
 
     ending = tuple(
-        DominoConstraint((here,), (_req(alphabet, work=a, head=k),), "ending")
+        DominoConstraint((here,), (alphabet.require(work=a, head=k),), "ending")
         for a in range(n_work))
 
     transition: list[DominoConstraint] = []
@@ -536,31 +535,31 @@ def build_simulation(group: Group, m_x: GMachineSpec, abar_label: str,
             if a != b:
                 transition.append(DominoConstraint(
                     (here, up),
-                    (_req(alphabet, head=0, work=a), _req(alphabet, work=b)),
+                    (alphabet.require(head=0, work=a), alphabet.require(work=b)),
                     "A2"))
     live = frozenset({1, 2})
     all_heads = frozenset(range(k + 1))
     all_work = frozenset(range(n_work))
     for (x, a, q), (b, r, s) in wrapped.delta.items():
-        base = _req(alphabet, read=x, work=a, head=q + 1, field=live)
+        base = alphabet.require(read=x, work=a, head=q + 1, field=live)
         others_w = all_work - {b}
         if others_w:
             transition.append(DominoConstraint(
-                (here, up), (base, _req(alphabet, work=others_w)), "B1"))
+                (here, up), (base, alphabet.require(work=others_w)), "B1"))
         move_off = GOffset(group.element((s,)) if s else group.identity, 1)
         others_h = all_heads - {r + 1}
         transition.append(DominoConstraint(
-            (here, move_off), (base, _req(alphabet, head=others_h)), "B2"))
+            (here, move_off), (base, alphabet.require(head=others_h)), "B2"))
     for q in range(k):
-        frozen = _req(alphabet, head=q + 1, field={0})
+        frozen = alphabet.require(head=q + 1, field={0})
         transition.append(DominoConstraint(
-            (here, up), (frozen, _req(alphabet, head=all_heads - {q + 1})),
+            (here, up), (frozen, alphabet.require(head=all_heads - {q + 1})),
             "frozen"))
         for a in range(n_work):
             transition.append(DominoConstraint(
                 (here, up),
-                (_req(alphabet, head=q + 1, field={0}, work=a),
-                 _req(alphabet, work=all_work - {a})),
+                (alphabet.require(head=q + 1, field={0}, work=a),
+                 alphabet.require(work=all_work - {a})),
                 "frozen"))
 
     return SimulationBundle(group, alphabet, u_rules, configuration,

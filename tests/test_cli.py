@@ -306,6 +306,43 @@ def test_compile_and_verify_window(runner, tmp_path):
     assert res.exit_code == 1 and "unsatisfiable" in res.output
 
 
+def test_compile_and_verify_window_with_a_comma_label(runner, tmp_path):
+    # a walker that moves right forever on a tape whose blank is "a,b": the
+    # instance's origin reads back as one label per component
+    walker = {"states": ["walk", "acc"], "accepting": ["acc"], "alphabet": ["a,b", "1"],
+              "blank": "a,b",
+              "delta": [{"read": r, "state": q, "write": r, "next": q,
+                         "move": "a" if q == "walk" else ""}
+                        for r in ("a,b", "1") for q in ("walk", "acc")]}
+    g = write(tmp_path, "g.json", Z_GROUP)
+    m = write(tmp_path, "m.json", walker)
+    out = str(tmp_path / "inst.json")
+    res = runner.invoke(main, ["compile", "domino", "--group", g, "--machine", m,
+                               "--a1", "windowed:2", "-o", out], standalone_mode=False)
+    assert res.exit_code == 0
+    assert json.loads(Path(out).read_text())["origin_symbol"] == ["a,b", "1", "*"]
+    res = runner.invoke(main, ["verify", "window", "--instance", out, "--radius", "2",
+                               "--height", "2", "--format", "json"], standalone_mode=False)
+    assert res.exit_code == 0 and json.loads(res.output)["verdict"] == "satisfiable"
+
+
+@pytest.mark.parametrize("origin", [["_", "1"], ["_", "1", "*", "0"], ["_", "1", "x"],
+                                    "(_,1,*)"],
+                         ids=["too-few-labels", "too-many-labels", "unknown-label", "string"])
+def test_malformed_origin_exits_2(runner, tmp_path, monkeypatch, capsys, origin):
+    inst = _verify_instance(runner, tmp_path)
+    blob = json.loads(Path(inst).read_text())
+    blob["origin_symbol"] = origin
+    bad = write(tmp_path, "bad.json", blob)
+    monkeypatch.setattr(sys, "argv", ["groupshift", "verify", "window", "--instance", bad,
+                                      "--radius", "1", "--height", "1"])
+    with pytest.raises(SystemExit) as exited:
+        run_main()
+    out = capsys.readouterr()
+    assert exited.value.code == 2
+    assert "Traceback" not in out.out + out.err and out.err.startswith("error: ")
+
+
 def test_compile_simulate(runner, tmp_path):
     g = write(tmp_path, "g.json", Z_GROUP)
     m = write(tmp_path, "m.json", {

@@ -5,6 +5,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from groupshift import (
     Alphabet,
@@ -25,25 +26,24 @@ from groupshift.domino import (
     ComponentAlphabet,
     GOffset,
     HOffset,
-    cell_requirement,
     check_window_assignment,
     window_cells,
 )
 from groupshift import jsonio
 from groupshift.machines import trace_run
 
-from .conftest import KINDS
+from .conftest import CHECKS, KINDS
 from .test_constraints import window_assignment
 
 SIGMA = Alphabet(("_", "1"))
 
 
-def machine(group, states, accepting, rules):
+def machine(group, states, accepting, rules, sigma=SIGMA):
     delta = {}
-    for sym in range(len(SIGMA)):
+    for sym in range(len(sigma)):
         for q in range(len(states)):
             delta[(sym, q)] = rules.get((sym, q), (sym, q, 0))
-    return GMachineSpec(group, states, frozenset(accepting), SIGMA, 0, delta)
+    return GMachineSpec(group, states, frozenset(accepting), sigma, 0, delta)
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +103,24 @@ def test_window_verdict_is_the_bounded_run(kind):
                               Unsatisfiable)
 
 
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_unsatisfiable_window_stays_so_one_radius_out(kind):
+    # a window one radius wider holds every placement of the narrower one,
+    # so an unsatisfiable (r, h) window stays so at (r + 1, h)
+    group = KINDS[kind]()
+    unsatisfiable = 0
+    for seed in range(8):
+        rng = random.Random(seed)
+        spec = random_machine(group, rng)
+        radius, height = rng.randint(0, 1), rng.randint(1, 3)
+        instance = compile_domino(group, spec, WindowedA1(2))
+        if isinstance(verify_reduction_window(instance, radius, height), Unsatisfiable):
+            unsatisfiable += 1
+            assert isinstance(verify_reduction_window(instance, radius + 1, height),
+                              Unsatisfiable), (seed, radius, height)
+    assert unsatisfiable
+
+
 def test_family_counts(z, suite):
     _, move_right, _ = suite
     inst = compile_domino(z, move_right, WindowedA1(3))
@@ -118,9 +136,43 @@ def test_family_counts(z, suite):
 
 def test_cell_requirement_needs_a_label_list():
     alphabet = ComponentAlphabet((("state", ("0", "1", "2")),))
-    assert cell_requirement(alphabet, {"state": ["1", "2"]}) == ((0, frozenset({1, 2})),)
+    assert alphabet.requirement({"state": ["1", "2"]}) == ((0, frozenset({1, 2})),)
     with pytest.raises(MalformedInputError, match="list of value labels"):
-        cell_requirement(alphabet, {"state": "12"})
+        alphabet.requirement({"state": "12"})
+
+
+@st.composite
+def component_alphabets(draw):
+    """One to four components of one to four labels each, the labels free
+    to hold commas and parentheses."""
+    labels = st.lists(st.text("ab,()", min_size=1, max_size=3), min_size=1, max_size=4,
+                      unique=True)
+    return ComponentAlphabet(tuple((f"c{i}", tuple(draw(labels)))
+                                   for i in range(draw(st.integers(1, 4)))))
+
+
+@CHECKS
+@given(component_alphabets(), st.data())
+def test_component_alphabet_codec(alphabet, data):
+    """`code` and `symbol` are inverse and follow `symbols()` order; a
+    requirement allows exactly the codes of the symbols that meet it; the
+    label spellings of symbols and requirements read back as themselves."""
+    symbols = list(alphabet.symbols())
+    assert [alphabet.code(sym) for sym in symbols] == list(range(len(symbols)))
+    assert [alphabet.symbol(i) for i in range(len(symbols))] == symbols
+    sizes = [len(vals) for _, vals in alphabet.components]
+    cis = data.draw(st.lists(st.integers(0, len(sizes) - 1), max_size=4))
+    req = tuple((ci, data.draw(st.frozensets(st.integers(0, sizes[ci] - 1)))) for ci in cis)
+    assert alphabet.allowed(req) == {i for i, sym in enumerate(symbols)
+                                     if all(sym[ci] in allowed for ci, allowed in req)}
+    unique = tuple(dict(req).items())
+    assert alphabet.requirement(alphabet.labels(unique)) == unique
+    sym = data.draw(st.sampled_from(symbols))
+    assert alphabet.from_labels(alphabet.symbol_labels(sym)) == sym
+    ci = data.draw(st.integers(0, len(sizes) - 1))
+    for bad in (sym[:ci] + (sizes[ci],) + sym[ci + 1:], sym + (0,), sym[:-1]):
+        with pytest.raises(MalformedInputError, match="outside the alphabet"):
+            alphabet.code(bad)
 
 
 def test_requires_last_state_accepting(z):
@@ -241,13 +293,19 @@ def test_free_product_rejects_trivial(z, suite):
         free_product_layer(cyclic_group(1), base)
 
 
-def test_instance_json_roundtrip(z, suite):
-    _, move_right, _ = suite
+@pytest.mark.parametrize("tape", [("_", "1"), ("a,b", "1"), ("(x)", "1")],
+                         ids=["plain", "comma", "parenthesis"])
+def test_instance_json_roundtrip(z, tape):
+    # the origin is written as one label per component, so a tape label
+    # holding a comma or a parenthesis reads back as itself
+    move_right = machine(z, ("walk", "acc"), {1}, {(1, 0): (1, 0, 1), (0, 0): (0, 1, 0)},
+                         Alphabet(tape))
     inst = compile_domino(z, move_right, WindowedA1(3))
-    blob = jsonio.instance_to_json(inst)
+    blob = json.loads(json.dumps(jsonio.instance_to_json(inst)))
+    assert blob["origin_symbol"] == [tape[0], "1", "*"]
     back = jsonio.instance_from_json(blob)
     assert back.tags() == inst.tags()
-    assert back.origin_symbol == tuple(inst.origin_symbol)
+    assert back.origin_symbol == inst.origin_symbol
     assert jsonio.instance_to_json(back) == blob
     out1 = verify_reduction_window(inst, 2, 3)
     out2 = verify_reduction_window(back, 2, 3)

@@ -27,6 +27,7 @@ from groupshift import (
     UndeterminedError,
     apply_block_code,
     ball,
+    builtin_amenable_witness,
     builtin_delone,
     builtin_mirror,
     builtin_one_or_less,
@@ -160,6 +161,86 @@ def test_violates_matches_oracle(kind):
             assert got == oracle_violates(family, group, x), (x.assignment, g)
             verdicts.add(got)
     assert verdicts == {False, True}
+
+
+def _builtin_specs(group):
+    """Every builtin family the group carries: one-or-less for k = 1, 2, the
+    Delone family for n = 1, the mirror on Z^2 and the amenable witness on
+    an infinite group."""
+    specs = [builtin_one_or_less(group, 1), builtin_one_or_less(group, 2),
+             builtin_delone(group, 1)]
+    if isinstance(group, FreeAbelianGroup) and group.rank == 2:
+        specs.append(builtin_mirror(group))
+    if not group.is_finite():
+        specs.append(builtin_amenable_witness(group, 1))
+    return specs
+
+
+def _random_pattern(group, rng, radius, size, max_cells):
+    """Up to `max_cells` cells of B_radius, each nonzero with probability 0.4."""
+    near = ball(group, radius).sorted_elements()
+    return Pattern({c: rng.randrange(1, size) if rng.random() < 0.4 else 0
+                    for c in rng.sample(near, rng.randint(0, min(max_cells, len(near))))})
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_local_admissibility_is_shift_invariant(kind):
+    """locally_admissible(g x) equals locally_admissible(x) for every builtin
+    family, on patterns of B_2 left-translated by a random word of length at
+    most 6."""
+    group, rng = KINDS[kind](), random.Random(kind)
+    verdicts = set()
+    for spec in _builtin_specs(group):
+        for _ in range(12):
+            x = _random_pattern(group, rng, 2, len(spec.alphabet), 6)
+            g = group.element(tuple(rng.choice(group.nonidentity_ids)
+                                    for _ in range(rng.randint(0, 6))))
+            got = locally_admissible(x, spec)
+            assert locally_admissible(translate_pattern(group, x, g), spec) == got, \
+                (spec.forbidden, x.assignment, g)
+            verdicts.add(got)
+    assert verdicts == {False, True}
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_extendable_is_monotone_in_the_radius(kind):
+    """A pattern on B_r extendable to B_{r+1} is extendable to B_r, for
+    r = 0, 1 and the families of `_families`."""
+    group, rng = KINDS[kind](), random.Random(kind)
+    pairs = set()
+    for family, size, _ in _families(group, rng):
+        spec = SubshiftSpec(Alphabet(tuple(str(i) for i in range(size))), group, family)
+        for radius in (0, 1):
+            for _ in range(4):
+                x = _random_pattern(group, rng, radius, size, 3)
+                pair = (extendable(x, spec, radius + 1), extendable(x, spec, radius))
+                assert pair[0] <= pair[1], (family, x.assignment, radius)
+                pairs.add(pair)
+    assert (True, True) in pairs and (False, False) in pairs
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_intersect_and_union_agree_with_their_two_specs(kind):
+    """On B_1: the intersection is locally admissible exactly when both specs
+    are, and extendable only when both are; the windowed union is
+    extendability in either.  The specs are the two-symbol families of
+    `_families` and the shift with no 1."""
+    group, rng = KINDS[kind](), random.Random(kind)
+    specs = [SubshiftSpec(BITS, group, family)
+             for family, size, _ in _families(group, rng) if size == 2]
+    specs.append(SubshiftSpec(BITS, group, FiniteFamily((Pattern({group.identity: 1}),))))
+    verdicts = set()
+    for a, b in itertools.combinations(specs, 2):
+        both = intersect(a, b)
+        for _ in range(6):
+            x = _random_pattern(group, rng, 1, 2, 4)
+            local = (locally_admissible(x, a), locally_admissible(x, b))
+            assert locally_admissible(x, both) == all(local), (x.assignment,)
+            each = (extendable(x, a, 1), extendable(x, b, 1))
+            assert extendable(x, both, 1) <= all(each), (x.assignment,)
+            assert union_window_admissible(x, a, b, 1) == any(each), (x.assignment,)
+            verdicts.add(each)
+    assert len(verdicts) >= 3
 
 
 def test_intersect_is_conjunction(zline):

@@ -36,7 +36,7 @@ _EXPORTS = {
     ),
     "cayley": (
         "CayleyBall", "ball", "component_sequence", "disjoint_ball_sequences",
-        "element_distance", "enumerate_words", "word_metric",
+        "element_distance", "enumerate_words",
     ),
     "patterns": (
         "Alphabet", "Consistent", "Inconsistent", "Pattern", "PatternCoding",
@@ -62,8 +62,8 @@ _EXPORTS = {
     ),
     "pathwalk": (
         "ClassicalMachineSpec", "OracleSimulator", "PathMachine", "PathRun",
-        "VisitMachine", "build_m_path", "build_m_visit", "build_oracle_simulator",
-        "classical_accept_all", "classical_contains_entry", "classical_query_word",
+        "VisitMachine", "classical_accept_all", "classical_contains_entry",
+        "classical_query_word",
     ),
     "domino": (
         "DominoConstraint", "DominoInstance", "Satisfiable", "Unsatisfiable",

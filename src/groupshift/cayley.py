@@ -301,11 +301,6 @@ def distance_from_identity(group: Group, e: Element) -> int:
     return table.shell(table.index[e])
 
 
-def word_metric(group: Group, word) -> int:
-    """|g| for the element named by the word."""
-    return distance_from_identity(group, group.element(word))
-
-
 def element_distance(group: Group, a: Element, b: Element) -> int:
     return distance_from_identity(group, group.multiply(group.inverse_element(a), b))
 

@@ -481,7 +481,7 @@ def machine_oracle_sim(group, classical, alphabet, pattern_path, budget):
     """Run the six-layer simulator of a classical oracle machine."""
     from .machines import Accepted
     from .pathwalk import (
-        build_oracle_simulator,
+        OracleSimulator,
         classical_accept_all,
         classical_contains_entry,
         classical_query_word,
@@ -502,7 +502,7 @@ def machine_oracle_sim(group, classical, alphabet, pattern_path, budget):
     pat = Pattern({})
     if pattern_path:
         pat = jsonio.pattern_from_json(group, _load_json(pattern_path), alpha)
-    out = build_oracle_simulator(group, spec, alpha).run(pat, budget)
+    out = OracleSimulator(group, spec, alpha).run(pat, budget)
     if not isinstance(out, Accepted):
         raise UndeterminedError(f"no acceptance within {out.steps} steps")
     return ok("accepted", {"accepted": True, "steps": out.steps}, "accepted")

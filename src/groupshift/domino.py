@@ -12,7 +12,7 @@ wildcard dimension.
 grounds the instance (each cell requirement as the symbol codes it allows)
 once per base cell of its level-major G x Z window by `constraints.ground`.
 `grounded_violations` is the one uncompiled scan, behind
-`check_window_assignment`, `URuleSet.check_window` and the tests' oracle.
+`URuleSet.check_window` and the tests' oracle.
 """
 
 from __future__ import annotations
@@ -41,6 +41,10 @@ class ComponentAlphabet:
     last component fastest); JSON spells symbols and requirements in labels."""
 
     components: tuple[tuple[str, tuple[str, ...]], ...]
+
+    def __post_init__(self):
+        if len(set(self.names())) != len(self.components):
+            raise MalformedInputError(f"component names repeat: {list(self.names())}")
 
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.components)
@@ -205,9 +209,6 @@ class DominoInstance:
     constraints: tuple[DominoConstraint, ...]
     origin_symbol: Optional[tuple[int, ...]]
     h_group: Optional[FiniteGroup] = None
-
-    def by_tag(self, tag: str) -> list[DominoConstraint]:
-        return [c for c in self.constraints if c.tag == tag]
 
     def tags(self) -> dict[str, int]:
         out: dict[str, int] = {}
@@ -397,13 +398,6 @@ def grounded_violations(
             else:
                 out.append((con, (g0, z0)))
     return out
-
-
-def check_window_assignment(
-    instance: DominoInstance, assign: Mapping[Cell, tuple[int, ...]]
-) -> list[tuple[DominoConstraint, Cell]]:
-    """Full constraint scan of an explicit window assignment."""
-    return grounded_violations(instance.g_group, instance.constraints, assign)
 
 
 def verify_reduction_window(

@@ -21,10 +21,12 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Mapping, Optional
 
+from . import __version__
 from .errors import MalformedInputError
 from .groups import (
     BaumslagSolitarGroup,
     DirectProductGroup,
+    Element,
     FiniteGroup,
     FreeAbelianGroup,
     FreeGroup,
@@ -38,8 +40,6 @@ if TYPE_CHECKING:
     from .machines import GMachineSpec
     from .patterns import Alphabet, Pattern, PatternCoding
     from .subshifts import SubshiftSpec
-
-VERSION = "0.1.0"
 
 
 def _decoder(fn):
@@ -81,11 +81,9 @@ def group_from_json(obj: Mapping[str, Any]) -> Group:
 
 
 def group_to_json(group: Group) -> dict:
-    if isinstance(group, FreeGroup):
-        return {"kind": "free", "rank": group.rank,
-                "names": [group.generators[1 + 2 * i].display for i in range(group.rank)]}
-    if isinstance(group, FreeAbelianGroup):
-        return {"kind": "free_abelian", "rank": group.rank,
+    if isinstance(group, (FreeGroup, FreeAbelianGroup)):
+        return {"kind": "free" if isinstance(group, FreeGroup) else "free_abelian",
+                "rank": group.rank,
                 "names": [group.generators[1 + 2 * i].display for i in range(group.rank)]}
     if isinstance(group, BaumslagSolitarGroup):
         return {"kind": "bs", "n": group.n}
@@ -126,12 +124,16 @@ def enumeration_from_json(group: Group, obj: list) -> list[PatternCoding]:
     return [coding_from_json(group, o) for o in obj]
 
 
+def _word(group: Group, e: Element) -> str:
+    """An element's wire spelling: its display word, "" for the identity."""
+    return group.format_element(e) if group.length_of(e) else ""
+
+
 def pattern_to_json(group: Group, p: Pattern, alphabet: Optional[Alphabet] = None) -> dict:
     out = []
     for e, s in p.sorted_items(group):
         label = alphabet[s] if alphabet is not None and isinstance(s, int) else s
-        out.append([group.format_element(e) if group.length_of(e) else "",
-                    label])
+        out.append([_word(group, e), label])
     return {"support": out}
 
 
@@ -243,8 +245,7 @@ def constraint_to_json(group: Group, alphabet: ComponentAlphabet,
     support = []
     for off in con.support:
         if isinstance(off, GOffset):
-            support.append({"g": group.format_element(off.g) if group.length_of(off.g) else "",
-                            "dz": off.dz})
+            support.append({"g": _word(group, off.g), "dz": off.dz})
         else:
             support.append({"h": off.h})
     return {"tag": con.tag, "support": support,
@@ -312,23 +313,16 @@ def instance_from_json(obj: Mapping[str, Any]) -> DominoInstance:
 class RunManifest:
     command: list[str]
     inputs: dict[str, str] = field(default_factory=dict)
-    version: str = VERSION
-    outcome: str = ""
-    timestamp: float = 0.0
 
     def add_input(self, path: str, data: bytes) -> None:
         """Record the digest of the bytes read from `path`."""
         self.inputs[path] = hashlib.sha256(data).hexdigest()
 
     def finish(self, outcome: str) -> dict:
-        self.outcome = outcome
-        self.timestamp = time.time()
-        return self.to_json()
-
-    def to_json(self) -> dict:
-        return {"command": self.command, "inputs": self.inputs,
-                "version": self.version, "outcome": self.outcome,
-                "timestamp": self.timestamp}
+        """The manifest as JSON, with the package version, the run's outcome
+        and the time it finished."""
+        return {"command": self.command, "inputs": self.inputs, "version": __version__,
+                "outcome": outcome, "timestamp": time.time()}
 
 
 def dump(obj: Any) -> str:

@@ -130,11 +130,6 @@ class PathMachine:
                                   self.blank, table) for table in (delta, gated))
 
 
-def build_m_path(group: Group) -> GMachineSpec:
-    """The literal six-rule path machine over the group's direction order."""
-    return PathMachine(group).spec
-
-
 class PathRun(MachineConfig):
     """Instrumented path-machine run with per-step simple-path invariants.
 
@@ -359,10 +354,6 @@ class VisitMachine:
             f"visit machine did not pass n={target} within {budget} ticks")
 
 
-def build_m_visit(group: Group, check: bool = True) -> VisitMachine:
-    return VisitMachine(group, check=check)
-
-
 # -- classical one-sided two-tape machines with an oracle hook ----------------
 
 
@@ -541,11 +532,6 @@ def _sim_tape_use(sim: ClassicalRun, input_tokens: Sequence[str]) -> int:
     if sim.work:
         width = max(width, max(sim.work) + 1)
     return width
-
-
-def build_oracle_simulator(group: Group, classical: ClassicalMachineSpec,
-                           pattern_alphabet: Alphabet) -> OracleSimulator:
-    return OracleSimulator(group, classical, pattern_alphabet)
 
 
 # -- ready-made classical machines (used by tests and the CLI) ----------------

@@ -9,15 +9,16 @@ cylinder meets the subshift".  Budget exhaustion is a distinct outcome
 `extendable` and `factor_window_admissible` search (`constraints.solve`)
 the forbidden patterns compiled onto a ball, each pattern cell h holding v
 a constraint cell (h, 0, {v}) grounded on one level by `constraints.ground`.
-The compiled ball is cached on the family per (group, radius), so repeated
-searches on one window pay for grounding once; a factor query compiles its
-own, and `ForbiddenFamily.violates` compiles onto the pattern it checks.
+The compiled ball and a generated family's patterns are memoized on the
+family per group and radius while the group lives, so repeated searches on
+one window pay for grounding once; a factor query compiles its own, and
+`ForbiddenFamily.violates` compiles onto the pattern it checks.
 """
 
 from __future__ import annotations
 
 import itertools
-import threading
+import weakref
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce
 from typing import Callable, Iterable, Mapping, Optional, Sequence
@@ -58,18 +59,26 @@ class ForbiddenFamily:
         fixed = dict(enumerate(x.assignment.values()))
         return solve(window, fixed, n_symbols=0, budget=0) is None
 
-    @cached_property
-    def _windows(self) -> dict[tuple[Group, int], CompiledWindow]:
-        return {}
-
     def compiled_window(self, group: Group, radius: int) -> CompiledWindow:
-        """B_radius in shortlex order with every pattern that fits compiled
-        onto it; cached per (group, radius) for the family's lifetime."""
-        key = (group, radius)
-        window = self._windows.get(key)
-        if window is None:
-            window = self._windows.setdefault(key, _compile_ball(self, group, radius, ()))
-        return window
+        """B_radius in shortlex order with every fitting pattern compiled onto it."""
+        return self._memoized(group, radius, _compile_ball)
+
+    @cached_property
+    def _memo(self) -> weakref.WeakKeyDictionary:
+        return weakref.WeakKeyDictionary()  # group -> {(build, radius): built}
+
+    def _memoized(self, group: Group, radius: int, build: Callable):
+        """`build(self, group, radius)`, kept until the group goes.  A hit
+        takes no lock; a build holds the group's re-entrant ball lock, since
+        compiling a ball asks this memo for the family's patterns."""
+        try:
+            return self._memo[group][build, radius]
+        except KeyError:
+            with group._ball_lock:
+                derived = self._memo.setdefault(group, {})
+                if (build, radius) not in derived:
+                    derived[build, radius] = build(self, group, radius)
+                return derived[build, radius]
 
 
 @dataclass(frozen=True)
@@ -86,19 +95,16 @@ class GeneratedFamily(ForbiddenFamily):
     def __init__(self, generator: Callable[[Group, int], Iterable[Pattern]],
                  name: str = "generated"):
         self._generator = generator
-        self._cache: dict[tuple[Group, int], list[Pattern]] = {}
-        self._lock = threading.Lock()
         self.name = name
 
     def patterns_up_to(self, group: Group, radius: int) -> list[Pattern]:
         if radius > DEFAULT_RADIUS_CAP:
             raise MalformedInputError(
                 f"family {self.name!r}: radius {radius} exceeds cap {DEFAULT_RADIUS_CAP}")
-        key = (group, radius)
-        with self._lock:
-            if key not in self._cache:
-                self._cache[key] = list(self._generator(group, radius))
-            return self._cache[key]
+        return self._memoized(group, radius, GeneratedFamily._generate)
+
+    def _generate(self, group: Group, radius: int) -> list[Pattern]:
+        return list(self._generator(group, radius))
 
 
 class CompositeFamily(ForbiddenFamily):
@@ -178,7 +184,7 @@ def _semantic_check(spec: SubshiftSpec,
 
 
 def _compile_ball(family: ForbiddenFamily, group: Group, radius: int,
-                  first: Sequence[Element]) -> CompiledWindow:
+                  first: Sequence[Element] = ()) -> CompiledWindow:
     """Compile the family's patterns of diameter <= 2*radius onto B_radius,
     whose cells are numbered `first` (cells of B_radius) then the rest in
     shortlex order."""

@@ -15,6 +15,7 @@ from groupshift import cayley, groups, jsonio
 from groupshift.cli import main, run_main
 
 from .conftest import Z_A_A2_RULES
+from .test_domino import REPEATED_COMPONENTS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -225,6 +226,16 @@ def test_machine_path_dot_is_simple(runner, tmp_path):
     assert len(targets) == len(set(targets)) > 0
 
 
+def test_machine_path_human_output(runner, tmp_path):
+    g = write(tmp_path, "g.json", F2_GROUP)
+    argv = ["machine", "path", "--group", g, "--steps", "40"]
+    res = runner.invoke(main, argv, standalone_mode=False)
+    cells = json.loads(runner.invoke(main, argv + ["--format", "json"],
+                                     standalone_mode=False).output)["cells"]
+    assert res.exit_code == 0 and len(cells) > 1
+    assert res.output == f"path length {len(cells)} after 40 steps\n"
+
+
 def test_machine_visit(runner, tmp_path):
     g = write(tmp_path, "g.json", F2_GROUP)
     res = runner.invoke(main, ["machine", "visit", "--group", g, "-n", "1",
@@ -292,6 +303,21 @@ def test_machine_oracle_sim(runner, tmp_path):
     assert res.exit_code == 0 and "accepted" in res.output
 
 
+@pytest.mark.parametrize("classical,accepts", [
+    ("accept-all", True), ("query:a a^-1", True), ("query:a b", False)])
+def test_machine_oracle_sim_builtin_machines(runner, tmp_path, classical, accepts):
+    # the query machine accepts exactly when the oracle says its word is e
+    g = write(tmp_path, "g.json", F2_GROUP)
+    res = runner.invoke(main, ["machine", "oracle-sim", "--group", g, "--classical",
+                               classical, "--budget", "300", "--format", "json"],
+                        standalone_mode=False)
+    payload = json.loads(res.output)
+    if accepts:
+        assert res.exit_code == 0 and payload["accepted"] is True
+    else:
+        assert res.exit_code == 3 and payload["verdict"] == "undetermined"
+
+
 def test_compile_and_verify_window(runner, tmp_path):
     g = write(tmp_path, "g.json", Z_GROUP)
     m = write(tmp_path, "m.json", MOVE_RIGHT)
@@ -343,6 +369,41 @@ def test_malformed_origin_exits_2(runner, tmp_path, monkeypatch, capsys, origin)
     assert "Traceback" not in out.out + out.err and out.err.startswith("error: ")
 
 
+def _run_main_exit(monkeypatch, capsys, argv):
+    monkeypatch.setattr(sys, "argv", ["groupshift"] + argv)
+    with pytest.raises(SystemExit) as exited:
+        run_main()
+    return exited.value.code, capsys.readouterr()
+
+
+@pytest.mark.parametrize("name", sorted(REPEATED_COMPONENTS))
+def test_repeated_component_names_exit_2(tmp_path, monkeypatch, capsys, name):
+    components, origin = REPEATED_COMPONENTS[name]
+    inst = write(tmp_path, "inst.json", {"group": Z_GROUP, "alphabet": components,
+                                         "forbidden": [], "origin_symbol": origin})
+    code, out = _run_main_exit(monkeypatch, capsys, [
+        "verify", "window", "--instance", inst, "--radius", "1", "--height", "1"])
+    assert code == 2 and out.err.startswith("error: component names repeat")
+
+
+def test_free_product_instance_is_not_window_verifiable(runner, tmp_path, monkeypatch,
+                                                         capsys):
+    g = write(tmp_path, "g.json", Z_GROUP)
+    m = write(tmp_path, "m.json", MOVE_RIGHT)
+    c2 = write(tmp_path, "c2.json", {"kind": "finite", "table": [[0, 1], [1, 0]]})
+    out = str(tmp_path / "inst.json")
+    res = runner.invoke(main, ["compile", "domino", "--group", g, "--machine", m,
+                               "--a1", "windowed:2", "--free-product", c2, "-o", out],
+                        standalone_mode=False)
+    assert res.exit_code == 0 and "Y_aux" in res.output
+    blob = json.loads(Path(out).read_text())
+    assert blob["origin_symbol"] is None and "free_product_factor" in blob
+    code, printed = _run_main_exit(monkeypatch, capsys, [
+        "verify", "window", "--instance", out, "--radius", "1", "--height", "1"])
+    assert code == 2
+    assert printed.err == "error: free-product instances are not window-verifiable\n"
+
+
 def test_compile_simulate(runner, tmp_path):
     g = write(tmp_path, "g.json", Z_GROUP)
     m = write(tmp_path, "m.json", {
@@ -363,6 +424,16 @@ def test_compile_simulate(runner, tmp_path):
     assert payload["alphabet_size"] > 0
     assert set(payload["machine_rules"]) == {
         "configuration", "starting", "ending", "transition"}
+    # -o writes the printed payload, without its manifest
+    out = tmp_path / "bundle.json"
+    res = runner.invoke(main, ["compile", "simulate", "--group", g, "--machine", m,
+                               "--abar", "0", "--alphabet", "0,1", "--format", "json",
+                               "-o", str(out)], standalone_mode=False)
+    assert res.exit_code == 0
+    printed = json.loads(res.output)
+    del printed["manifest"]
+    assert json.loads(out.read_text()) == printed == {
+        k: v for k, v in payload.items() if k != "manifest"}
 
 
 def test_xtime_commands(runner, tmp_path):

@@ -4,7 +4,7 @@
 placements with enumeration of every assignment, and
 `verify_reduction_window` with the same search run on uncompiled
 constraints (`grounded_violations`), whose witness must match exactly and
-pass the full scan `check_window_assignment`, on Z, Z^2, F2 and BS(1,2);
+pass the full scan, on Z, Z^2, F2 and BS(1,2);
 `ground`'s placements, read through each cell's watch and level shift, are
 compared with anchoring every constraint by group products.  Windows stay at ten cells or fewer so the oracles finish quickly;
 Hypothesis runs derandomized.
@@ -14,6 +14,7 @@ import gc
 import itertools
 import sys
 import types
+import weakref
 from math import comb
 
 import pytest
@@ -49,12 +50,8 @@ from groupshift import (
 )
 from groupshift import constraints, domino
 from groupshift.constraints import ground, solve
-from groupshift.domino import (
-    check_window_assignment,
-    grounded_violations,
-    window_cells,
-)
-from groupshift.groups import FreeAbelianGroup, bs_group
+from groupshift.domino import grounded_violations, window_cells
+from groupshift.groups import FreeAbelianGroup, bs_group, free_group
 
 ZLINE = GROUPS["z"]
 SIGMA = Alphabet(("_", "1"))
@@ -138,7 +135,7 @@ def assert_verify_matches_scan_search(instance, radius_g, height_z):
     else:
         assert isinstance(out, Satisfiable)
         assert window_assignment(instance, out.witness) == expected
-        assert check_window_assignment(instance, expected) == []
+        assert grounded_violations(instance.g_group, instance.constraints, expected) == []
 
 
 @CHECKS
@@ -220,6 +217,23 @@ def test_compiled_window_cached_per_group_and_radius():
     assert family.compiled_window(ZLINE, 1) is not family.compiled_window(ZLINE, 2)
     z2 = GROUPS["z2"]
     assert family.compiled_window(z2, 2).cells == tuple(ball(z2, 2).sorted_elements())
+
+
+def test_family_memo_lives_as_long_as_its_group():
+    # one generated family searched on 50 fresh groups: its compiled balls
+    # and pattern lists, memoized per group, go when their groups do
+    spec = builtin_one_or_less(free_group(2))
+    family = spec.forbidden
+    groups = []
+    for _ in range(50):
+        group = free_group(2)
+        assert extendable(Pattern({group.identity: 1}), SubshiftSpec(
+            spec.alphabet, group, family), 2)
+        assert family.patterns_up_to(group, 4) is family.patterns_up_to(group, 4)
+        groups.append(weakref.ref(group))
+    del group
+    gc.collect()
+    assert sum(g() is not None for g in groups) == 0
 
 
 def test_placement_completed_after_its_fixed_cells():

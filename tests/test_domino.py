@@ -26,7 +26,7 @@ from groupshift.domino import (
     ComponentAlphabet,
     GOffset,
     HOffset,
-    check_window_assignment,
+    grounded_violations,
     window_cells,
 )
 from groupshift import jsonio
@@ -96,8 +96,8 @@ def test_window_verdict_is_the_bounded_run(kind):
         out = verify_reduction_window(instance, radius, height)
         assert isinstance(out, Unsatisfiable) == accepts_inside(spec, radius, height)
         if isinstance(out, Satisfiable):
-            assert check_window_assignment(
-                instance, window_assignment(instance, out.witness)) == []
+            assert grounded_violations(instance.g_group, instance.constraints,
+                                       window_assignment(instance, out.witness)) == []
         else:
             assert isinstance(verify_reduction_window(instance, radius, height + 1),
                               Unsatisfiable)
@@ -139,6 +139,26 @@ def test_cell_requirement_needs_a_label_list():
     assert alphabet.requirement({"state": ["1", "2"]}) == ((0, frozenset({1, 2})),)
     with pytest.raises(MalformedInputError, match="list of value labels"):
         alphabet.requirement({"state": "12"})
+
+
+REPEATED_COMPONENTS = {
+    # two components named "sym": every label used to bind to the first, so
+    # the origin read back as (0, 0) and was written as ["0", "1"]
+    "same-labels": ([["sym", ["0", "1"]], ["sym", ["1", "0"]]], ["0", "0"]),
+    # and a label of the second alone was refused
+    "other-labels": ([["sym", ["0", "1"]], ["sym", ["x", "y"]]], ["0", "y"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPEATED_COMPONENTS))
+def test_repeated_component_names_are_malformed(z, name):
+    components, origin = REPEATED_COMPONENTS[name]
+    with pytest.raises(MalformedInputError, match="component names repeat"):
+        ComponentAlphabet(tuple((n, tuple(vals)) for n, vals in components))
+    blob = {"group": jsonio.group_to_json(z), "alphabet": components,
+            "forbidden": [], "origin_symbol": origin}
+    with pytest.raises(MalformedInputError, match="component names repeat"):
+        jsonio.instance_from_json(blob)
 
 
 @st.composite
@@ -219,10 +239,10 @@ def test_loop_witness_passes_full_scan(z, suite):
         state = 1 if (offset == zlev and offset <= 4) else 0
         assign[(g, zlev)] = sym(0, state, 1 if zlev == 0 else 0)
     assert assign[(z.identity, 0)] == tuple(inst.origin_symbol)
-    assert check_window_assignment(inst, assign) == []
+    assert grounded_violations(inst.g_group, inst.constraints, assign) == []
     # mutation: freeze the head instead of moving it
     assign[(z.element((1,)), 1)] = sym(0, 0, 0)
-    assert check_window_assignment(inst, assign) != []
+    assert grounded_violations(inst.g_group, inst.constraints, assign) != []
 
 
 def test_accepting_run_violates_a4(z, suite):
@@ -231,7 +251,7 @@ def test_accepting_run_violates_a4(z, suite):
     # any assignment with the origin symbol must put state 1 = accepting at
     # the origin, which A4 forbids outright
     assign = {(z.identity, 0): tuple(inst.origin_symbol)}
-    hits = check_window_assignment(inst, assign)
+    hits = grounded_violations(inst.g_group, inst.constraints, assign)
     assert any(c.tag == "A4" for c, _ in hits)
 
 
@@ -261,12 +281,12 @@ def test_free_product_layer_counts(z, suite):
     base = compile_domino(z, move_right, WindowedA1(3))
     wrapped2 = free_product_layer(cyclic_group(2), base)
     assert wrapped2.origin_symbol is None
-    coset = [c for c in wrapped2.by_tag("Y_aux")
-             if any(isinstance(o, HOffset) for o in c.support)]
+    coset = [c for c in wrapped2.constraints if c.tag == "Y_aux"
+             and any(isinstance(o, HOffset) for o in c.support)]
     assert len(coset) == 2 ** 2 - 2        # {00, **}
     wrapped3 = free_product_layer(cyclic_group(3), base)
-    coset3 = [c for c in wrapped3.by_tag("Y_aux")
-              if any(isinstance(o, HOffset) for o in c.support)]
+    coset3 = [c for c in wrapped3.constraints if c.tag == "Y_aux"
+              and any(isinstance(o, HOffset) for o in c.support)]
     assert len(coset3) == 2 ** 3 - 3
 
 
@@ -274,7 +294,7 @@ def test_free_product_layer_coupling(z, suite):
     _, move_right, _ = suite
     base = compile_domino(z, move_right, WindowedA1(3))
     wrapped = free_product_layer(cyclic_group(2), base)
-    single = [c for c in wrapped.by_tag("Y_aux") if len(c.support) == 1]
+    single = [c for c in wrapped.constraints if c.tag == "Y_aux" and len(c.support) == 1]
     # one coupling constraint per base component: marked cells must carry the
     # old origin symbol
     assert len(single) == len(base.alphabet.components)

@@ -2,6 +2,8 @@
 
 import copy
 import itertools
+import json
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,7 +17,7 @@ from groupshift import (
     free_product,
     solve_word_problem,
 )
-from groupshift import groups
+from groupshift import groups, jsonio
 from groupshift.groups import Element, RewritingGroup
 
 from .conftest import CHECKS, KINDS, oracle_ball, oracle_normal_form
@@ -412,3 +414,21 @@ def test_element_ne_is_not_eq(name):
             assert (a != b) is (not (a == b))
             assert (b != a) is (not (b == a))
     assert any(a == b and a is not b for a in elements for b in elements)
+
+
+@pytest.mark.parametrize("name", sorted(KINDS))
+def test_group_json_round_trip(name):
+    """Every kind reads back from its JSON as the same group: the same
+    generator displays, and the same canonical form of seeded random words."""
+    group = KINDS[name]()
+    blob = json.loads(json.dumps(jsonio.group_to_json(group)))
+    back = jsonio.group_from_json(blob)
+    assert type(back) is type(group)
+    assert [g.display for g in back.generators] == [g.display for g in group.generators]
+    assert jsonio.group_to_json(back) == blob
+    rng = random.Random(name)
+    letters = list(group.nonidentity_ids)
+    for _ in range(40):
+        word = [rng.choice(letters) for _ in range(rng.randint(0, 10))]
+        assert (back.format_element(canonical_form(back, word))
+                == group.format_element(canonical_form(group, word)))

@@ -78,8 +78,8 @@ PUBLIC = """
     PAPER_EXAMPLE_PARAMS PathMachine PathRun Pattern PatternCoding
     RewritingGroup Satisfiable SimulationBundle SubshiftSpec UndeterminedError
     Unsatisfiable UnsupportedGroupError UserSftCover VisitMachine WindowedA1
-    XTimeParams acceptance_bound apply_block_code ball bs_group build_m_path
-    build_m_visit build_oracle_simulator build_simulation build_u_rules
+    XTimeParams acceptance_bound apply_block_code ball bs_group
+    build_simulation build_u_rules
     build_wrapped_machine builtin_amenable_witness builtin_delone builtin_mirror
     builtin_one_or_less canonical_form check_consistency classical_accept_all
     classical_contains_entry classical_query_word coding coding_length
@@ -91,7 +91,7 @@ PUBLIC = """
     locally_admissible oplus_positions pattern_of projective_window_admissible
     retarget_generators run_accepts run_multihead simulate_with_balls
     solve_word_problem step_moving time_value translate_pattern
-    union_window_admissible verify_reduction_window word_metric xtime_prefix
+    union_window_admissible verify_reduction_window xtime_prefix
     xtime_symbol
 """.split()
 

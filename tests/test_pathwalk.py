@@ -9,14 +9,13 @@ from groupshift import (
     Alphabet,
     Exhausted,
     MalformedInputError,
+    OracleSimulator,
     Pattern,
     PathMachine,
     PathRun,
     UnsupportedGroupError,
+    VisitMachine,
     ball,
-    build_m_path,
-    build_m_visit,
-    build_oracle_simulator,
     classical_accept_all,
     classical_contains_entry,
     classical_query_word,
@@ -33,7 +32,7 @@ BITS = Alphabet(("0", "1"))
 
 
 def test_build_m_path_shape(z):
-    spec = build_m_path(z)
+    spec = PathMachine(z).spec
     k = len(z.nonidentity_ids)
     assert len(spec.states) == 2 + 2 * k + 1          # I, B, arrows, dead
     assert len(spec.tape_alphabet) == (k + 2) * 2 * (k + 1)
@@ -344,12 +343,12 @@ def test_negative_depth_limit_is_malformed(z):
 
 def test_negative_ticks_are_malformed(z):
     with pytest.raises(MalformedInputError, match="ticks must be >= 0, got -2"):
-        build_m_visit(z).run(-2)
+        VisitMachine(z).run(-2)
 
 
 def test_negative_visit_budget_is_malformed(z):
     with pytest.raises(MalformedInputError, match="budget must be >= 0, got -1"):
-        build_m_visit(z).run_until_n(1, -1)
+        VisitMachine(z).run_until_n(1, -1)
 
 
 def test_gated_run_erases_dead_ends(f2):
@@ -400,22 +399,22 @@ def test_gated_run_completes_ball(group_name, depth, request):
 
 
 def test_visit_machine_f2_b1(f2):
-    vm = build_m_visit(f2)
+    vm = VisitMachine(f2)
     events = vm.run_until_n(1, 20_000)
     visited = {e.cell for e in events if e.kind == "visit" and e.n == 1}
     assert ball(f2, 1).elements <= visited
 
 
 def test_visit_machine_z2_b2(z2):
-    vm = build_m_visit(z2)
+    vm = VisitMachine(z2)
     events = vm.run_until_n(2, 200_000)
     visited = {e.cell for e in events if e.kind == "visit" and e.n == 2}
     assert ball(z2, 2).elements <= visited
 
 
 def test_visit_deterministic(z2):
-    a = build_m_visit(z2)
-    b = build_m_visit(z2)
+    a = VisitMachine(z2)
+    b = VisitMachine(z2)
     a.run(500)
     b.run(500)
     assert [(e.kind, e.n, e.cell) for e in a.events] == \
@@ -423,13 +422,13 @@ def test_visit_deterministic(z2):
 
 
 def test_visit_counter_tracks_value(z):
-    vm = build_m_visit(z)
+    vm = VisitMachine(z)
     vm.run_until_n(2, 50_000)
     assert vm.counter_value() == vm.n
 
 
 def test_visit_collision_reset(z):
-    vm = build_m_visit(z)
+    vm = VisitMachine(z)
     vm.run(50)
     # force the supervisor's collision branch directly: pretend layer 1
     # erased a counter cell
@@ -444,7 +443,7 @@ def test_visit_erased_counter_cell_resets_the_upper_layers(f2):
     dead end in the ticks a test affords, so layer 1 is swapped for a
     depth-1 run on F2, which erases its tip within a few steps, and n starts
     at 2, whose counter needs two path cells."""
-    vm = build_m_visit(f2)
+    vm = VisitMachine(f2)
     vm.layer1 = PathRun(vm.machine, depth_limit=1)
     vm.n = 2
     layer3 = vm.layer3
@@ -468,7 +467,7 @@ def test_visit_erased_counter_cell_resets_the_upper_layers(f2):
 
 
 def test_oracle_walk(f2):
-    sim = build_oracle_simulator(f2, classical_accept_all(), BITS)
+    sim = OracleSimulator(f2, classical_accept_all(), BITS)
     assert sim.oracle_answer(f2.parse_word("a a^-1"))
     assert not sim.oracle_answer(f2.parse_word("a"))
     assert sim.oracle_calls[-2:] == [
@@ -476,7 +475,7 @@ def test_oracle_walk(f2):
 
 
 def test_oracle_sim_accepts_immediately(z2):
-    sim = build_oracle_simulator(z2, classical_accept_all(), BITS)
+    sim = OracleSimulator(z2, classical_accept_all(), BITS)
     for pattern in (Pattern({}), Pattern({z2.identity: 1})):
         out = sim.run(pattern, 100)
         assert isinstance(out, Accepted)
@@ -485,7 +484,7 @@ def test_oracle_sim_accepts_immediately(z2):
 def test_oracle_sim_contains_entry(z2):
     word = z2.parse_word("x")
     m = classical_contains_entry(z2, word, "1")
-    sim = build_oracle_simulator(z2, m, BITS)
+    sim = OracleSimulator(z2, m, BITS)
     hit = sim.run(Pattern({z2.element(word): 1}), 5000)
     assert isinstance(hit, Accepted)
     miss = sim.run(Pattern({}), 5000)
@@ -495,19 +494,19 @@ def test_oracle_sim_contains_entry(z2):
 def test_oracle_sim_wrong_symbol_not_accepted(z2):
     word = z2.parse_word("x")
     m = classical_contains_entry(z2, word, "1")
-    sim = build_oracle_simulator(z2, m, BITS)
+    sim = OracleSimulator(z2, m, BITS)
     out = sim.run(Pattern({z2.element(word): 0}), 3000)
     assert isinstance(out, Exhausted)
 
 
 def test_oracle_sim_query_protocol(f2):
     yes = classical_query_word(f2, f2.parse_word("a a^-1"))
-    sim = build_oracle_simulator(f2, yes, BITS)
+    sim = OracleSimulator(f2, yes, BITS)
     assert isinstance(sim.run(Pattern({}), 300), Accepted)
     assert sim.oracle_calls[0][1] is True
 
     no = classical_query_word(f2, f2.parse_word("a b"))
-    sim2 = build_oracle_simulator(f2, no, BITS)
+    sim2 = OracleSimulator(f2, no, BITS)
     assert isinstance(sim2.run(Pattern({}), 300), Exhausted)
     assert sim2.oracle_calls[0][1] is False
 

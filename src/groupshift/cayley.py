@@ -257,17 +257,24 @@ class CayleyBall:
     def sorted_elements(self) -> list[Element]:
         return self._sorted
 
+    def undirected_edges(self) -> list[tuple[Element, int, Element]]:
+        """`edges` sorted by (g in shortlex order, s), without (g, s, h) when
+        some edge from h to g came first: the edges of the undirected graph."""
+        seen = set()
+        out = []
+        for g, s, h in sorted(self.edges,
+                              key=lambda t: (self.group.shortlex_key(t[0]), t[1])):
+            if (h, g) not in seen:
+                seen.add((g, h))
+                out.append((g, s, h))
+        return out
+
     def to_dot(self) -> str:
         fmt = self.group.format_element
         lines = ["graph cayley_ball {"]
         for e in self.sorted_elements():
             lines.append(f'  "{fmt(e)}";')
-        seen = set()
-        for g, s, h in sorted(self.edges,
-                              key=lambda t: (self.group.shortlex_key(t[0]), t[1])):
-            if (h, g) in seen:
-                continue
-            seen.add((g, h))
+        for g, s, h in self.undirected_edges():
             lines.append(f'  "{fmt(g)}" -- "{fmt(h)}" '
                          f'[label="{self.group.generators[s].display}"];')
         lines.append("}")

@@ -328,12 +328,7 @@ def delone_gen(group, n, radius, dot):
         for e, v in pat.sorted_items(group):
             label = group.format_element(e)
             lines.append(f'  "{label}" [fillcolor={colors[v]}];')
-        b = ball(group, radius)
-        seen = set()
-        for g, s, h in sorted(b.edges, key=lambda t: (group.shortlex_key(t[0]), t[1])):
-            if (h, g) in seen:
-                continue
-            seen.add((g, h))
+        for g, _, h in ball(group, radius).undirected_edges():
             lines.append(f'  "{group.format_element(g)}" -- "{group.format_element(h)}";')
         lines.append("}")
         text = "\n".join(lines)

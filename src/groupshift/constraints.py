@@ -2,17 +2,19 @@
 solver, behind `extendable`, `factor_window_admissible`,
 `ForbiddenFamily.violates` and `verify_reduction_window`.
 
-`ground` is the one grounding routine.  A window is levels of a base list
-of G cells, level-major: window cell j is base[j % width] on level
-j // width (a ball is one level).  A constraint comes as (g, z, allowed)
-cells, anchored at its first cell (g0, z0): each cell becomes the offset
-(g0^-1 * g, z - z0).  A G part g fits only if it lies in the base's
-difference set D = {c^-1 * c'}, its column {j: k}, base[j] * g = base[k],
-not empty; the rest are dropped, exactly on every kind.  Columns cost |base|
-products each until the base's size in offsets has been tried, then
-`differences` builds all of D.  Constraints with the same offsets and the
-same allowed sets but at one position merge into one taking the union
-there, which fires exactly when one of them would: the search is unchanged.
+`ground` is the one grounding routine and the one owner of the window
+layout: a window is `base` x `levels`, a list of G cells stacked
+level-major, so window cell j is base[j % width] on level j // width (a
+ball is one level), and `index` gives a base cell's place on level 0.  A
+constraint comes as (g, z, allowed) cells, anchored at its first cell
+(g0, z0): each cell becomes the offset (g0^-1 * g, z - z0).  A G part g
+fits only if it lies in the base's difference set D = {c^-1 * c'}, its
+column {j: k}, base[j] * g = base[k], not empty; the rest are dropped,
+exactly on every kind.  Columns cost |base| products each until the base's
+size in offsets has been tried, then `differences` builds all of D.
+Constraints with the same offsets and the same allowed sets but at one
+position merge into one taking the union there, which fires exactly when
+one of them would: the search is unchanged.
 
 The solver assigns the free cells in window order, so a placement becomes
 fully assigned exactly when its last cell in that order does, and that cell
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import UndeterminedError
 from .groups import Element, Group
@@ -49,9 +51,10 @@ Moves = dict[Element, dict[int, int]]
 
 @dataclass(frozen=True, eq=False)
 class CompiledWindow:
-    cells: tuple
-    index: Mapping[Hashable, int]
+    base: tuple[Element, ...]
+    index: Mapping[Element, int]  # base cell -> its index on level 0
     width: int  # cells per level
+    levels: int
     watch: tuple[tuple[Bucket, ...], ...]  # per cell: the placements it is last in
     always: bool
 
@@ -66,11 +69,11 @@ def differences(group: Group, base: Sequence[Element]) -> Moves:
     return moves
 
 
-def ground(group: Group, cells: Sequence[Hashable], base: Sequence[Element],
+def ground(group: Group, base: Sequence[Element],
            constraints: Iterable[Iterable[tuple[Element, int, frozenset[int]]]],
-           moves: Optional[Moves] = None) -> CompiledWindow:
+           levels: int = 1, moves: Optional[Moves] = None) -> CompiledWindow:
     """Compile every placement of the (g, z, allowed) constraints inside
-    `cells`, levels of `base`; `moves` is the base's `differences`, if known."""
+    `levels` levels of `base`; `moves` is the base's `differences`, if known."""
     at = {c: j for j, c in enumerate(base)}
     columns: Moves = {} if moves is None else moves
 
@@ -85,7 +88,6 @@ def ground(group: Group, cells: Sequence[Hashable], base: Sequence[Element],
         return columns.get(g, {})
 
     width = max(len(base), 1)
-    levels = len(cells) // width
     relative: dict[tuple[Element, Element], Optional[Element]] = {}  # None: not in D
     by_offsets: dict[tuple, list[tuple[frozenset[int], ...]]] = {}
     for con in constraints:
@@ -127,7 +129,7 @@ def ground(group: Group, cells: Sequence[Hashable], base: Sequence[Element],
                              for i, p in enumerate(zip(js, allowed)) if i != last)
                 filed[to[last][1]].setdefault(allowed[last], {}).setdefault(rest, span)
 
-    watch: list = [()] * len(cells)
+    watch: list = [()] * (len(base) * levels)
     for k, row in enumerate(filed):
         top = max((s for rests in row.values() for s in rests.values()), default=0)
         for z in range(levels):
@@ -135,8 +137,7 @@ def ground(group: Group, cells: Sequence[Hashable], base: Sequence[Element],
                 shared = tuple((a, bucket) for a, rests in row.items()
                                if (bucket := tuple(r for r, s in rests.items() if s <= z)))
             watch[z * width + k] = shared
-    return CompiledWindow(tuple(cells), {c: j for j, c in enumerate(cells)}, width,
-                          tuple(watch), always)
+    return CompiledWindow(tuple(base), at, width, levels, tuple(watch), always)
 
 
 def _merged(rows: list[tuple[frozenset[int], ...]]) -> list[tuple[frozenset[int], ...]]:
@@ -179,7 +180,7 @@ def solve(window: CompiledWindow, fixed: Mapping[int, int], n_symbols: int,
     if window.always:
         return None
     width = window.width
-    val = [-1] * len(window.cells)
+    val = [-1] * len(window.watch)
     for j, s in fixed.items():
         val[j] = s
     # the caller's placements and those whose last cell is fixed: check the

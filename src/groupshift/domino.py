@@ -8,9 +8,12 @@ sets so the emitted family sizes match their closed forms exactly; a fully
 expanded concrete-pattern representation would multiply the counts by every
 wildcard dimension.
 
-`ComponentAlphabet` is the one codec of cells.  `verify_reduction_window`
-grounds the instance (each cell requirement as the symbol codes it allows)
-once per base cell of its level-major G x Z window by `constraints.ground`.
+`ComponentAlphabet` is the one codec of cells, and `headless_copy` the one
+builder of the copy rule A2, shared with the simulation bundle.
+`verify_reduction_window` hands `constraints.ground` the instance (each cell
+requirement as the symbol codes it allows), the ball B_radius as the base
+and height + 1 levels; `ground` owns the window's layout, so the origin is
+the identity's index and the witness is read back by level arithmetic.
 `grounded_violations` is the one uncompiled scan, behind
 `URuleSet.check_window` and the tests' oracle.
 """
@@ -244,16 +247,7 @@ def compile_domino(group: Group, machine: GMachineSpec,
     blank = machine.blank
     up = GOffset(group.identity, 1)
     here = GOffset(group.identity, 0)
-    cons: list[DominoConstraint] = []
-
-    # A2: no head -> the symbol may not change
-    for a in range(len(sigma)):
-        for b in range(len(sigma)):
-            if a != b:
-                cons.append(DominoConstraint(
-                    (here, up),
-                    (alphabet.require(sym=a, state=0), alphabet.require(sym=b)),
-                    "A2"))
+    cons = headless_copy(group, alphabet, SYM, STATE)
     # A3 = B1 u B2, one pair of rules per delta entry
     for (a, q), (b, r, s) in machine.delta.items():
         base = alphabet.require(sym=a, state=q + 1)
@@ -302,6 +296,17 @@ def compile_domino(group: Group, machine: GMachineSpec,
     origin[alphabet.index(STATE)] = 1
     origin[alphabet.index(STAR)] = 1
     return DominoInstance(group, alphabet, tuple(cons), tuple(origin))
+
+
+def headless_copy(group: Group, alphabet: ComponentAlphabet, symbol: str,
+                  head: str) -> list[DominoConstraint]:
+    """A2: a cell whose `head` component is 0 keeps its `symbol` component
+    one level up; one rule per pair of distinct symbols."""
+    here, up = GOffset(group.identity, 0), GOffset(group.identity, 1)
+    n = len(alphabet.values(symbol))
+    return [DominoConstraint((here, up), (alphabet.require(**{symbol: a, head: 0}),
+                                          alphabet.require(**{symbol: b})), "A2")
+            for a in range(n) for b in range(n) if a != b]
 
 
 def free_product_layer(h: FiniteGroup, base: DominoInstance) -> DominoInstance:
@@ -353,12 +358,6 @@ class Unsatisfiable:
 VerifyOutcome = Union[Satisfiable, Unsatisfiable]
 
 Cell = tuple[Element, int]
-
-
-def window_cells(instance: DominoInstance, radius_g: int, height_z: int) -> list[Cell]:
-    """Level-major window: each level is a ball of the G part, bottom first."""
-    base = ball(instance.g_group, radius_g).sorted_elements()
-    return [(g, z) for z in range(height_z + 1) for g in base]
 
 
 def _require_g_offsets(con: DominoConstraint) -> None:
@@ -414,20 +413,19 @@ def verify_reduction_window(
     """
     require_nonnegative("height", height_z)
     group, alphabet = instance.g_group, instance.alphabet
-    cells = window_cells(instance, radius_g, height_z)
-    base = [g for g, z in cells if z == 0]
-    window = ground(group, cells, base, _indexed_constraints(alphabet, instance.constraints))
-    fixed = {}
-    if instance.origin_symbol is not None:
-        fixed[window.index[(group.identity, 0)]] = alphabet.code(instance.origin_symbol)
+    window = ground(group, ball(group, radius_g).sorted_elements(),
+                    _indexed_constraints(alphabet, instance.constraints), height_z + 1)
+    origin = instance.origin_symbol
+    fixed = {} if origin is None else {window.index[group.identity]: alphabet.code(origin)}
     val = solve(window, fixed, alphabet.size(), budget)
     if val is None:
         return Unsatisfiable()
     product = instance.product_group()
     line = product.factors[1]  # levels are 0..height_z, powers of its generator
     symbol = functools.cache(alphabet.symbol)
+    cells = itertools.product(range(window.levels), window.base)  # level-major
     return Satisfiable(Pattern({product.pair([g, line.element((1,) * z)]): symbol(v)
-                                for (g, z), v in zip(window.cells, val)}))
+                                for (z, g), v in zip(cells, val)}))
 
 
 def _indexed_constraints(alphabet: ComponentAlphabet,

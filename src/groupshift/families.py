@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import itertools
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
 from .errors import BallBudgetError, MalformedInputError, UnsupportedGroupError, require_nonnegative
 from .cayley import BallTable, ball, disjoint_ball_sequences
@@ -12,23 +12,25 @@ from .patterns import Alphabet, Pattern
 from .subshifts import ForbiddenFamily, GeneratedFamily, SubshiftSpec
 
 
+def _two_cell(group: Group, radius: int, first: Sequence[int],
+              second: Sequence[int]) -> Iterator[Pattern]:
+    """{1: s, c: t} for each c != 1 of B_radius in shortlex order, s in
+    `first` and t in `second`."""
+    for cell in ball(group, radius).sorted_elements():
+        if cell != group.identity:
+            for s in first:
+                for t in second:
+                    yield Pattern({group.identity: s, cell: t})
+
+
 def builtin_one_or_less(group: Group, k: int = 1) -> SubshiftSpec:
     """Configurations with at most one nonzero cell; alphabet {0} u {1..k}."""
     if k < 1:
         raise MalformedInputError("one-or-less requires k >= 1")
     alphabet = Alphabet(tuple(str(i) for i in range(k + 1)))
     nonzero = range(1, k + 1)
-
-    def gen(g: Group, radius: int) -> Iterable[Pattern]:
-        for cell in ball(g, radius).sorted_elements():
-            if cell == g.identity:
-                continue
-            for s in nonzero:
-                for t in nonzero:
-                    yield Pattern({g.identity: s, cell: t})
-
-    family = GeneratedFamily(gen, name=f"one_or_less_{k}")
-    return SubshiftSpec(alphabet, group, family)
+    return SubshiftSpec(alphabet, group, GeneratedFamily(
+        lambda g, radius: _two_cell(g, radius, nonzero, nonzero), name=f"one_or_less_{k}"))
 
 
 MIRROR_WHITE, MIRROR_BLACK, MIRROR_RED = 0, 1, 2
@@ -97,13 +99,7 @@ class DeloneFamily(ForbiddenFamily):
         self.n = n
 
     def patterns_up_to(self, group: Group, radius: int) -> list[Pattern]:
-        out = []
-        for cell in ball(group, min(radius, self.n)).sorted_elements():
-            if cell == group.identity:
-                continue
-            for v in (0, 1):
-                out.append(Pattern({group.identity: 1, cell: v}))
-        return out
+        return list(_two_cell(group, min(radius, self.n), (1,), (0, 1)))
 
     def violates(self, group: Group, x: Pattern) -> bool:
         if self._violates_guard(group, x):
@@ -220,23 +216,15 @@ def builtin_amenable_witness(group: Group, n_max: int) -> SubshiftSpec:
     gs, hs = disjoint_ball_sequences(group, n_max)
 
     def gen(g: Group, radius: int) -> Iterable[Pattern]:
+        yield from _two_cell(g, radius, (2,), (2,))
         window = ball(g, radius)
-        for cell in window.sorted_elements():
-            if cell == g.identity:
-                continue
-            yield Pattern({g.identity: 2, cell: 2})
+        # {1}, g_n B_n and h_n B_n are disjoint: each pattern has three cells
         for n in range(n_max + 1):
             for b in ball(g, n).sorted_elements():
                 left = g.multiply(gs[n], b)
                 right = g.multiply(hs[n], b)
-                if left not in window or right not in window:
-                    continue
-                for s in range(3):
-                    for t in range(3):
-                        if s == t:
-                            continue
-                        if left == g.identity or right == g.identity:
-                            continue
+                if left in window and right in window:
+                    for s, t in itertools.permutations(range(3), 2):
                         yield Pattern({g.identity: 2, left: s, right: t})
 
     family = GeneratedFamily(gen, name=f"amenable_witness_{n_max}")

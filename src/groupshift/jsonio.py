@@ -2,7 +2,8 @@
 emitted constraint systems, plus the reproducible run manifest.
 
 Every `*_from_json` decoder raises MalformedInputError when its input lacks
-a key, holds a value of the wrong type or shape, or names one thing twice:
+a key, holds a value of the wrong type or shape (a count or offset that is
+a float or a boolean, which `int` would truncate), or names one thing twice:
 a pattern giving one element two symbols, or a machine with two rules for
 one (read, state).  `domino.ComponentAlphabet` spells the cells of emitted
 constraints in value labels, and an origin symbol as one label per component.
@@ -56,6 +57,13 @@ def _decoder(fn):
     return decode
 
 
+def _integer(value: Any) -> int:
+    """A count or offset: a JSON integer or a string spelling one, never truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise MalformedInputError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 # -- groups --------------------------------------------------------------------
 
 
@@ -63,11 +71,11 @@ def _decoder(fn):
 def group_from_json(obj: Mapping[str, Any]) -> Group:
     kind = obj.get("kind")
     if kind == "free":
-        return FreeGroup(int(obj["rank"]), obj.get("names"))
+        return FreeGroup(_integer(obj["rank"]), obj.get("names"))
     if kind == "free_abelian":
-        return FreeAbelianGroup(int(obj["rank"]), obj.get("names"))
+        return FreeAbelianGroup(_integer(obj["rank"]), obj.get("names"))
     if kind == "bs":
-        return BaumslagSolitarGroup(int(obj["n"]))
+        return BaumslagSolitarGroup(_integer(obj["n"]))
     if kind == "finite":
         return FiniteGroup(obj["table"], obj.get("names"))
     if kind == "direct_product":
@@ -169,13 +177,13 @@ def subshift_from_json(obj: Mapping[str, Any]) -> SubshiftSpec:
     if kind == "builtin":
         name = forb.get("name")
         if name == "one_or_less":
-            return builtin_one_or_less(group, int(forb.get("k", 1)))
+            return builtin_one_or_less(group, _integer(forb.get("k", 1)))
         if name == "mirror":
             return builtin_mirror(group)
         if name == "delone":
-            return builtin_delone(group, int(forb["n"]))
+            return builtin_delone(group, _integer(forb["n"]))
         if name == "amenable_witness":
-            return builtin_amenable_witness(group, int(forb["n_max"]))
+            return builtin_amenable_witness(group, _integer(forb["n_max"]))
         raise MalformedInputError(f"unknown builtin family {name!r}")
     raise MalformedInputError(f"unknown forbidden kind {kind!r}")
 
@@ -277,7 +285,7 @@ def cover_from_json(obj: Mapping[str, Any]) -> UserSftCover:
         cells = tuple(c["cells"])
         if not all(isinstance(cell, Mapping) for cell in cells):
             raise MalformedInputError("cover cells must be {component: [labels]}")
-        cons.append((tuple((s["g"], int(s["dz"])) for s in c["support"]), cells))
+        cons.append((tuple((s["g"], _integer(s["dz"])) for s in c["support"]), cells))
     return UserSftCover(tuple(obj["values"]), tuple(cons))
 
 
@@ -289,12 +297,12 @@ def instance_from_json(obj: Mapping[str, Any]) -> DominoInstance:
         (name, tuple(vals)) for name, vals in obj["alphabet"]))
     # each distinct G offset and cell requirement is decoded once
     g_offset = functools.cache(
-        lambda word, dz: GOffset(group.element(group.parse_word(word)), int(dz)))
+        lambda word, dz: GOffset(group.element(group.parse_word(word)), dz))
     requirement = functools.cache(lambda cell: alphabet.requirement(dict(cell)))
     cons = []
     for c in obj["forbidden"]:
-        support = tuple(HOffset(int(off["h"])) if "h" in off else g_offset(off["g"], off["dz"])
-                        for off in c["support"])
+        support = tuple(HOffset(_integer(off["h"])) if "h" in off
+                        else g_offset(off["g"], _integer(off["dz"])) for off in c["support"])
         cells = tuple(requirement(tuple((name, tuple(v) if isinstance(v, list) else v)
                                         for name, v in cell.items())) for cell in c["cells"])
         cons.append(DominoConstraint(support, cells, c["tag"]))

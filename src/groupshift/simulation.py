@@ -25,6 +25,7 @@ from .domino import (
     DominoConstraint,
     GOffset,
     grounded_violations,
+    headless_copy,
 )
 
 MAX_PREFIX = 1_000_000
@@ -180,10 +181,6 @@ class URuleSet:
     params: XTimeParams
     alphabet: ComponentAlphabet
     constraints: tuple[DominoConstraint, ...]
-    window_radius: int
-
-    def tape_value(self, label: str) -> int:
-        return self.alphabet.value_index(TAPE, label)
 
     def check_window(self, assign: Mapping[tuple[Element, int], tuple[int, int]]
                      ) -> list[str]:
@@ -196,11 +193,8 @@ class URuleSet:
     def delone_hook_violations(
         self, assign: Mapping[tuple[Element, int], tuple[int, int]]
     ) -> list[str]:
-        levels = {z for (_, z) in assign}
-        if not levels:
-            return []
-        star = self.tape_value(STAR)
-        top = max(levels)
+        star = self.alphabet.value_index(TAPE, STAR)
+        top = max((z for _, z in assign), default=0)
         out = []
         field_ci = self.alphabet.index(FIELD)
         for (g, z), sym in assign.items():
@@ -266,7 +260,7 @@ def build_u_rules(group: Group, params: XTimeParams,
             (here, GOffset(group.identity, m)),
             (alphabet.require(tape={star_val}), alphabet.require(tape=others)),
             "clock_determinism"))
-    return URuleSet(group, params, alphabet, tuple(cons), window_radius)
+    return URuleSet(group, params, alphabet, tuple(cons))
 
 
 # -- the wrapped machine -------------------------------------------------------
@@ -529,14 +523,7 @@ def build_simulation(group: Group, m_x: GMachineSpec, abar_label: str,
         DominoConstraint((here,), (alphabet.require(work=a, head=k),), "ending")
         for a in range(n_work))
 
-    transition: list[DominoConstraint] = []
-    for a in range(n_work):
-        for b in range(n_work):
-            if a != b:
-                transition.append(DominoConstraint(
-                    (here, up),
-                    (alphabet.require(head=0, work=a), alphabet.require(work=b)),
-                    "A2"))
+    transition = headless_copy(group, alphabet, WORK, HEAD)
     live = frozenset({1, 2})
     all_heads = frozenset(range(k + 1))
     all_work = frozenset(range(n_work))

@@ -55,7 +55,7 @@ class ForbiddenFamily:
         cells = list(x.assignment)
         moves = differences(group, cells)
         diameter = max((distance_from_identity(group, g) for g in moves), default=0)
-        window = ground(group, cells, cells, _constraints(self, group, diameter), moves)
+        window = ground(group, cells, _constraints(self, group, diameter), moves=moves)
         fixed = dict(enumerate(x.assignment.values()))
         return solve(window, fixed, n_symbols=0, budget=0) is None
 
@@ -178,7 +178,7 @@ def _semantic_check(spec: SubshiftSpec,
         return None
 
     def accept(val: list[int]) -> bool:
-        total = Pattern(dict(zip(window.cells, val)))
+        total = Pattern(dict(zip(window.base, val)))
         return not spec.forbidden.violates(spec.group, total)
     return accept
 
@@ -189,7 +189,7 @@ def _compile_ball(family: ForbiddenFamily, group: Group, radius: int,
     whose cells are numbered `first` (cells of B_radius) then the rest in
     shortlex order."""
     cells = list(dict.fromkeys([*first, *ball(group, radius).sorted_elements()]))
-    return ground(group, cells, cells, _constraints(family, group, max(2 * radius, 1)))
+    return ground(group, cells, _constraints(family, group, max(2 * radius, 1)))
 
 
 def _constraints(family: ForbiddenFamily, group: Group, diameter: int):

@@ -136,6 +136,13 @@ def brute_force_factor(y, spec, code, radius):
     return False
 
 
+def window_cells(instance, radius_g, height_z):
+    """The (g, level) cells of a G x Z window of `verify_reduction_window`,
+    level-major: each level is B_radius_g in shortlex order, bottom first."""
+    base = ball(instance.g_group, radius_g).sorted_elements()
+    return [(g, z) for z in range(height_z + 1) for g in base]
+
+
 @pytest.fixture(scope="session")
 def f2():
     return free_group(2)

@@ -54,11 +54,12 @@ from groupshift import (
     xtime_symbol,
 )
 from groupshift.cayley import enumerate_words
-from groupshift.domino import grounded_violations, window_cells
+from groupshift.domino import grounded_violations
 from groupshift.groups import FreeAbelianGroup, RewritingGroup
 from groupshift.pathwalk import PathMachine, PathRun, VisitMachine
 from groupshift.simulation import build_simulation, build_u_rules
 
+from tests.conftest import window_cells
 from tests.test_cayley import brute_ball_f2, brute_ball_z2
 from tests.test_machines import SIGMA, machine, random_machine
 from tests.test_patterns import all_completions

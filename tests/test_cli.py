@@ -91,6 +91,29 @@ def test_ball_and_dot(runner, tmp_path):
     assert "graph cayley_ball" in res.output
 
 
+C3_GROUP = {"kind": "finite", "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}
+
+
+@pytest.mark.parametrize("group,argv,dot", [
+    # every element of C3 is a generator, so B_1 holds the edge t1 -- t2
+    # and the reverse of each edge, which is drawn once
+    (C3_GROUP, ["ball", "-n", "1"],
+     'graph cayley_ball {\n  "e";\n  "t1";\n  "t2";\n  "e" -- "t1" [label="t1"];\n'
+     '  "e" -- "t2" [label="t2"];\n  "t1" -- "t2" [label="t1"];\n}\n'),
+    (Z_GROUP, ["delone", "gen", "-n", "1", "--radius", "4"],
+     'graph delone {\n  node [style=filled];\n  "e" [fillcolor=black];\n'
+     '  "a" [fillcolor=green];\n  "a^-1" [fillcolor=green];\n  "a^2" [fillcolor=white];\n'
+     '  "a^-2" [fillcolor=white];\n  "a^3" [fillcolor=green];\n  "a^-3" [fillcolor=green];\n'
+     '  "a^4" [fillcolor=black];\n  "a^-4" [fillcolor=black];\n  "e" -- "a";\n'
+     '  "e" -- "a^-1";\n  "a" -- "a^2";\n  "a^-1" -- "a^-2";\n  "a^2" -- "a^3";\n'
+     '  "a^-2" -- "a^-3";\n  "a^3" -- "a^4";\n  "a^-3" -- "a^-4";\n}\n'),
+], ids=["ball-c3", "delone-gen-z"])
+def test_dot_output_is_pinned(runner, tmp_path, group, argv, dot):
+    g = write(tmp_path, "g.json", group)
+    res = runner.invoke(main, argv + ["--group", g, "--dot"], standalone_mode=False)
+    assert res.exit_code == 0 and res.output == dot
+
+
 def test_words_and_sequences(runner, tmp_path):
     g = write(tmp_path, "g.json", Z_GROUP)
     res = runner.invoke(main, ["words", "--group", g, "--max-len", "1"],
@@ -162,6 +185,23 @@ def test_subshift_check_amenable_witness_on_bs12(runner, tmp_path):
         "forbidden": {"kind": "builtin", "name": "amenable_witness", "n_max": 1}})
     p = write(tmp_path, "p.json",
               {"support": [["", "2"], ["b a a", "0"], ["a a a a b^-1", "1"]]})
+    res = runner.invoke(main, ["subshift", "check", "--spec", spec, "--pattern", p,
+                               "--format", "json"], standalone_mode=False)
+    assert res.exit_code == 1 and json.loads(res.output)["admissible"] is False
+
+
+@pytest.mark.parametrize("group,forbidden,alphabet,support", [
+    ({"kind": "free_abelian", "rank": 2}, {"name": "mirror"}, ["white", "black", "red"],
+     [["", "white"], ["y", "red"]]),
+    (Z_GROUP, {"name": "delone", "n": 1}, ["0", "1", "2"], [["", "1"], ["a", "0"]]),
+], ids=["mirror", "delone"])
+def test_subshift_check_builtin_spec_json(runner, tmp_path, group, forbidden, alphabet,
+                                          support):
+    """A red cell above a white one breaks the mirror shift's columns, and a
+    1 next to a 0 breaks the Delone halo: both examples are inadmissible."""
+    spec = write(tmp_path, "spec.json", {"alphabet": alphabet, "group": group,
+                                         "forbidden": {"kind": "builtin", **forbidden}})
+    p = write(tmp_path, "p.json", {"support": support})
     res = runner.invoke(main, ["subshift", "check", "--spec", spec, "--pattern", p,
                                "--format", "json"], standalone_mode=False)
     assert res.exit_code == 1 and json.loads(res.output)["admissible"] is False
@@ -291,6 +331,22 @@ def test_machine_simulate_balls(runner, tmp_path):
                                "--machine", m, "--coding", bad],
                         standalone_mode=False)
     assert res.exit_code == 0 and "inconsistent" in res.output
+
+
+def test_machine_simulate_balls_budget_exits_3(runner, tmp_path):
+    """A machine that never accepts, on a consistent coding, runs out of
+    its step budget: undetermined, with no node count."""
+    g = write(tmp_path, "g.json", BS_GROUP)
+    m = write(tmp_path, "m.json", {
+        "states": ["q"], "accepting": [], "alphabet": ["_", "0", "1"], "blank": "_",
+        "delta": [{"read": s, "state": "q", "write": s, "next": "q", "move": ""}
+                  for s in ["_", "0", "1"]],
+    })
+    c = write(tmp_path, "c.json", CONSISTENT_CODING)
+    res = runner.invoke(main, ["machine", "simulate-balls", "--group", g, "--machine", m,
+                               "--coding", c, "--budget", "50", "--format", "json"],
+                        standalone_mode=False)
+    _assert_undetermined(res)
 
 
 def test_machine_oracle_sim(runner, tmp_path):
@@ -735,6 +791,55 @@ def test_cover_offsets_decode_to_integers(runner, tmp_path):
     a1 = [c for c in forbidden if c["tag"] == "A1"]
     assert [off["dz"] for off in a1[0]["support"]] == [0, 0]
     assert a1[0]["cells"] == [{"cover": ["h"]}, {"cover": ["l"]}]
+
+
+def _number_site(runner, tmp_path, site, value):
+    """The command line whose JSON holds `value` at `site`."""
+    pattern = write(tmp_path, "p.json", {"support": [["", "1"]]})
+    if site in ("free.rank", "free_abelian.rank", "bs.n"):
+        kind, key = site.split(".")
+        g = write(tmp_path, "g.json", {"kind": kind, key: value})
+        return ["wp", "--group", g, "--word", "a"]
+    if site in ("one_or_less.k", "delone.n", "amenable_witness.n_max"):
+        name, key = site.split(".")
+        spec = write(tmp_path, "spec.json", {
+            "alphabet": ["0", "1", "2"], "group": Z_GROUP,
+            "forbidden": {"kind": "builtin", "name": name, key: value}})
+        return ["subshift", "check", "--spec", spec, "--pattern", pattern]
+    g = write(tmp_path, "z.json", Z_GROUP)
+    m = write(tmp_path, "m.json", MOVE_RIGHT)
+    if site == "cover.dz":
+        cover = write(tmp_path, "cover.json", {"values": ["l", "h"], "constraints": [
+            {"support": [{"g": "", "dz": value}, {"g": "a", "dz": 0}],
+             "cells": [{"cover": ["h"]}, {"cover": ["l"]}]}]})
+        return ["compile", "domino", "--group", g, "--machine", m, "--a1", f"cover:{cover}"]
+    inst = str(tmp_path / "inst.json")
+    extra = ["--free-product", write(tmp_path, "c2.json", {
+        "kind": "finite", "table": [[0, 1], [1, 0]]})] if site == "instance.h" else []
+    res = runner.invoke(main, ["compile", "domino", "--group", g, "--machine", m,
+                               "--a1", "windowed:1", "-o", inst] + extra,
+                        standalone_mode=False)
+    assert res.exit_code == 0
+    blob = json.loads(Path(inst).read_text())
+    key = site.split(".")[1]
+    offset = next(off for c in blob["forbidden"] for off in c["support"] if key in off)
+    offset[key] = value
+    return ["verify", "window", "--instance", write(tmp_path, "bad.json", blob),
+            "--radius", "1", "--height", "1"]
+
+
+@pytest.mark.parametrize("value", [1.5, True], ids=["float", "bool"])
+@pytest.mark.parametrize("site", [
+    "free.rank", "free_abelian.rank", "bs.n", "one_or_less.k", "delone.n",
+    "amenable_witness.n_max", "cover.dz", "instance.dz", "instance.h"])
+def test_json_count_that_is_not_an_integer_exits_2(runner, tmp_path, monkeypatch, capsys,
+                                                   site, value):
+    """A count or offset given as a float or a boolean is malformed, where
+    `int` would quietly truncate it."""
+    argv = _number_site(runner, tmp_path, site, value)
+    code, out = _run_main_exit(monkeypatch, capsys, argv)
+    assert code == 2
+    assert out.err == f"error: expected an integer, got {value!r}\n"
 
 
 def _leaf_commands(group, path=()):

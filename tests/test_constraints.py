@@ -24,6 +24,7 @@ from .conftest import (
     MAX_RADIUS,
     brute_force_extendable,
     finite_specs,
+    window_cells,
 )
 from .test_machines import machine as criterion_machine
 from hypothesis import assume, given, settings, strategies as st
@@ -50,7 +51,7 @@ from groupshift import (
 )
 from groupshift import constraints, domino
 from groupshift.constraints import ground, solve
-from groupshift.domino import grounded_violations, window_cells
+from groupshift.domino import grounded_violations
 from groupshift.groups import FreeAbelianGroup, bs_group, free_group
 
 ZLINE = GROUPS["z"]
@@ -206,7 +207,7 @@ def test_empty_forbidden_pattern_always_fires():
     for radius in (0, 2):
         assert not extendable(Pattern({}), spec, radius)
         assert not brute_force_extendable(Pattern({}), spec, radius)
-    window = ground(ZLINE, [ZLINE.identity], [ZLINE.identity], [[]])
+    window = ground(ZLINE, [ZLINE.identity], [[]])
     assert solve(window, {}, 2, budget=10) is None
 
 
@@ -216,7 +217,7 @@ def test_compiled_window_cached_per_group_and_radius():
     assert family.compiled_window(ZLINE, 2) is family.compiled_window(ZLINE, 2)
     assert family.compiled_window(ZLINE, 1) is not family.compiled_window(ZLINE, 2)
     z2 = GROUPS["z2"]
-    assert family.compiled_window(z2, 2).cells == tuple(ball(z2, 2).sorted_elements())
+    assert family.compiled_window(z2, 2).base == tuple(ball(z2, 2).sorted_elements())
 
 
 def test_family_memo_lives_as_long_as_its_group():
@@ -346,7 +347,7 @@ def test_domino_window_drops_offsets_out_of_reach(monkeypatch, kind):
     instance = compile_domino(group, move_right, WindowedA1(8))
     assert isinstance(verify_reduction_window(instance, 3, 4), Unsatisfiable)
     window = grounded_window(monkeypatch, instance, 3, 4)
-    base = [g for g, _ in window.cells[:window.width]]
+    base = list(window.base)
     assert base == ball(group, 3).sorted_elements()
     longest = max(group.length_of(group.multiply(group.inverse_element(base[j % len(base)]),
                                                  base[k % len(base)]))
@@ -388,8 +389,9 @@ def test_ground_matches_brute_force_anchoring(kind, data):
                               z + dz - z0)), a) for g, dz, a in con]
             if all(j is not None for j, _ in at):
                 expected.add(frozenset(at))
-    window = ground(group, cells, base, cons)
-    assert window.cells == tuple(cells) and window.width == len(base)
+    window = ground(group, base, cons, levels)
+    assert window.base == tuple(base) and window.width == len(base)
+    assert window.levels == levels
     assert absolute_placements(window) == expected
 
 
@@ -454,10 +456,8 @@ def plane_window(width, levels, constraints):
     a^(width-1) of Z, window cell z * width + x holding (a^x, z)."""
     def power(x):
         return ZLINE.element((1,) * x if x >= 0 else (2,) * -x)
-    base = [power(x) for x in range(width)]
-    cells = [(g, z) for z in range(levels) for g in base]
-    return ground(ZLINE, cells, base,
-                  [[(power(x), z, a) for (x, z), a in con] for con in constraints])
+    return ground(ZLINE, [power(x) for x in range(width)],
+                  [[(power(x), z, a) for (x, z), a in con] for con in constraints], levels)
 
 
 @CHECKS

@@ -27,12 +27,11 @@ from groupshift.domino import (
     GOffset,
     HOffset,
     grounded_violations,
-    window_cells,
 )
 from groupshift import jsonio
 from groupshift.machines import trace_run
 
-from .conftest import CHECKS, KINDS
+from .conftest import CHECKS, KINDS, window_cells
 from .test_constraints import window_assignment
 
 SIGMA = Alphabet(("_", "1"))

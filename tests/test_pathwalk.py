@@ -24,7 +24,14 @@ from groupshift import (
 )
 from groupshift.groups import ConsWord, FreeAbelianGroup, RewritingGroup
 from groupshift.machines import trace_run
-from groupshift.pathwalk import _C1_START, _C2_MARK, _STATE_BACK, VisitEvent
+from groupshift.pathwalk import (
+    _C1_START,
+    _C2_MARK,
+    _STATE_BACK,
+    INPUT_BLANK,
+    ClassicalMachineSpec,
+    VisitEvent,
+)
 
 from .conftest import KINDS
 
@@ -479,6 +486,15 @@ def test_oracle_sim_accepts_immediately(z2):
     for pattern in (Pattern({}), Pattern({z2.identity: 1})):
         out = sim.run(pattern, 100)
         assert isinstance(out, Accepted)
+
+
+def test_oracle_sim_accepts_at_tick_0_when_the_start_state_accepts(z2):
+    start_accepts = ClassicalMachineSpec(
+        states=("yes",), accepting=frozenset({0}), input_tokens=(INPUT_BLANK,),
+        work_tokens=("_",), delta={})
+    sim = OracleSimulator(z2, start_accepts, BITS)
+    assert sim.run(Pattern({z2.identity: 1}), 10) == Accepted(0)
+    assert sim.oracle_calls == []
 
 
 def test_oracle_sim_contains_entry(z2):

@@ -146,6 +146,15 @@ def test_completion_membership_true(z_enumeration):
     assert frozenset(query.entries) in oracle
 
 
+def test_completion_rejects_a_repeated_word(z_enumeration):
+    # the member of test_completion_membership_true with "a" listed twice
+    group, enum = z_enumeration
+    a = group.parse_word("a")
+    query = coding(BITS, [((), 0), (a, 1), (group.parse_word("a^-1"), 0), (a, 1)])
+    assert query.words().count(a) == 2
+    assert not decidable_completion_contains(group, enum, query)
+
+
 def test_completion_rejects_long_query(z_enumeration):
     group, enum = z_enumeration
     query = coding(BITS, [((), 0), (group.parse_word("a"), 1),

@@ -277,6 +277,17 @@ def test_union_window(zline):
     assert union_window_admissible(Pattern({}), only0, only1, 1)
 
 
+@pytest.mark.parametrize("budget", range(5, 10))
+def test_union_answers_true_when_the_second_extends_after_an_overrun(zline, budget):
+    """Forbidding 0 costs two nodes per cell of B_2 (ten in all), so the
+    first search overruns; the full shift extends in five, within budget."""
+    no_zero = z_sft(zline, "0")
+    full = SubshiftSpec(BITS, zline, FiniteFamily(()))
+    with pytest.raises(UndeterminedError):
+        extendable(Pattern({}), no_zero, 2, budget)
+    assert union_window_admissible(Pattern({}), no_zero, full, 2, budget)
+
+
 def test_union_raises_the_first_overrun_when_the_second_fails(z2, monkeypatch):
     """The mirror shift's search on B_3 overruns a budget of 2 nodes, and a
     shift forbidding white at every cell rejects a white identity at once:

@@ -255,7 +255,7 @@ def compile_domino(group: Group, machine: GMachineSpec,
             if c != b:
                 cons.append(DominoConstraint(
                     (here, up), (base, alphabet.require(sym=c)), "B1"))
-        move_off = GOffset(group.element((s,)) if s else group.identity, 1)
+        move_off = GOffset(group.element((s,)), 1)
         for t in range(k + 1):
             if t != r + 1:
                 cons.append(DominoConstraint(

@@ -22,9 +22,12 @@ product and rewriting group has a root of its own, so its nodes are freed
 with it.  Hash-consing makes equal words of one root the same node, so a
 `ConsWord` is compared and hashed by identity, in C; keys of two groups
 with different roots never compare equal, and their hashes follow object
-addresses, not the string hash seed.  Only this module knows the
-representation: `key_letters` and `Group.word_of` are the way to read a
-key.
+addresses, not the string hash seed.
+
+Only this module knows the representation.  A kind supplies `identity_key`,
+`key_append`, `key_letters` (which reads a key) and its own left action
+(`frame_prepend`); multiply, inverse and length default to folds of the
+first three, and a kind may override them with a faster route.
 """
 
 from __future__ import annotations
@@ -156,12 +159,14 @@ class Group:
                 raise MalformedInputError(f"inverse of {g.display} is not an involution")
         self.identity = tuple.__new__(Element, (self.identity_key(),))
         self._display_to_id = {g.display: g.id for g in self.generators}
+        if len(self._display_to_id) != len(self.generators):
+            raise MalformedInputError(f"generator names repeat: {[g.display for g in self.generators]}")
         self.nonidentity_ids: tuple[int, ...] = tuple(
             g.id for g in self.generators if not g.is_identity)
         self._ball_table = None       # the cayley.BallTable, built by ball()
         self._ball_lock = threading.RLock()
 
-    # -- key algebra (implemented per kind) --------------------------------
+    # -- key algebra: kinds supply identity_key, key_append, key_letters ---
 
     def identity_key(self):
         raise NotImplementedError
@@ -176,10 +181,12 @@ class Group:
         raise NotImplementedError
 
     def key_multiply(self, a, b):
-        raise NotImplementedError
+        for letter in self.key_letters(b):
+            a = self.key_append(a, letter)
+        return a
 
     def key_inverse(self, a):
-        raise NotImplementedError
+        return self.key_of_letters(self.inverse_word(self.key_letters(a)))
 
     def key_letters(self, key) -> Letters:
         raise NotImplementedError
@@ -327,6 +334,8 @@ class FreeGroup(Group):
             raise MalformedInputError("free group rank must be >= 1")
         self.rank = rank
         names = list(names) if names else [_default_name(i) for i in range(rank)]
+        if len(names) != rank:
+            raise MalformedInputError(f"free group of rank {rank} given {len(names)} names")
         super().__init__(_paired_generators(names))
 
     def identity_key(self):
@@ -338,12 +347,6 @@ class FreeGroup(Group):
         if key.parent is not None and key.letter == self.generators[letter].inverse:
             return key.parent
         return key.push(letter)
-
-    def key_multiply(self, a: ConsWord, b: ConsWord) -> ConsWord:
-        key = a
-        for letter in b.letters():
-            key = self.key_append(key, letter)
-        return key
 
     def key_inverse(self, a: ConsWord) -> ConsWord:
         key = ConsWord.EMPTY
@@ -385,6 +388,8 @@ class FreeAbelianGroup(Group):
         self.rank = rank
         default = ["x", "y", "z"] + [f"x{i}" for i in range(3, rank)]
         names = list(names) if names else default[:rank]
+        if len(names) != rank:
+            raise MalformedInputError(f"free abelian group of rank {rank} given {len(names)} names")
         super().__init__(_paired_generators(names))
 
     def identity_key(self):
@@ -572,7 +577,7 @@ class FiniteGroup(Group):
             raise MalformedInputError("empty multiplication table")
         rows = [tuple(row) for row in table]
         for row in rows:
-            if len(row) != m or any(not 0 <= v < m for v in row):
+            if len(row) != m or any(type(v) is not int or not 0 <= v < m for v in row):
                 raise MalformedInputError("multiplication table is not square over 0..m-1")
         for i in range(m):
             if rows[0][i] != i or rows[i][0] != i:
@@ -654,6 +659,9 @@ class _ProductBase(Group):
         local = self._embedding[fi]
         return tuple(local[x] for x in word if x != 0)
 
+    def geodesic_normal_form(self) -> bool:
+        return all(f.geodesic_normal_form() for f in self.factors)
+
 
 def _name_clash(factors: Sequence[Group]) -> set[str]:
     seen: set[str] = set()
@@ -696,9 +704,6 @@ class DirectProductGroup(_ProductBase):
     def key_length(self, key) -> int:
         return sum(f.key_length(sub) for f, sub in zip(self.factors, key))
 
-    def frame_identity(self):
-        return tuple(f.frame_identity() for f in self.factors)
-
     def frame_prepend(self, letter: int, lkey):
         if letter == 0:
             return lkey
@@ -715,9 +720,6 @@ class DirectProductGroup(_ProductBase):
 
     def is_finite(self) -> bool:
         return all(f.is_finite() for f in self.factors)
-
-    def geodesic_normal_form(self) -> bool:
-        return all(f.geodesic_normal_form() for f in self.factors)
 
     def geodesics_extend(self) -> bool:
         return any(f.geodesics_extend() for f in self.factors)
@@ -800,9 +802,6 @@ class FreeProductGroup(_ProductBase):
         if len(nontrivial) >= 2:
             return False
         return all(f.is_finite() for f in self.factors)
-
-    def geodesic_normal_form(self) -> bool:
-        return all(f.geodesic_normal_form() for f in self.factors)
 
     def geodesics_extend(self) -> bool:
         # a rewriting factor's generators may all be trivial
@@ -952,9 +951,6 @@ class RewritingGroup(Group):
 
     def key_multiply(self, a: ConsWord, b: ConsWord):
         return self._rewrite(a, b.letters())
-
-    def key_inverse(self, a: ConsWord):
-        return self._rewrite(self._root, self.inverse_word(a.letters()))
 
     def key_letters(self, key: ConsWord) -> Letters:
         return key.letters()

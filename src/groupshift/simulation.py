@@ -1,6 +1,8 @@
 """The simulation-theorem bundle: the clock stream, its layered product
 rules, and the wrapped pattern-rejection machine compiled into forbidden
-families plus a one-block projection.
+families plus a one-block projection.  The bundle's alphabet extends the
+rules' (tape, field) alphabet by read, work and head; the rules' Delone
+hooks check each star level once per scale.
 
 The clock stream interleaves, for each scale n, every word u up to the
 scheduled length with a run of time(n) idle symbols between u and its
@@ -193,24 +195,22 @@ class URuleSet:
     def delone_hook_violations(
         self, assign: Mapping[tuple[Element, int], tuple[int, int]]
     ) -> list[str]:
+        """One report per (star level z, n) whose level z + k_n fails Y_n."""
+        tape_ci, field_ci = self.alphabet.index(TAPE), self.alphabet.index(FIELD)
         star = self.alphabet.value_index(TAPE, STAR)
-        top = max((z for _, z in assign), default=0)
-        out = []
-        field_ci = self.alphabet.index(FIELD)
+        levels, stars = {}, set()
         for (g, z), sym in assign.items():
-            if sym[self.alphabet.index(TAPE)] != star:
-                continue
-            n = 1
-            while True:
-                k_n = oplus_positions(self.group, self.params, n)
-                if z + k_n > top:
-                    break
-                slice_cells = {cell_g: s[field_ci]
-                               for (cell_g, zz), s in assign.items()
-                               if zz == z + k_n}
-                fam = DeloneFamily(n)
-                if fam.violates(self.group, Pattern(slice_cells)):
+            levels.setdefault(z, {})[g] = sym[field_ci]
+            if sym[tape_ci] == star:
+                stars.add(z)
+        top = max(levels, default=0)
+        out = []
+        for z in sorted(stars):
+            n, k_n = 1, 1
+            while z + k_n <= top:
+                if DeloneFamily(n).violates(self.group, Pattern(levels.get(z + k_n, {}))):
                     out.append(f"delone_hook(n={n})@z={z + k_n}")
+                k_n += block_length(self.group, self.params, n)
                 n += 1
         return out
 
@@ -466,11 +466,7 @@ class SimulationBundle:
 
     def phi_total(self) -> bool:
         n_read = len(self.final_alphabet.values(READ))
-        for symbol in self.final_alphabet.symbols():
-            v = self.phi(symbol)
-            if not 0 <= v < n_read:
-                return False
-        return True
+        return all(0 <= self.phi(s) < n_read for s in self.final_alphabet.symbols())
 
 
 def build_simulation(group: Group, m_x: GMachineSpec, abar_label: str,
@@ -487,9 +483,7 @@ def build_simulation(group: Group, m_x: GMachineSpec, abar_label: str,
     u_rules = build_u_rules(group, params, u_window_radius)
     k = len(wrapped.states)
     head_vals = tuple(str(i) for i in range(k + 1))
-    alphabet = ComponentAlphabet((
-        (TAPE, xtime_alphabet(group)),
-        (FIELD, ("0", "1", "2")),
+    alphabet = ComponentAlphabet(u_rules.alphabet.components + (
         (READ, pattern_alphabet.symbols),
         (WORK, wrapped.work_alphabet.symbols),
         (HEAD, head_vals)))
@@ -533,7 +527,7 @@ def build_simulation(group: Group, m_x: GMachineSpec, abar_label: str,
         if others_w:
             transition.append(DominoConstraint(
                 (here, up), (base, alphabet.require(work=others_w)), "B1"))
-        move_off = GOffset(group.element((s,)) if s else group.identity, 1)
+        move_off = GOffset(group.element((s,)), 1)
         others_h = all_heads - {r + 1}
         transition.append(DominoConstraint(
             (here, move_off), (base, alphabet.require(head=others_h)), "B2"))

@@ -842,6 +842,144 @@ def test_json_count_that_is_not_an_integer_exits_2(runner, tmp_path, monkeypatch
     assert out.err == f"error: expected an integer, got {value!r}\n"
 
 
+def _exit_and_error(tmp_path, monkeypatch, capsys, argv):
+    """Run `argv`, each JSON value in it written to a file first."""
+    argv = [a if isinstance(a, str) else write(tmp_path, f"arg{i}.json", a)
+            for i, a in enumerate(argv)]
+    code, out = _run_main_exit(monkeypatch, capsys, argv)
+    return code, out.err
+
+
+def _ball(group_obj):
+    return ["ball", "--group", group_obj, "-n", "1"]
+
+
+def _check(spec):
+    spec = {"alphabet": ["0", "1"], "group": Z_GROUP, **spec}
+    return ["subshift", "check", "--spec", spec, "--pattern", {"support": [["", "1"]]}]
+
+
+def _moving_by(word):
+    """MOVE_RIGHT with every move spelled `word`."""
+    return dict(MOVE_RIGHT, delta=[dict(rule, move=rule["move"] and word)
+                                   for rule in MOVE_RIGHT["delta"]])
+
+
+TABLE_3 = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+NO_PATTERNS = {"kind": "finite", "patterns": []}
+NO_RULES = {"kind": "rewriting", "generators": [], "rules": []}
+
+
+@pytest.mark.parametrize("argv,message", [
+    # a name two generators share, a name list that does not match the rank,
+    # and a table entry that is not an int would name another group than
+    # the JSON says, or crash
+    pytest.param(_ball({"kind": "free", "rank": 2, "names": ["a", "a"]}),
+                 "generator names repeat: ['e', 'a', 'a^-1', 'a', 'a^-1']",
+                 id="free-name-twice"),
+    pytest.param(["wp", "--group", {"kind": "free", "rank": 1, "names": ["e"]},
+                  "--word", "e"],
+                 "generator names repeat: ['e', 'e', 'e^-1']",
+                 id="free-name-e"),
+    pytest.param(_ball({"kind": "finite", "table": TABLE_3, "names": ["e", "t", "t"]}),
+                 "generator names repeat: ['e', 't', 't']",
+                 id="finite-name-twice"),
+    pytest.param(_ball({"kind": "free", "rank": 1, "names": ["x", "y"]}),
+                 "free group of rank 1 given 2 names",
+                 id="free-extra-name"),
+    pytest.param(["compile", "domino", "--machine", _moving_by("x"), "--group",
+                  {"kind": "free_abelian", "rank": 2, "names": ["x"]}],
+                 "free abelian group of rank 2 given 1 names",
+                 id="free-abelian-missing-name"),
+    pytest.param(_ball({"kind": "free_abelian", "rank": 1, "names": ["x", "y"]}),
+                 "free abelian group of rank 1 given 2 names",
+                 id="free-abelian-extra-name"),
+    pytest.param(_ball({"kind": "finite", "table": [[0, True], [True, 0]]}),
+                 "multiplication table is not square over 0..m-1",
+                 id="finite-bool-entry"),
+    pytest.param(_ball({"kind": "free", "rank": 0}), "free group rank must be >= 1",
+                 id="free-rank-0"),
+    pytest.param(_ball({"kind": "free_abelian", "rank": 0}),
+                 "free abelian rank must be >= 1",
+                 id="free-abelian-rank-0"),
+    pytest.param(_ball({"kind": "bs", "n": 1}), "BS(1, n) requires n >= 2",
+                 id="bs-n-1"),
+    pytest.param(_ball({"kind": "finite", "table": [[0, 1], [1]]}),
+                 "multiplication table is not square over 0..m-1",
+                 id="finite-ragged"),
+    pytest.param(_ball({"kind": "finite", "table": [[1, 0], [0, 1]]}),
+                 "row/column 0 must act as the identity",
+                 id="finite-no-identity"),
+    pytest.param(_ball({"kind": "finite", "table": [[0, 1], [1, 1]]}),
+                 "table has an element without inverse",
+                 id="finite-no-inverse"),
+    pytest.param(_ball({"kind": "finite", "table": [[0, 1, 2], [1, 0, 0], [2, 0, 0]]}),
+                 "table is not associative",
+                 id="finite-not-associative"),
+    pytest.param(_ball({"kind": "free_product", "factors": [Z_GROUP]}),
+                 "free product needs at least two factors",
+                 id="free-product-one-factor"),
+    pytest.param(_ball(dict(NO_RULES, generators=["a", "a^-1"], rules=[["", "a"]])),
+                 "rule with empty left-hand side",
+                 id="rewriting-empty-lhs"),
+    pytest.param(_ball(dict(NO_RULES, generators=["e"])),
+                 "'e' is reserved for the identity symbol",
+                 id="rewriting-e"),
+    pytest.param(_ball(dict(NO_RULES, generators=["a^-1"])),
+                 "inverse 'a^-1' without base generator",
+                 id="rewriting-inverse-without-base"),
+    pytest.param(_ball(dict(NO_RULES, generators=["a", "a"])),
+                 "generator list is inconsistent",
+                 id="rewriting-name-twice"),
+    pytest.param(_ball({"kind": "klein"}), "unknown group kind 'klein'",
+                 id="unknown-kind"),
+    pytest.param(["canon", "--group", F2_GROUP, "--word", "q^2"],
+                 "unknown generator 'q^2'",
+                 id="canon-unknown-generator"),
+    pytest.param(_check({"forbidden": {"kind": "builtin", "name": "zigzag"}}),
+                 "unknown builtin family 'zigzag'",
+                 id="unknown-builtin"),
+    pytest.param(_check({"forbidden": {"kind": "regular"}}),
+                 "unknown forbidden kind 'regular'",
+                 id="unknown-forbidden-kind"),
+    pytest.param(_check({"forbidden": {"kind": "builtin", "name": "one_or_less", "k": 0}}),
+                 "one-or-less requires k >= 1",
+                 id="one-or-less-k-0"),
+    pytest.param(_check({"forbidden": {"kind": "builtin", "name": "delone", "n": 0}}),
+                 "Delone parameter n must be >= 1",
+                 id="delone-n-0"),
+    pytest.param(_check({"alphabet": [], "forbidden": NO_PATTERNS}),
+                 "alphabet must have at least one symbol",
+                 id="empty-alphabet"),
+    pytest.param(_check({"alphabet": ["0", "0"], "forbidden": NO_PATTERNS}),
+                 "alphabet labels must be distinct",
+                 id="repeated-label"),
+    pytest.param(["subshift", "extend", "--spec",
+                  {"alphabet": ["0", "1"], "group": Z_GROUP, "forbidden": NO_PATTERNS},
+                  "--pattern", {"support": [["a a", "1"]]}, "--radius", "1"],
+                 "pattern support must lie inside B_radius",
+                 id="extend-outside-ball"),
+    pytest.param(["machine", "run", "--group", Z_GROUP, "--machine", _moving_by("a a"),
+                  "--pattern", {"support": [["", "1"]]}],
+                 "machine moves must be single generators",
+                 id="machine-two-letter-move"),
+    pytest.param(["machine", "path", "--group", NO_RULES, "--steps", "1"],
+                 "need at least one non-identity generator",
+                 id="path-no-generators"),
+    pytest.param(["xtime", "prefix", "--group", Z_GROUP, "-n", "1000001"],
+                 "prefix length capped at 1000000",
+                 id="xtime-prefix-cap"),
+    pytest.param(["xtime", "kpos", "--group", Z_GROUP, "-n", "0"], "n >= 1 required",
+                 id="xtime-kpos-0"),
+    pytest.param(["delone", "gen", "--group", Z_GROUP, "-n", "0", "--radius", "4"],
+                 "n must be >= 1",
+                 id="delone-gen-0"),
+])
+def test_malformed_input_message(tmp_path, monkeypatch, capsys, argv, message):
+    """Each malformed input exits 2 with the message that names its fault."""
+    assert _exit_and_error(tmp_path, monkeypatch, capsys, argv) == (2, f"error: {message}\n")
+
+
 def _leaf_commands(group, path=()):
     for name, cmd in group.commands.items():
         if isinstance(cmd, click.Group):

@@ -169,6 +169,20 @@ def test_u_delone_hook(z):
     assert not u.delone_hook_violations(window)
 
 
+def test_u_delone_hook_reports_each_star_level_once(z):
+    """A star row of 41 cells under one bad slice is one violation of the
+    (star level, n) pair, not one per star cell."""
+    params = XTimeParams(length_schedule=lambda n: 1, time_fn=lambda n: 1)
+    u = build_u_rules(z, params, 2)
+    window = {}
+    for i in range(-20, 21):
+        g = z.element((1,) * i if i >= 0 else (2,) * -i)
+        window[(g, 0)] = Sym(u, "*", 0)
+        window[(g, 1)] = Sym(u, "+", 2)  # no 1 anywhere
+    assert u.delone_hook_violations(window) == ["delone_hook(n=1)@z=1"]
+    assert u.check_window(window) == ["delone_hook(n=1)@z=1"]
+
+
 # -- the wrapped machine and the bundle -------------------------------------
 
 

@@ -84,9 +84,17 @@ class ConsWord:
     is referenced.  Words of two different roots never compare equal, so the
     keys of two free products or rewriting groups never do either, even for
     the same word.
+
+    A node keeps its word once the word has been read: `letters()` walks the
+    parent chain on its first call, up to the nearest ancestor whose word is
+    kept, and stores the tuple in `_word`, which later calls return.  That
+    costs one tuple per node whose word was read, and `push` stays O(1),
+    since nothing fills the slot but `letters()`.  The tuple holds only the
+    letters its chain already holds, so it keeps no node alive and is freed
+    with its node.
     """
 
-    __slots__ = ("parent", "letter", "length", "_kids")
+    __slots__ = ("parent", "letter", "length", "_kids", "_word")
 
     EMPTY: "ConsWord"
 
@@ -94,6 +102,7 @@ class ConsWord:
         self.parent = parent
         self.letter = letter
         self._kids: Optional[dict] = None
+        self._word: Optional[tuple] = None
         self.length = 0 if parent is None else parent.length + 1
 
     def push(self, letter) -> "ConsWord":
@@ -108,13 +117,16 @@ class ConsWord:
         return node
 
     def letters(self) -> tuple:
-        out = []
-        node = self
-        while node.parent is not None:
-            out.append(node.letter)
-            node = node.parent
-        out.reverse()
-        return tuple(out)
+        word = self._word
+        if word is None:
+            out = []
+            node = self
+            while node._word is None and node.parent is not None:
+                out.append(node.letter)
+                node = node.parent
+            out.reverse()
+            word = self._word = (node._word or ()) + tuple(out)
+        return word
 
     # a copy must be the node itself, or it would equal no key of its group
     def __copy__(self):
@@ -261,7 +273,7 @@ class Group:
         return self.key_length(e.key)
 
     def shortlex_key(self, e: Element) -> tuple[int, Letters]:
-        w = self.word_of(e)
+        w = self.key_letters(e.key)
         return (len(w), w)
 
     def format_element(self, e: Element) -> str:
@@ -598,6 +610,8 @@ class FiniteGroup(Group):
         self.table = rows
         if names is None:
             names = ["e"] + [f"t{i}" for i in range(1, m)]
+        elif len(names) != m:
+            raise MalformedInputError(f"finite group of order {m} given {len(names)} names")
         gens = [GeneratorSymbol(0, names[0], 0, is_identity=True)]
         for i in range(1, m):
             gens.append(GeneratorSymbol(i, names[i], inverses[i]))

@@ -23,6 +23,8 @@ from groupshift import (
     free_product,
 )
 from groupshift.cayley import distance_from_identity
+from groupshift.errors import MalformedInputError
+from groupshift.groups import FreeProductGroup
 
 
 # the groups of the small-window properties, and the largest radius per
@@ -173,6 +175,35 @@ def z4_rewriting():
 @pytest.fixture(scope="session")
 def z2xz2():
     return direct_product(cyclic_group(2), FreeAbelianGroup(1, names=["a"]))
+
+
+def oracle_letters(node):
+    """Oracle: a `ConsWord`'s word by a walk of its whole parent chain, with
+    no word kept on any node read or filled."""
+    out = []
+    while node.parent is not None:
+        out.append(node.letter)
+        node = node.parent
+    out.reverse()
+    return tuple(out)
+
+
+def oracle_word(group, e):
+    """Oracle: the canonical word of an element of a free group, a rewriting
+    group or a free product, whose syllables are spelled in their factors."""
+    syllables = oracle_letters(e.key)
+    if not isinstance(group, FreeProductGroup):
+        return syllables
+    return tuple(x for fi, sub in syllables
+                 for x in group.embed_word(fi, group.factors[fi].key_letters(sub)))
+
+
+def oracle_check_symbols(x, size):
+    """Oracle: the pattern symbol check as one loop over the values, which
+    names the first value outside the alphabet."""
+    for v in x.assignment.values():
+        if not 0 <= v < size:
+            raise MalformedInputError(f"pattern symbol {v} outside alphabet")
 
 
 def oracle_normal_form(rules, word):

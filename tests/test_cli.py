@@ -871,9 +871,9 @@ NO_RULES = {"kind": "rewriting", "generators": [], "rules": []}
 
 
 @pytest.mark.parametrize("argv,message", [
-    # a name two generators share, a name list that does not match the rank,
-    # and a table entry that is not an int would name another group than
-    # the JSON says, or crash
+    # a name two generators share, a name list that does not match the rank
+    # or the table's order, and a table entry that is not an int would name
+    # another group than the JSON says, or crash
     pytest.param(_ball({"kind": "free", "rank": 2, "names": ["a", "a"]}),
                  "generator names repeat: ['e', 'a', 'a^-1', 'a', 'a^-1']",
                  id="free-name-twice"),
@@ -884,6 +884,12 @@ NO_RULES = {"kind": "rewriting", "generators": [], "rules": []}
     pytest.param(_ball({"kind": "finite", "table": TABLE_3, "names": ["e", "t", "t"]}),
                  "generator names repeat: ['e', 't', 't']",
                  id="finite-name-twice"),
+    pytest.param(_ball({"kind": "finite", "table": [[0, 1], [1, 0]], "names": ["e", "t", "u"]}),
+                 "finite group of order 2 given 3 names",
+                 id="finite-extra-name"),
+    pytest.param(_ball({"kind": "finite", "table": [[0, 1], [1, 0]], "names": ["e"]}),
+                 "finite group of order 2 given 1 names",
+                 id="finite-missing-name"),
     pytest.param(_ball({"kind": "free", "rank": 1, "names": ["x", "y"]}),
                  "free group of rank 1 given 2 names",
                  id="free-extra-name"),

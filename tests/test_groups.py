@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 from groupshift import (
     MalformedInputError,
     UndeterminedError,
+    ball,
     canonical_form,
     cyclic_group,
     free_group,
@@ -20,7 +21,14 @@ from groupshift import (
 from groupshift import groups, jsonio
 from groupshift.groups import Element, RewritingGroup
 
-from .conftest import CHECKS, KINDS, oracle_ball, oracle_normal_form
+from .conftest import (
+    CHECKS,
+    KINDS,
+    oracle_ball,
+    oracle_letters,
+    oracle_normal_form,
+    oracle_word,
+)
 from .test_ball_table import GROUPS as TABLE_GROUPS
 
 
@@ -356,6 +364,29 @@ def test_deep_keys_share_structure(name):
     longer = g.key_append(key, letter)
     assert longer.parent is key
     assert g.key_append(longer, g.inverse_letter(letter)) is key
+
+
+@pytest.mark.parametrize("name", ["f2", "c2*c3", "z_a_a2"])   # ConsWord keys
+def test_kept_words_match_the_chain_walk(name):
+    """A key node reads the word of its whole parent chain on its first call
+    and its kept word after, whether or not an ancestor kept one first; the
+    shortlex key and the ball order follow the word."""
+    g = KINDS[name]()
+    rng = random.Random(name)
+    letters = range(len(g.generators))
+    for _ in range(300):
+        word = [rng.choice(letters) for _ in range(rng.randint(0, 16))]
+        if rng.random() < 0.5:
+            g.element(word[:rng.randint(0, len(word))]).key.letters()
+        e = g.element(word)
+        expected = oracle_letters(e.key)
+        assert e.key.letters() == expected
+        assert e.key.letters() == expected
+        w = oracle_word(g, e)
+        assert g.word_of(e) == w
+        assert g.shortlex_key(e) == (len(w), w)
+    cells = ball(g, 5).sorted_elements()
+    assert cells == sorted(cells, key=lambda e: (len(oracle_word(g, e)), oracle_word(g, e)))
 
 
 @pytest.mark.parametrize("name", KINDS)

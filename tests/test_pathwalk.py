@@ -548,7 +548,8 @@ def test_path_run_pushes_per_step_are_bounded(name, monkeypatch):
 
 def test_dropped_groups_free_their_key_nodes():
     """Free products and rewriting groups grow their keys from a trie root
-    of their own, so a dropped group takes its nodes with it."""
+    of their own, so a dropped group takes its nodes with it, the words its
+    nodes keep once read included."""
     def live_nodes():
         return sum(isinstance(o, ConsWord) for o in gc.get_objects())
 
@@ -558,6 +559,10 @@ def test_dropped_groups_free_their_key_nodes():
         for name in ("c2*c3", "z_a_a2"):
             run = PathRun(PathMachine(KINDS[name]()))
             run.run(500)
+            # read in a comprehension, so that no cell outlives its group in
+            # a local of this frame
+            words = [run.group.word_of(cell) for cell in run.path]
+            assert words and all(cell.key._word is not None for cell in run.path)
     assert live_nodes() > baseline + 100
     del run
     gc.collect()

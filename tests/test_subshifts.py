@@ -12,6 +12,7 @@ from .conftest import (
     brute_force_extendable,
     brute_force_factor,
     finite_specs,
+    oracle_check_symbols,
     oracle_violates,
 )
 from hypothesis import given, strategies as st
@@ -436,6 +437,30 @@ def test_factor_code_must_read_the_alphabet(zline):
 def test_symbol_outside_alphabet_is_malformed(zline, entry, symbol):
     with pytest.raises(MalformedInputError, match="outside alphabet"):
         entry(Pattern({zline.identity: symbol}), z_sft(zline))
+
+
+def test_symbol_check_matches_the_loop(zline):
+    """The symbol check raises exactly when the plain loop over the values
+    does, with its message, which names the first offending value."""
+    cells = ball(zline, 8).sorted_elements()
+    outcomes = set()
+    for seed in range(400):
+        rng = random.Random(seed)
+        size = rng.randint(1, 4)
+        odd = [-2, -1, size, size + 1, True, False, 0.5]
+        spread = rng.choice((0.0, 0.05, 0.3))
+        x = Pattern({c: rng.choice(odd) if rng.random() < spread else rng.randrange(size)
+                     for c in rng.sample(cells, rng.randint(0, len(cells)))})
+        got = []
+        for check in (subshifts._check_symbols, oracle_check_symbols):
+            try:
+                check(x, size)
+                got.append(None)
+            except MalformedInputError as err:
+                got.append(str(err))
+        assert got[0] == got[1]
+        outcomes.add(got[0] is None)
+    assert outcomes == {True, False}
 
 
 def test_factor_window_budget_counts_the_whole_search(zline):
